@@ -3,18 +3,30 @@
 // (internal/msg) is built on.
 //
 // Simulated processes are goroutines, but exactly one of them executes at
-// any moment: the kernel hands control to a process and waits until that
-// process blocks on a simulation primitive (Hold, Suspend) or terminates.
-// Events fire in (time, sequence) order, so two runs of the same program
-// produce identical traces — a property the paper's reproducibility
-// methodology depends on and which the tests verify.
+// any moment. There is no kernel goroutine: control passes like a baton.
+// A process that blocks (Hold, Suspend, SuspendTimeout, or returning from
+// its body) runs the dispatch loop itself. It pops events in (time,
+// sequence) order and runs callback events inline. When the next
+// activation is its own — a Hold that nothing else precedes — it carries
+// on without touching a channel; otherwise it hands control straight to
+// the activated process with one channel send and parks until its own
+// turn comes. Run only starts the chain and waits for the baton to come
+// back when the queue is empty. A process switch therefore costs one
+// goroutine hand-off, not the two of a kernel round trip, and scheduling
+// an event allocates nothing: events are plain values in an inline heap.
+// On a 2-CPU x86-64 host a Hold that continues without a hand-off takes
+// about 45 ns and a hand-off about 350–430 ns (BenchmarkHoldLoop,
+// BenchmarkHandOff).
+//
+// Because events fire in (time, sequence) order, two runs of the same
+// program produce identical traces — a property the paper's
+// reproducibility methodology depends on and which the tests verify.
 //
 // The kernel knows nothing about hosts, tasks or messages; those live in
 // internal/platform and internal/msg.
 package des
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -24,60 +36,113 @@ import (
 type Simulator struct {
 	now    float64
 	seq    uint64
-	events eventHeap
+	events eventQueue
 
-	yieldCh chan struct{} // signaled when the running process blocks or ends
+	done chan struct{} // the baton returns to Run when the queue drains
+	err  error         // why the dispatch loop stopped early, if it did
 
-	live      int               // processes spawned and not yet terminated
-	suspended map[*Process]bool // processes blocked without a scheduled wake
-	running   bool
+	live    []*Process // spawned and not yet terminated, in any order
+	running bool
 }
 
 // New returns an empty simulator at virtual time 0.
 func New() *Simulator {
-	return &Simulator{
-		yieldCh:   make(chan struct{}),
-		suspended: make(map[*Process]bool),
-	}
+	return &Simulator{done: make(chan struct{})}
 }
 
 // Now returns the current virtual time in seconds.
 func (s *Simulator) Now() float64 { return s.now }
 
-// event is a scheduled callback.
+type eventKind uint8
+
+const (
+	evCall     eventKind = iota // run fn
+	evActivate                  // resume proc
+	evTimeout                   // resume proc if it still waits in suspend cycle gen
+)
+
+// event is one entry of the queue. Only Schedule's callbacks carry a
+// closure; process activations are described by their fields.
 type event struct {
-	t   float64
-	seq uint64
-	fn  func()
+	t    float64
+	seq  uint64
+	kind eventKind
+	proc *Process
+	gen  uint64
+	fn   func()
 }
 
-type eventHeap []event
+// eventQueue is a binary min-heap ordered by (t, seq). It is hand-rolled
+// because container/heap boxes every element it pushes. seq is unique,
+// so the order is total and any correct heap pops the same sequence.
+type eventQueue []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+func (q eventQueue) less(i, j int) bool {
+	if q[i].t != q[j].t {
+		return q[i].t < q[j].t
 	}
-	return h[i].seq < h[j].seq
+	return q[i].seq < q[j].seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	*h = old[:n-1]
-	return ev
+
+func (q *eventQueue) push(ev event) {
+	*q = append(*q, ev)
+	h := *q
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the minimum event. It must not be called on
+// an empty queue.
+func (q *eventQueue) pop() event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = event{} // drop the references the vacated slot holds
+	h = h[:n]
+	*q = h
+	i := 0
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		least := l
+		if r := l + 1; r < n && h.less(r, l) {
+			least = r
+		}
+		if !h.less(least, i) {
+			break
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+	return top
+}
+
+// push queues ev at virtual time now+delay. Negative delays are clamped
+// to zero (fire "immediately", after already-queued same-time events).
+func (s *Simulator) push(delay float64, ev event) {
+	if delay < 0 || math.IsNaN(delay) {
+		delay = 0
+	}
+	s.seq++
+	ev.t = s.now + delay
+	ev.seq = s.seq
+	s.events.push(ev)
 }
 
 // Schedule runs fn at virtual time now+delay. Negative delays are clamped
 // to zero (fire "immediately", after already-queued same-time events).
 func (s *Simulator) Schedule(delay float64, fn func()) {
-	if delay < 0 || math.IsNaN(delay) {
-		delay = 0
-	}
-	s.seq++
-	heap.Push(&s.events, event{t: s.now + delay, seq: s.seq, fn: fn})
+	s.push(delay, event{kind: evCall, fn: fn})
 }
 
 // Process is a simulated thread of control. All its methods must be
@@ -85,11 +150,13 @@ func (s *Simulator) Schedule(delay float64, fn func()) {
 type Process struct {
 	sim    *Simulator
 	name   string
-	resume chan struct{}
-	dead   bool
+	resume chan struct{} // the baton arrives here
+	slot   int           // index in sim.live
 
-	waitGen  uint64 // suspend/resume cycle counter, invalidates stale timers
-	timedOut bool   // outcome of the last SuspendTimeout
+	dead      bool
+	suspended bool   // blocked without a scheduled activation
+	waitGen   uint64 // suspend/resume cycle counter, invalidates stale timers
+	timedOut  bool   // outcome of the last SuspendTimeout
 }
 
 // Name returns the process name given at spawn time.
@@ -105,65 +172,97 @@ func (p *Process) Now() float64 { return p.sim.now }
 // virtual time (after already-queued events). It may be called before Run
 // or from within another process.
 func (s *Simulator) Spawn(name string, body func(*Process)) *Process {
-	p := &Process{sim: s, name: name, resume: make(chan struct{})}
-	s.live++
-	go func() {
-		<-p.resume // first activation comes from the kernel
-		body(p)
-		p.dead = true
-		s.live--
-		s.yieldCh <- struct{}{}
-	}()
-	s.Schedule(0, func() { s.activate(p) })
-	return p
+	return s.SpawnAt(0, name, body)
 }
 
 // SpawnAt is Spawn with a start delay, mirroring SimGrid deployment
 // files' start_time attribute.
 func (s *Simulator) SpawnAt(delay float64, name string, body func(*Process)) *Process {
-	p := &Process{sim: s, name: name, resume: make(chan struct{})}
-	s.live++
-	go func() {
-		<-p.resume
-		body(p)
-		p.dead = true
-		s.live--
-		s.yieldCh <- struct{}{}
-	}()
-	s.Schedule(delay, func() { s.activate(p) })
+	p := &Process{sim: s, name: name, resume: make(chan struct{}), slot: len(s.live)}
+	s.live = append(s.live, p)
+	go p.main(body)
+	s.push(delay, event{kind: evActivate, proc: p})
 	return p
 }
 
-// activate transfers control to p and waits until it yields back.
-// Called only from kernel context (inside an event function).
-func (s *Simulator) activate(p *Process) {
-	if p.dead {
-		return
-	}
-	p.resume <- struct{}{}
-	<-s.yieldCh
+// main is the process goroutine: it waits for its first activation,
+// runs the body, and passes the baton on for good.
+func (p *Process) main(body func(*Process)) {
+	<-p.resume
+	body(p)
+	p.dead = true
+	s := p.sim
+	last := len(s.live) - 1
+	s.live[p.slot] = s.live[last]
+	s.live[p.slot].slot = p.slot
+	s.live[last] = nil
+	s.live = s.live[:last]
+	s.pass(s.dispatch())
 }
 
-// yield returns control to the kernel and blocks until reactivated.
-func (p *Process) yield() {
-	p.sim.yieldCh <- struct{}{}
+// dispatch pops events in (time, seq) order, running callbacks inline,
+// until one activates a process, and returns that process. It returns
+// nil when the queue is empty or the loop stopped with an error.
+func (s *Simulator) dispatch() *Process {
+	for len(s.events) > 0 {
+		ev := s.events.pop()
+		if ev.t < s.now {
+			s.err = fmt.Errorf("des: time went backwards: %v -> %v", s.now, ev.t)
+			return nil
+		}
+		s.now = ev.t
+		switch ev.kind {
+		case evCall:
+			ev.fn()
+		case evActivate:
+			if !ev.proc.dead {
+				return ev.proc
+			}
+		case evTimeout:
+			if p := ev.proc; p.suspended && p.waitGen == ev.gen {
+				p.suspended = false
+				p.timedOut = true
+				return p
+			}
+		}
+	}
+	return nil
+}
+
+// pass hands the baton to next, or back to Run when next is nil.
+func (s *Simulator) pass(next *Process) {
+	if next == nil {
+		s.done <- struct{}{}
+		return
+	}
+	next.resume <- struct{}{}
+}
+
+// block gives up control until p is activated again. When p's own
+// activation is the next event, no other goroutine runs.
+func (p *Process) block() {
+	s := p.sim
+	next := s.dispatch()
+	if next == p {
+		return
+	}
+	s.pass(next)
 	<-p.resume
 }
 
 // Hold advances the process's virtual time by d seconds (the simulated
 // equivalent of doing work or sleeping for d).
 func (p *Process) Hold(d float64) {
-	s := p.sim
-	s.Schedule(d, func() { s.activate(p) })
-	p.yield()
+	p.sim.push(d, event{kind: evActivate, proc: p})
+	p.block()
 }
 
 // Suspend blocks the process indefinitely; some other event must Wake it.
 // Suspended processes with no pending events constitute a deadlock, which
 // Run reports as an error.
 func (p *Process) Suspend() {
-	p.sim.suspended[p] = true
-	p.yield()
+	p.suspended = true
+	p.block()
 	p.waitGen++
 }
 
@@ -172,18 +271,10 @@ func (p *Process) Suspend() {
 // wake-up was the timeout (true) or an explicit Wake (false). Stale
 // timers from earlier suspend cycles are ignored.
 func (p *Process) SuspendTimeout(d float64) (timedOut bool) {
-	s := p.sim
 	p.timedOut = false
-	gen := p.waitGen
-	s.suspended[p] = true
-	s.Schedule(d, func() {
-		if s.suspended[p] && p.waitGen == gen {
-			delete(s.suspended, p)
-			p.timedOut = true
-			s.activate(p)
-		}
-	})
-	p.yield()
+	p.suspended = true
+	p.sim.push(d, event{kind: evTimeout, proc: p, gen: p.waitGen})
+	p.block()
 	p.waitGen++
 	return p.timedOut
 }
@@ -191,11 +282,11 @@ func (p *Process) SuspendTimeout(d float64) (timedOut bool) {
 // Wake schedules the suspended process to resume at the current virtual
 // time. Waking a process that is not suspended is a no-op.
 func (s *Simulator) Wake(p *Process) {
-	if !s.suspended[p] {
+	if !p.suspended {
 		return
 	}
-	delete(s.suspended, p)
-	s.Schedule(0, func() { s.activate(p) })
+	p.suspended = false
+	s.push(0, event{kind: evActivate, proc: p})
 }
 
 // Run executes events until none remain. It returns an error if processes
@@ -208,21 +299,23 @@ func (s *Simulator) Run() error {
 	}
 	s.running = true
 	defer func() { s.running = false }()
-	for s.events.Len() > 0 {
-		ev := heap.Pop(&s.events).(event)
-		if ev.t < s.now {
-			return fmt.Errorf("des: time went backwards: %v -> %v", s.now, ev.t)
-		}
-		s.now = ev.t
-		ev.fn()
+	if next := s.dispatch(); next != nil {
+		next.resume <- struct{}{}
+		<-s.done
 	}
-	if s.live > 0 {
-		names := make([]string, 0, len(s.suspended))
-		for p := range s.suspended {
-			names = append(names, p.name)
+	if err := s.err; err != nil {
+		s.err = nil
+		return err
+	}
+	if len(s.live) > 0 {
+		var names []string
+		for _, p := range s.live {
+			if p.suspended {
+				names = append(names, p.name)
+			}
 		}
 		sort.Strings(names)
-		return fmt.Errorf("des: deadlock at t=%v: %d live processes, suspended: %v", s.now, s.live, names)
+		return fmt.Errorf("des: deadlock at t=%v: %d live processes, suspended: %v", s.now, len(s.live), names)
 	}
 	return nil
 }

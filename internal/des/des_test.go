@@ -238,6 +238,22 @@ func BenchmarkHoldLoop(b *testing.B) {
 	}
 }
 
+// BenchmarkHandOff alternates two processes, so every activation
+// passes control to the other goroutine.
+func BenchmarkHandOff(b *testing.B) {
+	s := New()
+	for _, start := range []float64{0, 0.5} {
+		s.SpawnAt(start, "bench", func(p *Process) {
+			for i := 0; i < b.N/2; i++ {
+				p.Hold(1)
+			}
+		})
+	}
+	if err := s.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 func BenchmarkScheduleDispatch(b *testing.B) {
 	s := New()
 	var count int

@@ -37,9 +37,11 @@ func (desBackend) Run(ctx context.Context, spec RunSpec) (*RunResult, error) {
 // the spec is validated once, worker names are formatted once, the
 // scheduler is Reset instead of rebuilt, and the result slices and
 // rand48 state are reused. The kernel itself is rebuilt per run — its
-// goroutine processes cannot be recycled — so the des path is cheaper
-// than before but not allocation-free (it never was; it exists for
-// cross-validation, not throughput).
+// processes are goroutines that end with the run — so each run
+// allocates the simulator, one process (goroutine, channel and body
+// closure) per worker and the event heap's backing array. Nothing is
+// allocated per scheduling operation: the kernel schedules events as
+// plain values.
 type desRunner struct {
 	s     sched.Scheduler
 	reset sched.Resetter

@@ -13,8 +13,9 @@ import (
 // msgBackend adapts the full SimGrid-MSG-style model (internal/msg): a
 // master process owning the chunk calculator exchanges explicit
 // request/assignment messages with one worker process per PE over a star
-// platform. It is the verification-grade backend — orders of magnitude
-// slower than "sim" but with real message dynamics.
+// platform. It is the verification-grade backend — about 13 times the
+// cost per scheduling operation of "sim" (2.5 µs against 0.19 µs in the
+// benchmark's traced runs), but with real message dynamics.
 //
 // Mapping of the backend-independent knobs:
 //
@@ -51,9 +52,11 @@ func (msgBackend) Run(ctx context.Context, spec RunSpec) (*RunResult, error) {
 // backend: the spec is validated once, the star platform and host names
 // are built once (platform data is immutable during simulation), and the
 // scheduler and rand48 state are reused across runs. A fresh msg.Engine
-// still spins up per run — the MSG protocol processes are goroutines and
-// cannot be recycled — so this trims constant per-run cost rather than
-// making the path allocation-free.
+// still spins up per run — the MSG protocol processes are goroutines
+// that end with the run — so each run allocates the engine, one mailbox
+// and its name per worker, the master and worker processes and the
+// result slices. Nothing is allocated per message: every worker reuses
+// one request and one reply task.
 type msgRunner struct {
 	app msg.AppConfig
 	pl  *platform.Platform

@@ -76,6 +76,42 @@ type reply struct {
 
 const defaultCtrlBytes = 64
 
+const masterMailbox = "master"
+
+// workerLink is the per-worker protocol state that outlives one
+// message: the worker's mailbox name, built once per run, and the two
+// messages the worker and the master reuse for every exchange. Reuse is
+// safe because a worker never has more than one message in flight in
+// each direction: it sends a request and waits for the reply, and each
+// side copies a payload out as soon as it receives it.
+type workerLink struct {
+	mailbox string
+	req     request
+	rep     reply
+	reqTask Task
+	repTask Task
+}
+
+// declareMailboxes declares the master's mailbox and one per worker,
+// and returns the workers' links.
+func declareMailboxes(e *Engine, cfg AppConfig, reqBytes, repBytes float64) ([]workerLink, error) {
+	if err := e.DeclareMailbox(masterMailbox, cfg.MasterHost); err != nil {
+		return nil, err
+	}
+	links := make([]workerLink, len(cfg.WorkerHosts))
+	for w := range links {
+		l := &links[w]
+		l.mailbox = fmt.Sprintf("worker-%d", w)
+		if err := e.DeclareMailbox(l.mailbox, cfg.WorkerHosts[w]); err != nil {
+			return nil, err
+		}
+		l.req.worker = w
+		l.reqTask = Task{Name: "work-request", Bytes: reqBytes, Payload: &l.req}
+		l.repTask = Task{Name: "assignment", Bytes: repBytes, Payload: &l.rep}
+	}
+	return links, nil
+}
+
 // RunApp executes the Figure 1 protocol and returns its timing results.
 // The engine must be fresh (time 0) and is run to completion.
 func RunApp(e *Engine, cfg AppConfig) (*AppResult, error) {
@@ -113,15 +149,9 @@ func RunApp(e *Engine, cfg AppConfig) (*AppResult, error) {
 		TasksPerWorker: make([]int64, p),
 	}
 
-	const masterMailbox = "master"
-	if err := e.DeclareMailbox(masterMailbox, cfg.MasterHost); err != nil {
+	links, err := declareMailboxes(e, cfg, reqBytes, repBytes)
+	if err != nil {
 		return nil, err
-	}
-	workerMailbox := func(w int) string { return fmt.Sprintf("worker-%d", w) }
-	for w := range cfg.WorkerHosts {
-		if err := e.DeclareMailbox(workerMailbox(w), cfg.WorkerHosts[w]); err != nil {
-			return nil, err
-		}
 	}
 
 	var nextTask int64
@@ -133,7 +163,7 @@ func RunApp(e *Engine, cfg AppConfig) (*AppResult, error) {
 	}
 
 	// Master: Figure 1 left side.
-	err := e.Spawn(cfg.MasterHost, "master", func(mp *Process) {
+	err = e.Spawn(cfg.MasterHost, "master", func(mp *Process) {
 		finalized := 0
 		for finalized < p {
 			t, err := mp.Recv(masterMailbox)
@@ -141,11 +171,12 @@ func RunApp(e *Engine, cfg AppConfig) (*AppResult, error) {
 				fail(err)
 				return
 			}
-			req, ok := t.Payload.(request)
+			r, ok := t.Payload.(*request)
 			if !ok {
-				fail(fmt.Errorf("msg: master received %T, want request", t.Payload))
+				fail(fmt.Errorf("msg: master received %T, want *request", t.Payload))
 				return
 			}
+			req := *r
 			if req.lastChunk > 0 {
 				cfg.Sched.Report(req.worker, req.lastChunk, req.lastElapsed, mp.Now())
 			}
@@ -153,22 +184,19 @@ func RunApp(e *Engine, cfg AppConfig) (*AppResult, error) {
 				mp.Sleep(cfg.MasterOverhead)
 			}
 			chunk := cfg.Sched.Next(req.worker, mp.Now())
-			rep := reply{chunk: chunk}
+			l := &links[req.worker]
+			l.rep = reply{chunk: chunk}
 			if chunk > 0 {
 				seconds := cfg.Work.ChunkTime(nextTask, chunk, cfg.RNG)
 				nextTask += chunk
-				rep.flops = seconds * refSpeed
+				l.rep.flops = seconds * refSpeed
 				res.SchedOps++
 				res.OpsPerWorker[req.worker]++
 				res.TasksPerWorker[req.worker] += chunk
 			} else {
 				finalized++
 			}
-			if err := mp.Send(workerMailbox(req.worker), &Task{
-				Name:    "assignment",
-				Bytes:   repBytes,
-				Payload: rep,
-			}); err != nil {
+			if err := mp.Send(l.mailbox, &l.repTask); err != nil {
 				fail(err)
 				return
 			}
@@ -183,32 +211,26 @@ func RunApp(e *Engine, cfg AppConfig) (*AppResult, error) {
 
 	// Workers: Figure 1 right side.
 	for w := range cfg.WorkerHosts {
-		w := w
-		err := e.Spawn(cfg.WorkerHosts[w], fmt.Sprintf("worker-%d", w), func(wp *Process) {
-			var lastChunk int64
-			var lastElapsed float64
+		l := &links[w]
+		err := e.Spawn(cfg.WorkerHosts[w], l.mailbox, func(wp *Process) {
 			for {
 				sendStart := wp.Now()
-				err := wp.Send(masterMailbox, &Task{
-					Name:    "work-request",
-					Bytes:   reqBytes,
-					Payload: request{worker: w, lastChunk: lastChunk, lastElapsed: lastElapsed},
-				})
-				if err != nil {
+				if err := wp.Send(masterMailbox, &l.reqTask); err != nil {
 					fail(err)
 					return
 				}
-				t, err := wp.Recv(workerMailbox(w))
+				t, err := wp.Recv(l.mailbox)
 				if err != nil {
 					fail(err)
 					return
 				}
 				res.CommWait[w] += wp.Now() - sendStart
-				rep, ok := t.Payload.(reply)
+				r, ok := t.Payload.(*reply)
 				if !ok {
-					fail(fmt.Errorf("msg: worker %d received %T, want reply", w, t.Payload))
+					fail(fmt.Errorf("msg: worker %d received %T, want *reply", w, t.Payload))
 					return
 				}
+				rep := *r
 				if rep.chunk == 0 {
 					if t := wp.Now(); t > res.Makespan {
 						res.Makespan = t
@@ -217,9 +239,9 @@ func RunApp(e *Engine, cfg AppConfig) (*AppResult, error) {
 				}
 				start := wp.Now()
 				wp.Execute(rep.flops)
-				lastElapsed = wp.Now() - start
-				lastChunk = rep.chunk
-				res.Compute[w] += lastElapsed
+				l.req.lastElapsed = wp.Now() - start
+				l.req.lastChunk = rep.chunk
+				res.Compute[w] += l.req.lastElapsed
 			}
 		})
 		if err != nil {

@@ -156,11 +156,35 @@ func (p *Process) Send(mailbox string, t *Task) error {
 	p.dp.Hold(route.TransferTime(t.Bytes))
 	mb.queue = append(mb.queue, t)
 	if len(mb.waiters) > 0 {
-		w := mb.waiters[0]
-		mb.waiters = mb.waiters[1:]
-		p.eng.sim.Wake(w.dp)
+		p.eng.sim.Wake(popFront(&mb.waiters).dp)
 	}
 	return nil
+}
+
+// popFront removes and returns the first element of *q. It shifts the
+// rest down instead of reslicing past the head, so the backing array
+// survives and a steady send/receive stream appends into it without
+// reallocating. The shift moves every queued entry, which stays cheap
+// because queues are short: in the master–worker protocol a mailbox
+// holds at most one message per worker.
+func popFront[T any](q *[]*T) *T {
+	s := *q
+	first := s[0]
+	n := copy(s, s[1:])
+	s[n] = nil
+	*q = s[:n]
+	return first
+}
+
+// take dequeues the oldest task of mb, which must not be empty. If
+// tasks remain and more receivers wait, it chains the wake-up so no
+// delivery is lost when several sends precede the receives.
+func (p *Process) take(mb *Mailbox) *Task {
+	t := popFront(&mb.queue)
+	if len(mb.queue) > 0 && len(mb.waiters) > 0 {
+		p.eng.sim.Wake(popFront(&mb.waiters).dp)
+	}
+	return t
 }
 
 // RecvTimeout is Recv with a deadline: it returns (task, true, nil) when
@@ -185,14 +209,7 @@ func (p *Process) RecvTimeout(mailbox string, d float64) (*Task, bool, error) {
 			return nil, false, nil
 		}
 	}
-	t := mb.queue[0]
-	mb.queue = mb.queue[1:]
-	if len(mb.queue) > 0 && len(mb.waiters) > 0 {
-		w := mb.waiters[0]
-		mb.waiters = mb.waiters[1:]
-		p.eng.sim.Wake(w.dp)
-	}
-	return t, true, nil
+	return p.take(mb), true, nil
 }
 
 // Recv blocks until a task is available in the named mailbox and returns
@@ -206,16 +223,7 @@ func (p *Process) Recv(mailbox string) (*Task, error) {
 		mb.waiters = append(mb.waiters, p)
 		p.dp.Suspend()
 	}
-	t := mb.queue[0]
-	mb.queue = mb.queue[1:]
-	// If tasks remain and more receivers wait, chain the wake-up so no
-	// delivery is lost when several sends precede the receives.
-	if len(mb.queue) > 0 && len(mb.waiters) > 0 {
-		w := mb.waiters[0]
-		mb.waiters = mb.waiters[1:]
-		p.eng.sim.Wake(w.dp)
-	}
-	return t, nil
+	return p.take(mb), nil
 }
 
 // RegisterFunction names a process body so deployment files can refer to

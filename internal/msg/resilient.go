@@ -59,7 +59,8 @@ type ResilientResult struct {
 	TasksPerWorker  []int64
 }
 
-// assignment tracks one in-flight chunk at the master.
+// assignment tracks one in-flight chunk at the master; a zero count
+// means the worker has none.
 type assignment struct {
 	start    int64
 	count    int64
@@ -125,15 +126,9 @@ func RunResilientApp(e *Engine, cfg ResilientConfig) (*ResilientResult, error) {
 		TasksPerWorker: make([]int64, p),
 	}
 
-	const masterMailbox = "master"
-	if err := e.DeclareMailbox(masterMailbox, cfg.MasterHost); err != nil {
+	links, err := declareMailboxes(e, cfg.AppConfig, defaultCtrlBytes, defaultCtrlBytes)
+	if err != nil {
 		return nil, err
-	}
-	workerMailbox := func(w int) string { return fmt.Sprintf("worker-%d", w) }
-	for w := range cfg.WorkerHosts {
-		if err := e.DeclareMailbox(workerMailbox(w), cfg.WorkerHosts[w]); err != nil {
-			return nil, err
-		}
 	}
 
 	var total int64 = cfg.Sched.Remaining()
@@ -145,8 +140,12 @@ func RunResilientApp(e *Engine, cfg ResilientConfig) (*ResilientResult, error) {
 		}
 	}
 
-	err := e.Spawn(cfg.MasterHost, "master", func(mp *Process) {
-		inflight := map[int]assignment{}
+	err = e.Spawn(cfg.MasterHost, "master", func(mp *Process) {
+		// In-flight chunks are indexed by worker and scanned in worker
+		// order, so when several deadlines expire in one check the
+		// requeue order never depends on map iteration order.
+		inflight := make([]assignment, p)
+		busy := 0 // workers with a chunk in flight
 		dead := map[int]bool{}
 		var requeue []taskRange
 		var idle []int // workers waiting for work while none is available
@@ -170,44 +169,43 @@ func RunResilientApp(e *Engine, cfg ResilientConfig) (*ResilientResult, error) {
 			return r, true
 		}
 
+		// answer sends worker w its reusable reply carrying rep.
+		answer := func(w int, name string, rep reply) {
+			l := &links[w]
+			l.rep = rep
+			l.repTask.Name = name
+			if err := mp.Send(l.mailbox, &l.repTask); err != nil {
+				fail(err)
+			}
+		}
+
 		dispatch := func(w int, r taskRange) {
 			seconds := cfg.Work.ChunkTime(r.start, r.count, cfg.RNG)
+			if inflight[w].count == 0 {
+				busy++
+			}
 			inflight[w] = assignment{
 				start:    r.start,
 				count:    r.count,
 				deadline: mp.Now() + seconds*deadlineFactor + watchdog,
 			}
-			err := mp.Send(workerMailbox(w), &Task{
-				Name:  "assignment",
-				Bytes: defaultCtrlBytes,
-				Payload: reply{
-					chunk: r.count,
-					flops: seconds * refSpeed,
-				},
-			})
-			if err != nil {
-				fail(err)
-			}
+			answer(w, "assignment", reply{chunk: r.count, flops: seconds * refSpeed})
 		}
 
 		finalize := func(w int) {
-			err := mp.Send(workerMailbox(w), &Task{
-				Name: "finalize", Bytes: defaultCtrlBytes, Payload: reply{chunk: 0},
-			})
-			if err != nil {
-				fail(err)
-			}
+			answer(w, "finalize", reply{chunk: 0})
 			finalized++
 		}
 
 		checkDeadlines := func(now float64) {
 			for w, a := range inflight {
-				if dead[w] || a.deadline > now {
+				if a.count == 0 || dead[w] || a.deadline > now {
 					continue
 				}
 				// Worker w is presumed dead: requeue its chunk.
 				dead[w] = true
-				delete(inflight, w)
+				inflight[w] = assignment{}
+				busy--
 				requeue = append(requeue, taskRange{start: a.start, count: a.count})
 				res.FailuresSeen++
 				res.TasksReassigned += a.count
@@ -238,17 +236,18 @@ func RunResilientApp(e *Engine, cfg ResilientConfig) (*ResilientResult, error) {
 				checkDeadlines(now)
 				continue
 			}
-			req, okReq := t.Payload.(request)
+			r, okReq := t.Payload.(*request)
 			if !okReq {
-				fail(fmt.Errorf("msg: master received %T, want request", t.Payload))
+				fail(fmt.Errorf("msg: master received %T, want *request", t.Payload))
 				return
 			}
+			req := *r
 			w := req.worker
 			if req.lastChunk > 0 {
-				a, had := inflight[w]
-				if had {
+				if a := inflight[w]; a.count > 0 {
 					completed += a.count
-					delete(inflight, w)
+					inflight[w] = assignment{}
+					busy--
 					cfg.Sched.Report(w, req.lastChunk, req.lastElapsed, now)
 				} else {
 					// The master had already written this worker off and
@@ -265,7 +264,7 @@ func RunResilientApp(e *Engine, cfg ResilientConfig) (*ResilientResult, error) {
 			}
 			if r, have := nextRange(w, now); have {
 				dispatch(w, r)
-			} else if len(inflight) > 0 {
+			} else if busy > 0 {
 				// Work may still come back as requeues; park the worker.
 				idle = append(idle, w)
 			} else {
@@ -287,31 +286,25 @@ func RunResilientApp(e *Engine, cfg ResilientConfig) (*ResilientResult, error) {
 	}
 
 	for w := range cfg.WorkerHosts {
-		w := w
-		err := e.Spawn(cfg.WorkerHosts[w], fmt.Sprintf("worker-%d", w), func(wp *Process) {
-			var lastChunk int64
-			var lastElapsed float64
+		l := &links[w]
+		err := e.Spawn(cfg.WorkerHosts[w], l.mailbox, func(wp *Process) {
 			chunksDone := 0
 			for {
-				err := wp.Send(masterMailbox, &Task{
-					Name:    "work-request",
-					Bytes:   defaultCtrlBytes,
-					Payload: request{worker: w, lastChunk: lastChunk, lastElapsed: lastElapsed},
-				})
+				if err := wp.Send(masterMailbox, &l.reqTask); err != nil {
+					fail(err)
+					return
+				}
+				t, err := wp.Recv(l.mailbox)
 				if err != nil {
 					fail(err)
 					return
 				}
-				t, err := wp.Recv(workerMailbox(w))
-				if err != nil {
-					fail(err)
-					return
-				}
-				rep, okRep := t.Payload.(reply)
+				r, okRep := t.Payload.(*reply)
 				if !okRep {
-					fail(fmt.Errorf("msg: worker %d received %T, want reply", w, t.Payload))
+					fail(fmt.Errorf("msg: worker %d received %T, want *reply", w, t.Payload))
 					return
 				}
+				rep := *r
 				if rep.chunk == 0 {
 					if t := wp.Now(); t > res.Makespan {
 						res.Makespan = t
@@ -327,9 +320,9 @@ func RunResilientApp(e *Engine, cfg ResilientConfig) (*ResilientResult, error) {
 				}
 				start := wp.Now()
 				wp.Execute(rep.flops)
-				lastElapsed = wp.Now() - start
-				lastChunk = rep.chunk
-				res.Compute[w] += lastElapsed
+				l.req.lastElapsed = wp.Now() - start
+				l.req.lastChunk = rep.chunk
+				res.Compute[w] += l.req.lastElapsed
 				res.TasksPerWorker[w] += rep.chunk
 			}
 		})

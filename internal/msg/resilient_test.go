@@ -3,6 +3,7 @@ package msg
 import (
 	"testing"
 
+	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -146,5 +147,53 @@ func TestResilientRejectsRandomWorkload(t *testing.T) {
 	}}
 	if _, err := RunResilientApp(NewEngine(pl), cfg); err == nil {
 		t.Error("random workload accepted")
+	}
+}
+
+// TestResilientSimultaneousDeadlinesDeterministic: when two workers'
+// deadlines expire in the same check, their ranges must be requeued in
+// worker order, so which idle worker receives which range never
+// depends on map iteration order. Here workers 0 and 1 die during
+// first chunks of 25 and 19 tasks that both take 19 s, so both
+// deadlines fall at the same instant.
+func TestResilientSimultaneousDeadlinesDeterministic(t *testing.T) {
+	const n, p = 100, 4
+	times := make([]float64, n)
+	for i := range times {
+		times[i] = 1
+		if i < 25 {
+			times[i] = 0.76
+		}
+	}
+	work, err := workload.NewExplicit(times)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[[p]int64]int{}
+	for i := 0; i < 100; i++ {
+		pl, master, workers := freeCluster(t, p)
+		s, err := sched.New("GSS", sched.Params{N: n, P: p, Mu: work.Mean()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunResilientApp(NewEngine(pl), ResilientConfig{
+			AppConfig: AppConfig{
+				MasterHost: master, WorkerHosts: workers,
+				Sched: s, Work: work, ReferenceSpeed: 1,
+			},
+			Failures: []Failure{{Worker: 0, AfterChunks: 1}, {Worker: 1, AfterChunks: 1}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen[[p]int64(res.TasksPerWorker)]++
+	}
+	if len(seen) != 1 {
+		t.Fatalf("100 identical runs gave %d different task splits: %v", len(seen), seen)
+	}
+	for got := range seen {
+		if want := [p]int64{0, 0, 53, 47}; got != want {
+			t.Fatalf("TasksPerWorker = %v, want %v", got, want)
+		}
 	}
 }
