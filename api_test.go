@@ -178,6 +178,27 @@ func TestFacadeValidation(t *testing.T) {
 	if _, err := Compare(nil, 1024, 8); err == nil {
 		t.Error("Compare with no techniques accepted")
 	}
+	nan := math.NaN()
+	for _, pe := range []struct {
+		name string
+		opt  Option
+	}{
+		{"NaN speed", WithSpeeds([]float64{1, nan, 1, 1})},
+		{"zero speed", WithSpeeds([]float64{1, 0, 1, 1})},
+		{"infinite speed", WithSpeeds([]float64{1, math.Inf(1), 1, 1})},
+		{"NaN start time", WithStartTimes([]float64{0, nan, 0, 0})},
+		{"infinite start time", WithStartTimes([]float64{0, 0, math.Inf(-1), 0})},
+	} {
+		if _, err := Simulate("SS", 100, 4, pe.opt); err == nil {
+			t.Errorf("Simulate with %s accepted", pe.name)
+		}
+		if _, err := MeanWastedTime("SS", 100, 4, 3, pe.opt); err == nil {
+			t.Errorf("MeanWastedTime with %s accepted", pe.name)
+		}
+		if _, err := Compare([]string{"SS", "FAC2"}, 100, 4, pe.opt, WithBackend("des")); err == nil {
+			t.Errorf("Compare on des with %s accepted", pe.name)
+		}
+	}
 }
 
 func TestCompareOrdering(t *testing.T) {

@@ -195,6 +195,16 @@ func TestErrorEnvelopes(t *testing.T) {
 			t.Fatalf("message %q does not name the duplicate", apiErr.Message)
 		}
 	})
+	t.Run("speeds for another p", func(t *testing.T) {
+		// Rejected at submit, not when the job reaches the p = 4 point.
+		spec := contractSpec(1, 2)
+		spec.Speeds = []float64{1, 2}
+		_, err := c.Submit(ctx, spec)
+		apiErr := assertAPIError(t, err, http.StatusBadRequest, campaign.CodeInvalidSpec)
+		if !strings.Contains(apiErr.Message, "speeds") {
+			t.Fatalf("message %q does not name the speeds", apiErr.Message)
+		}
+	})
 	t.Run("malformed body", func(t *testing.T) {
 		resp, err := http.Post(c.base+"/v1/jobs", "application/json", strings.NewReader("{not json"))
 		if err != nil {

@@ -79,14 +79,16 @@
 // # Performance
 //
 // The simulation hot path is allocation-free in steady state. The
-// "sim" backend's event queue is a specialized non-boxing min-heap
-// (container/heap would box one event per scheduling operation), and
-// campaign execution runs through per-worker run arenas: the optional
-// engine.RunnerBackend extension builds one engine.Runner per campaign
-// point, which validates the spec once, resets the scheduler in place
-// (sched.Resetter — all 15 techniques implement it) and reuses the
-// result buffers and rand48 state via sim.RunInto. The results
-// pipeline distributes work as replication chunks — (point,
+// "sim" backend's event queue is a loser (tournament) tree with one
+// leaf per worker, built in place in the run arena: each scheduling
+// operation replays one fixed leaf-to-root path with one branch-free
+// comparison per level, and pops exactly the (time, worker id) order a
+// heap would. Campaign execution runs through per-worker run arenas:
+// the optional engine.RunnerBackend extension builds one engine.Runner
+// per campaign point, which validates the spec once, resets the
+// scheduler in place (sched.Resetter — all 15 techniques implement it)
+// and reuses the result buffers and rand48 state via sim.RunInto. The
+// results pipeline distributes work as replication chunks — (point,
 // replication-range) batches auto-sized from the grid and the worker
 // count, tunable via engine.ExecConfig.ChunkSize and dlsimd -chunk —
 // and each worker's runner survives point switches through the
@@ -97,9 +99,10 @@
 // output bit: golden tests prove the optimized path byte-identical
 // (JSONL streams and aggregates) to a naive
 // one-Backend.Run-per-replication execution across backends, seed
-// policies, worker counts and chunk sizes, and CI pins sim.Run at 0
-// steady-state allocs/op and gates multi-core scaling (>= 1.5x at 4
-// workers). cmd/benchtraj records absolute throughput, allocs/run and
+// policies, worker counts and chunk sizes, fixed SHA-256 digests pin
+// the JSONL output of all three backends, and CI pins sim.Run at 0
+// steady-state allocs/op up to p = 1024 and gates multi-core scaling
+// (>= 1.5x at 4 workers). cmd/benchtraj records absolute throughput, allocs/run and
 // the worker-scaling curve (BENCH_PR6.json) and takes
 // -cpuprofile/-memprofile for pprof analysis; dlsimd -pprof exposes
 // live /debug/pprof/ handlers.

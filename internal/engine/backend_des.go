@@ -14,8 +14,8 @@ import (
 // master folded into the (zero-cost) chunk calculation at request time.
 // It models exactly the dynamics of the sim backend — free communication
 // by default, optional master serialization and per-message cost — but
-// exercises the kernel's cooperative scheduling instead of an event heap,
-// cross-validating the two event orderings.
+// exercises the kernel's cooperative scheduling instead of sim's event
+// tree, cross-validating the two event orderings.
 type desBackend struct{}
 
 func init() { Register(desBackend{}) }
@@ -152,9 +152,9 @@ func (r *desRunner) Run(ctx context.Context, spec RunSpec) (*RunResult, error) {
 				chunkStart := nextTask
 				exec := spec.Work.ChunkTime(nextTask, chunk, &r.rng)
 				nextTask += chunk
-				if speed <= 0 {
+				if !(speed > 0) {
 					if runErr == nil {
-						runErr = fmt.Errorf("engine: des: non-positive speed %v for worker %d", speed, w)
+						runErr = fmt.Errorf("engine: des: speed %v for worker %d is not positive", speed, w)
 					}
 					return
 				}

@@ -58,6 +58,12 @@ func TestRunSpecValidate(t *testing.T) {
 		{"nil work", func(s *RunSpec) { s.Work = nil }},
 		{"short speeds", func(s *RunSpec) { s.Speeds = []float64{1} }},
 		{"short starts", func(s *RunSpec) { s.StartTimes = []float64{0, 0} }},
+		{"NaN speed", func(s *RunSpec) { s.Speeds = []float64{1, math.NaN(), 1, 1} }},
+		{"zero speed", func(s *RunSpec) { s.Speeds = []float64{1, 1, 0, 1} }},
+		{"negative speed", func(s *RunSpec) { s.Speeds = []float64{-1, 1, 1, 1} }},
+		{"infinite speed", func(s *RunSpec) { s.Speeds = []float64{1, 1, 1, math.Inf(1)} }},
+		{"NaN start", func(s *RunSpec) { s.StartTimes = []float64{0, math.NaN(), 0, 0} }},
+		{"infinite start", func(s *RunSpec) { s.StartTimes = []float64{0, 0, math.Inf(1), 0} }},
 	}
 	for _, c := range cases {
 		s := good

@@ -155,6 +155,9 @@ func (s CampaignSpec) Validate() error {
 		if p <= 0 {
 			return fmt.Errorf("engine: campaign spec: p must be positive, got %d", p)
 		}
+		if err := checkPEVectors(s.Speeds, s.StartTimes, p); err != nil {
+			return fmt.Errorf("engine: campaign spec: %w", err)
+		}
 	}
 	for _, tech := range s.Techniques {
 		// Probe with the grid's first cell; per-cell parameter errors

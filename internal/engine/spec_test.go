@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -120,6 +121,15 @@ func TestSpecValidateErrors(t *testing.T) {
 		{"bad technique", func(s *CampaignSpec) { s.Techniques = []string{"LIFO"} }},
 		{"bad workload", func(s *CampaignSpec) { s.Workload = workload.Spec{Kind: "cauchy"} }},
 		{"duplicate technique", func(s *CampaignSpec) { s.Techniques = []string{"FAC2", "SS", "FAC2"} }},
+		// testSpec's ps are {2, 4}: per-PE vectors must fit every p.
+		{"speeds for one p only", func(s *CampaignSpec) { s.Speeds = []float64{1, 2} }},
+		{"start times for one p only", func(s *CampaignSpec) { s.StartTimes = []float64{0, 0, 1, 1} }},
+		{"NaN speed", func(s *CampaignSpec) { s.Ps = []int{2}; s.Speeds = []float64{1, math.NaN()} }},
+		{"zero speed", func(s *CampaignSpec) { s.Ps = []int{2}; s.Speeds = []float64{0, 1} }},
+		{"infinite speed", func(s *CampaignSpec) { s.Ps = []int{2}; s.Speeds = []float64{math.Inf(1), 1} }},
+		{"NaN start time", func(s *CampaignSpec) { s.Ps = []int{2}; s.StartTimes = []float64{math.NaN(), 0} }},
+		{"infinite start time", func(s *CampaignSpec) { s.Ps = []int{2}; s.StartTimes = []float64{0, math.Inf(-1)} }},
+		{"NaN workload parameter", func(s *CampaignSpec) { s.Workload = workload.Spec{Kind: "exponential", P1: math.NaN()} }},
 	}
 	for _, tc := range cases {
 		s := testSpec()
@@ -130,6 +140,13 @@ func TestSpecValidateErrors(t *testing.T) {
 	}
 	if err := testSpec().Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
+	}
+	pe := testSpec()
+	pe.Ps = []int{4}
+	pe.Speeds = []float64{1, 2, 0.5, 1.5}
+	pe.StartTimes = []float64{0, -1, 0.5, 0}
+	if err := pe.Validate(); err != nil {
+		t.Fatalf("valid per-PE vectors rejected: %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/rng"
@@ -20,28 +21,40 @@ func arenaConfig(t testing.TB, technique string, n int64, p int) (Config, sched.
 	return Config{P: p, Sched: s, Work: workload.NewExponential(1), RNG: r, H: 0.5}, s.(sched.Resetter), r
 }
 
+// arenaSizes are the (n, p) points of the allocation gate and its
+// benchmark: a small machine, the paper's largest p (the deepest event
+// tree) and a p that is not a power of two next to it.
+var arenaSizes = []struct {
+	n int64
+	p int
+}{{2048, 8}, {8192, 1000}, {8192, 1024}}
+
 // TestRunIntoAllocationFree pins the arena hot path at zero steady-state
 // allocations per run. This is the CI allocation gate for sim.Run: any
-// regression (a boxed heap element, an escaping closure, a fresh slice
-// per run) fails here before it can show up as a throughput loss. The
-// Exponential workload draws chunk sums via the Gamma/Erlang samplers,
-// so the RNG path is exercised too.
+// regression (an escaping closure, a fresh slice per run, an event
+// queue rebuilt on the heap) fails here before it can show up as a
+// throughput loss. The Exponential workload draws chunk sums via the
+// Gamma/Erlang samplers, so the RNG path is exercised too.
 func TestRunIntoAllocationFree(t *testing.T) {
 	for _, technique := range []string{"SS", "GSS", "FAC", "FAC2", "BOLD"} {
 		t.Run(technique, func(t *testing.T) {
-			cfg, reset, r := arenaConfig(t, technique, 2048, 8)
-			arena := new(Arena)
-			run := func() {
-				reset.Reset()
-				r.SetState(0x2A5F3C)
-				if _, err := RunInto(cfg, arena); err != nil {
-					t.Fatal(err)
-				}
-			}
-			run() // warm the arena buffers
-			// The ceiling is exactly 0: the whole point of the arena path.
-			if avg := testing.AllocsPerRun(50, run); avg > 0 {
-				t.Fatalf("RunInto allocates %.1f times per steady-state run, want 0", avg)
+			for _, size := range arenaSizes {
+				t.Run(fmt.Sprintf("p%d", size.p), func(t *testing.T) {
+					cfg, reset, r := arenaConfig(t, technique, size.n, size.p)
+					arena := new(Arena)
+					run := func() {
+						reset.Reset()
+						r.SetState(0x2A5F3C)
+						if _, err := RunInto(cfg, arena); err != nil {
+							t.Fatal(err)
+						}
+					}
+					run() // warm the arena buffers
+					// The ceiling is exactly 0: the whole point of the arena path.
+					if avg := testing.AllocsPerRun(50, run); avg > 0 {
+						t.Fatalf("RunInto allocates %.1f times per steady-state run, want 0", avg)
+					}
+				})
 			}
 		})
 	}
@@ -109,16 +122,20 @@ func BenchmarkRun(b *testing.B) {
 func BenchmarkRunInto(b *testing.B) {
 	for _, technique := range []string{"SS", "GSS", "FAC", "BOLD"} {
 		b.Run(technique, func(b *testing.B) {
-			cfg, reset, r := arenaConfig(b, technique, 2048, 8)
-			arena := new(Arena)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				reset.Reset()
-				r.SetState(0x2A5F3C)
-				if _, err := RunInto(cfg, arena); err != nil {
-					b.Fatal(err)
-				}
+			for _, size := range arenaSizes {
+				b.Run(fmt.Sprintf("p%d", size.p), func(b *testing.B) {
+					cfg, reset, r := arenaConfig(b, technique, size.n, size.p)
+					arena := new(Arena)
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						reset.Reset()
+						r.SetState(0x2A5F3C)
+						if _, err := RunInto(cfg, arena); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
 			}
 		})
 	}

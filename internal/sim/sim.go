@@ -9,11 +9,13 @@
 //
 // The simulator advances a virtual clock over scheduling events only:
 // a worker becomes available, the master hands it a chunk, the worker is
-// busy for the chunk's execution time, repeat. Communication is free by
-// default (the paper models this in SimGrid by setting bandwidth very
-// high and latency very low) and the scheduling overhead h is accounted
-// per operation in the wasted-time metric (package metrics). Two
-// ablation switches depart from the paper's setup on request:
+// busy for the chunk's execution time, repeat. Each worker has one
+// pending request at a time, kept in a loser tree ordered by (time,
+// worker id) (queue.go). Communication is free by default (the paper
+// models this in SimGrid by setting bandwidth very high and latency very
+// low) and the scheduling overhead h is accounted per operation in the
+// wasted-time metric (package metrics). Two ablation switches depart
+// from the paper's setup on request:
 //
 //   - HInDynamics charges h inside the master loop, serializing
 //     concurrent requests the way a real master would (DESIGN.md A1).
@@ -28,6 +30,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/rng"
 	"repro/internal/sched"
@@ -82,78 +85,8 @@ type Result struct {
 	MasterBusy float64 // total master service time (HInDynamics mode)
 }
 
-// workerEvent is a pending "worker w requests work at time t" event.
-type workerEvent struct {
-	t float64
-	w int
-}
-
-// eventQueue is a binary min-heap of worker events ordered by
-// (time, worker id) — the worker id tie-break keeps runs deterministic
-// when several workers request simultaneously (e.g. at start).
-//
-// The heap is hand-rolled rather than built on container/heap: the
-// standard library interface passes elements as `any`, which boxes one
-// workerEvent per Push — one heap allocation per scheduling operation,
-// millions per campaign for fine-grained techniques like SS. The inline
-// sift operations below allocate nothing. Every event in the queue
-// belongs to a distinct worker, so the (time, worker) key is strictly
-// totally ordered and any correct heap pops the exact same sequence —
-// the replacement cannot change simulation output.
-type eventQueue []workerEvent
-
-func (q eventQueue) less(i, j int) bool {
-	if q[i].t != q[j].t {
-		return q[i].t < q[j].t
-	}
-	return q[i].w < q[j].w
-}
-
-// push adds ev and restores the heap property by sifting up.
-func (q *eventQueue) push(ev workerEvent) {
-	*q = append(*q, ev)
-	h := *q
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-// pop removes and returns the minimum event, sifting down to restore the
-// heap property. It must not be called on an empty queue.
-func (q *eventQueue) pop() workerEvent {
-	h := *q
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	*q = h
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		least := l
-		if r := l + 1; r < n && h.less(r, l) {
-			least = r
-		}
-		if !h.less(least, i) {
-			break
-		}
-		h[i], h[least] = h[least], h[i]
-		i = least
-	}
-	return top
-}
-
 // Arena holds the reusable buffers of a simulation run: the result
-// slices and the event queue's backing array. One arena serves many
+// slices and the event queue's tree. One arena serves many
 // sequential runs from a single goroutine — RunInto recycles its memory,
 // so steady-state runs allocate nothing. The zero value is ready to use.
 type Arena struct {
@@ -168,7 +101,6 @@ func (a *Arena) prepare(p int) *Result {
 		a.res.Finish = make([]float64, p)
 		a.res.OpsPerWorker = make([]int64, p)
 		a.res.TasksPerWorker = make([]int64, p)
-		a.queue = make(eventQueue, 0, p+1)
 	}
 	a.res.Compute = a.res.Compute[:p]
 	a.res.Finish = a.res.Finish[:p]
@@ -184,7 +116,6 @@ func (a *Arena) prepare(p int) *Result {
 	a.res.SchedOps = 0
 	a.res.CommTime = 0
 	a.res.MasterBusy = 0
-	a.queue = a.queue[:0]
 	return &a.res
 }
 
@@ -223,19 +154,19 @@ func RunInto(cfg Config, a *Arena) (*Result, error) {
 	if cfg.StartTimes != nil && len(cfg.StartTimes) != cfg.P {
 		return nil, fmt.Errorf("sim: got %d start times for %d workers", len(cfg.StartTimes), cfg.P)
 	}
+	for w, t := range cfg.StartTimes {
+		// The event queue orders times; NaN has no place in that order.
+		if math.IsNaN(t) || math.IsInf(t, 0) {
+			return nil, fmt.Errorf("sim: start time %v of worker %d is not finite", t, w)
+		}
+	}
 	if !cfg.Work.Deterministic() && cfg.RNG == nil {
 		return nil, fmt.Errorf("sim: random workload %q requires Config.RNG", cfg.Work.Name())
 	}
 
 	res := a.prepare(cfg.P)
 	q := &a.queue
-	for w := 0; w < cfg.P; w++ {
-		start := 0.0
-		if cfg.StartTimes != nil {
-			start = cfg.StartTimes[w]
-		}
-		q.push(workerEvent{t: start, w: w})
-	}
+	q.reset(cfg.P, cfg.StartTimes)
 
 	if fastLoopEligible(cfg) {
 		runLoopFast(cfg, res, q)
@@ -258,8 +189,9 @@ func fastLoopEligible(cfg Config) bool {
 // runLoopFast is the inner loop specialized for the paper-faithful
 // configuration (no per-PE speeds, no perturbation, no observer, h
 // outside the dynamics, free communication). With every optional feature
-// known absent, the per-operation work collapses to: pop, ask the
-// scheduler, charge the chunk, push — no speed division (division by the
+// known absent, the per-operation work collapses to: take the queue's
+// winner, ask the scheduler, charge the chunk, give the winner its next
+// time — no speed division (division by the
 // implicit 1.0 is a bit-exact identity, so skipping it cannot change
 // output), no master serialization, no comm-cost accounting and none of
 // the five per-op branches the generic loop re-tests millions of times
@@ -268,16 +200,19 @@ func fastLoopEligible(cfg Config) bool {
 func runLoopFast(cfg Config, res *Result, q *eventQueue) {
 	var nextTask int64 // global index of the next unassigned task
 
-	for len(*q) > 0 {
-		ev := q.pop()
-		t := ev.t
+	for {
+		w, t, ok := q.top()
+		if !ok {
+			return
+		}
 
-		chunk := cfg.Sched.Next(ev.w, t)
+		chunk := cfg.Sched.Next(w, t)
 		if chunk == 0 {
 			// Finalization: the worker leaves the computation.
-			if t > res.Finish[ev.w] {
-				res.Finish[ev.w] = t
+			if t > res.Finish[w] {
+				res.Finish[w] = t
 			}
+			q.leave(w)
 			continue
 		}
 
@@ -285,30 +220,32 @@ func runLoopFast(cfg Config, res *Result, q *eventQueue) {
 		nextTask += chunk
 
 		done := t + exec
-		res.Compute[ev.w] += exec
-		res.Finish[ev.w] = done
-		res.OpsPerWorker[ev.w]++
-		res.TasksPerWorker[ev.w] += chunk
+		res.Compute[w] += exec
+		res.Finish[w] = done
+		res.OpsPerWorker[w]++
+		res.TasksPerWorker[w] += chunk
 		res.SchedOps++
-		cfg.Sched.Report(ev.w, chunk, exec, done)
+		cfg.Sched.Report(w, chunk, exec, done)
 		if done > res.Makespan {
 			res.Makespan = done
 		}
-		q.push(workerEvent{t: done, w: ev.w})
+		q.next(w, done)
 	}
 }
 
 // runLoopGeneric is the fully featured inner loop, handling every
-// optional dynamic. The only error it can produce is a non-positive
-// effective speed (a Perturb contract violation); the arena's result is
-// partially filled in that case and must be discarded.
+// optional dynamic. The only error it can produce is an effective
+// speed that is not positive (a Perturb contract violation); the arena's
+// result is partially filled in that case and must be discarded.
 func runLoopGeneric(cfg Config, res *Result, q *eventQueue) error {
 	var nextTask int64 // global index of the next unassigned task
 	var masterFree float64
 
-	for len(*q) > 0 {
-		ev := q.pop()
-		t := ev.t
+	for {
+		w, t, ok := q.top()
+		if !ok {
+			return nil
+		}
 
 		serviceEnd := t
 		if cfg.HInDynamics {
@@ -321,12 +258,13 @@ func runLoopGeneric(cfg Config, res *Result, q *eventQueue) error {
 			res.MasterBusy += cfg.H
 		}
 
-		chunk := cfg.Sched.Next(ev.w, t)
+		chunk := cfg.Sched.Next(w, t)
 		if chunk == 0 {
 			// Finalization: the worker leaves the computation.
-			if t > res.Finish[ev.w] {
-				res.Finish[ev.w] = t
+			if t > res.Finish[w] {
+				res.Finish[w] = t
 			}
+			q.leave(w)
 			continue
 		}
 
@@ -335,32 +273,30 @@ func runLoopGeneric(cfg Config, res *Result, q *eventQueue) error {
 		nextTask += chunk
 		s := 1.0
 		if cfg.Speeds != nil {
-			s = cfg.Speeds[ev.w]
+			s = cfg.Speeds[w]
 		}
 		if cfg.Perturb != nil {
-			s *= cfg.Perturb(ev.w, serviceEnd)
+			s *= cfg.Perturb(w, serviceEnd)
 		}
-		if s <= 0 {
-			return fmt.Errorf("sim: non-positive speed %v for worker %d", s, ev.w)
+		if !(s > 0) {
+			return fmt.Errorf("sim: speed %v for worker %d is not positive", s, w)
 		}
 		exec /= s
 
 		done := serviceEnd + cfg.PerMessageCost + exec
 		res.CommTime += cfg.PerMessageCost
-		res.Compute[ev.w] += exec
-		res.Finish[ev.w] = done
-		res.OpsPerWorker[ev.w]++
-		res.TasksPerWorker[ev.w] += chunk
+		res.Compute[w] += exec
+		res.Finish[w] = done
+		res.OpsPerWorker[w]++
+		res.TasksPerWorker[w] += chunk
 		res.SchedOps++
-		cfg.Sched.Report(ev.w, chunk, exec, done)
+		cfg.Sched.Report(w, chunk, exec, done)
 		if cfg.Observe != nil {
-			cfg.Observe(ev.w, chunkStart, chunk, serviceEnd, done)
+			cfg.Observe(w, chunkStart, chunk, serviceEnd, done)
 		}
 		if done > res.Makespan {
 			res.Makespan = done
 		}
-		q.push(workerEvent{t: done, w: ev.w})
+		q.next(w, done)
 	}
-
-	return nil
 }

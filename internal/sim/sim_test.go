@@ -298,6 +298,37 @@ func TestPerturbationRejectsZeroSpeed(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNaN: a NaN speed, perturbation or start time fails every
+// comparison, so unchecked it would hand one worker half the chunks and
+// drop it from the makespan, or leave workers idle. Each is an error, as
+// is an infinite start time.
+func TestRunRejectsNaN(t *testing.T) {
+	nan := math.NaN()
+	cases := []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"NaN speed", func(c *Config) { c.Speeds = []float64{1, nan, 1, 1} }},
+		{"NaN perturbation", func(c *Config) {
+			c.Perturb = func(w int, _ float64) float64 {
+				if w == 1 {
+					return nan
+				}
+				return 1
+			}
+		}},
+		{"NaN start time", func(c *Config) { c.StartTimes = []float64{0, nan, 0, 0} }},
+		{"infinite start time", func(c *Config) { c.StartTimes = []float64{0, math.Inf(1), 0, 0} }},
+	}
+	for _, tc := range cases {
+		cfg := Config{P: 4, Sched: mustSched(t, "SS", sched.Params{N: 100, P: 4}), Work: workload.NewConstant(1)}
+		tc.mut(&cfg)
+		if res, err := Run(cfg); err == nil {
+			t.Errorf("%s accepted: tasks per worker %v, makespan %v", tc.name, res.TasksPerWorker, res.Makespan)
+		}
+	}
+}
+
 // TestHagerupShapeSmall is a statistical smoke test of the headline
 // result shape on a small grid: averaged over runs, SS's wasted time is
 // dominated by h·n/p, and BOLD beats STAT under high variance.

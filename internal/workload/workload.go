@@ -336,15 +336,18 @@ type Spec struct {
 //	normal:     mean P1, std P2
 //	gamma:      shape P1, scale P2
 //	bimodal:    light P1, heavy P2, P(heavy) = P3
+//
+// Each check is written as the negation of the valid range, so a NaN
+// parameter, which fails every comparison, is rejected too.
 func (s Spec) Build() (Workload, error) {
 	switch s.Kind {
 	case "constant":
-		if s.P1 <= 0 {
+		if !(s.P1 > 0) {
 			return nil, fmt.Errorf("workload: constant requires positive task time, got %v", s.P1)
 		}
 		return NewConstant(s.P1), nil
 	case "uniform":
-		if s.P2 <= s.P1 {
+		if !(s.P2 > s.P1) {
 			return nil, fmt.Errorf("workload: uniform requires hi > lo, got [%v,%v)", s.P1, s.P2)
 		}
 		return NewUniformRandom(s.P1, s.P2), nil
@@ -352,27 +355,30 @@ func (s Spec) Build() (Workload, error) {
 		if s.N <= 0 {
 			return nil, fmt.Errorf("workload: %s requires task count N", s.Kind)
 		}
-		if s.Kind == "increasing" && s.P2 < s.P1 || s.Kind == "decreasing" && s.P2 > s.P1 {
+		if s.Kind == "increasing" && !(s.P2 >= s.P1) || s.Kind == "decreasing" && !(s.P2 <= s.P1) {
 			return nil, fmt.Errorf("workload: %s endpoints out of order: %v -> %v", s.Kind, s.P1, s.P2)
 		}
 		return NewIncreasing(s.P1, s.P2, s.N), nil
 	case "exponential":
-		if s.P1 <= 0 {
+		if !(s.P1 > 0) {
 			return nil, fmt.Errorf("workload: exponential requires positive mean, got %v", s.P1)
 		}
 		return NewExponential(s.P1), nil
 	case "normal":
-		if s.P1 <= 0 || s.P2 < 0 {
+		if !(s.P1 > 0) || !(s.P2 >= 0) {
 			return nil, fmt.Errorf("workload: normal requires positive mean and non-negative std")
 		}
 		return NewNormal(s.P1, s.P2), nil
 	case "gamma":
-		if s.P1 <= 0 || s.P2 <= 0 {
+		if !(s.P1 > 0) || !(s.P2 > 0) {
 			return nil, fmt.Errorf("workload: gamma requires positive shape and scale")
 		}
 		return NewGamma(s.P1, s.P2), nil
 	case "bimodal":
-		if s.P3 < 0 || s.P3 > 1 {
+		if !(s.P1 >= 0) || !(s.P2 >= 0) {
+			return nil, fmt.Errorf("workload: bimodal requires non-negative task times, got %v and %v", s.P1, s.P2)
+		}
+		if !(s.P3 >= 0 && s.P3 <= 1) {
 			return nil, fmt.Errorf("workload: bimodal requires P(heavy) in [0,1], got %v", s.P3)
 		}
 		return NewBimodal(s.P1, s.P2, s.P3), nil

@@ -212,6 +212,21 @@ func TestSpecBuildErrors(t *testing.T) {
 		{Kind: "gamma", P1: 0, P2: 1},
 		{Kind: "bimodal", P3: 1.5},
 		{Kind: "zipf"},
+		// NaN fails every comparison, so each check must be the
+		// negation of the valid range.
+		{Kind: "constant", P1: math.NaN()},
+		{Kind: "uniform", P1: math.NaN(), P2: 1},
+		{Kind: "uniform", P1: 0, P2: math.NaN()},
+		{Kind: "increasing", P1: math.NaN(), P2: 2, N: 5},
+		{Kind: "decreasing", P1: 2, P2: math.NaN(), N: 5},
+		{Kind: "exponential", P1: math.NaN()},
+		{Kind: "normal", P1: math.NaN(), P2: 0.1},
+		{Kind: "normal", P1: 1, P2: math.NaN()},
+		{Kind: "gamma", P1: math.NaN(), P2: 1},
+		{Kind: "gamma", P1: 2, P2: math.NaN()},
+		{Kind: "bimodal", P1: math.NaN(), P2: 10, P3: 0.1},
+		{Kind: "bimodal", P1: 1, P2: math.NaN(), P3: 0.1},
+		{Kind: "bimodal", P1: 1, P2: 10, P3: math.NaN()},
 	}
 	for _, s := range bad {
 		if _, err := s.Build(); err == nil {
