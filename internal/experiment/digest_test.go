@@ -1,15 +1,19 @@
 package experiment
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"math"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/engine"
+	"repro/internal/metrics"
 	"repro/internal/workload"
 )
 
@@ -161,20 +165,199 @@ func TestTzenMSGDigests(t *testing.T) {
 // tzenDigest hashes a speedup table by IEEE-754 bits, curves in spec
 // order.
 func tzenDigest(r *TzenResult) string {
-	h := sha256.New()
-	var buf [8]byte
-	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
+	h := newBitHash()
 	for _, c := range r.Spec.Curves {
 		h.Write([]byte(c.Label))
 		for _, pt := range r.Curves[c.Label] {
-			u64(uint64(pt.P))
-			u64(math.Float64bits(pt.Speedup))
-			u64(math.Float64bits(pt.Overhead))
-			u64(math.Float64bits(pt.Imbalancing))
+			h.u64(uint64(pt.P))
+			h.f64(pt.Speedup)
+			h.f64(pt.Overhead)
+			h.f64(pt.Imbalancing)
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return h.hex()
+}
+
+// bitHash is a SHA-256 fed little-endian integers and IEEE-754 bit
+// patterns, so equal digests mean equal bits (-0 and +0 differ).
+type bitHash struct {
+	hash.Hash
+	buf [8]byte
+}
+
+func newBitHash() *bitHash { return &bitHash{Hash: sha256.New()} }
+
+func (h *bitHash) u64(v uint64) {
+	binary.LittleEndian.PutUint64(h.buf[:], v)
+	h.Write(h.buf[:])
+}
+
+func (h *bitHash) f64(v float64) { h.u64(math.Float64bits(v)) }
+
+func (h *bitHash) hex() string { return hex.EncodeToString(h.Sum(nil)) }
+
+// aggregateDigest hashes a campaign result by IEEE-754 bits: every
+// point's Wasted, Makespan and Speedup summaries and MeanOps in point
+// order, then the Overall roll-up.
+func aggregateDigest(res *engine.CampaignResult) string {
+	h := newBitHash()
+	summary := func(s metrics.Summary) {
+		h.u64(uint64(s.N))
+		for _, v := range []float64{s.Mean, s.Std, s.Min, s.Max, s.Median} {
+			h.f64(v)
+		}
+	}
+	for _, a := range res.Aggregates {
+		summary(a.Wasted)
+		summary(a.Makespan)
+		summary(a.Speedup)
+		h.f64(a.MeanOps)
+	}
+	o := res.Overall
+	h.u64(uint64(o.Count))
+	for _, v := range []float64{o.Sum, o.MeanV, o.M2, o.MinV, o.MaxV} {
+		h.f64(v)
+	}
+	return h.hex()
+}
+
+// pathDigests pins digestSpec for every backend and seed policy: the
+// SHA-256 of the JSONL stream, then that of the aggregates
+// (aggregateDigest). sim and des agree bit for bit, so their digests
+// are equal.
+var pathDigests = map[string][2]string{
+	"sim/cell": {
+		"0a27e080722bf8f2ddb9041a50f8f21c3ae45c243459f64a26251f2c9ce3c6d3",
+		"d34db7215107cc42074d366f5cfe5ae902a292965bc15a0f889824fdb0798880",
+	},
+	"sim/flat": {
+		"3456646393f1af74a708290ed85b7114e826d85dbcf0f679ddc0cd643f6a6318",
+		"b8d424494cbb033b1d8791d7578f4936bc6e7a0df5cc3aaf673b90a0c2892e7b",
+	},
+	"sim/facade": {
+		"e34d2622a9967d3fd0d269ae8fb19e10ce7e2d2bf5131be41800439d8c756905",
+		"179102a4e41d35e4485ce84b141539bb2ff81ef1f521a47114b5f35513d6005e",
+	},
+	"sim/shared": {
+		"b7dc6f2c1b26b91cca849ce53c412775860cae46092b8fe775ff237706d6b8da",
+		"9e2a8739b209dac68a9467941a50e9429db2cbd51650d3c1a94ee8010acf5943",
+	},
+	"des/cell": {
+		"0a27e080722bf8f2ddb9041a50f8f21c3ae45c243459f64a26251f2c9ce3c6d3",
+		"d34db7215107cc42074d366f5cfe5ae902a292965bc15a0f889824fdb0798880",
+	},
+	"des/flat": {
+		"3456646393f1af74a708290ed85b7114e826d85dbcf0f679ddc0cd643f6a6318",
+		"b8d424494cbb033b1d8791d7578f4936bc6e7a0df5cc3aaf673b90a0c2892e7b",
+	},
+	"des/facade": {
+		"e34d2622a9967d3fd0d269ae8fb19e10ce7e2d2bf5131be41800439d8c756905",
+		"179102a4e41d35e4485ce84b141539bb2ff81ef1f521a47114b5f35513d6005e",
+	},
+	"des/shared": {
+		"b7dc6f2c1b26b91cca849ce53c412775860cae46092b8fe775ff237706d6b8da",
+		"9e2a8739b209dac68a9467941a50e9429db2cbd51650d3c1a94ee8010acf5943",
+	},
+	"msg/cell": {
+		"31497f56a0a35c8fc60981c856a4516226aa9136d9bca3cd396c19b44958bb6b",
+		"3d124794831e3335078671677858388f751ed3da9171b6b567c571c50e5998ad",
+	},
+	"msg/flat": {
+		"66f8d25df9cb1daca4bcb23d73f4485b2a97fca33bc8f2b9c4e7e1d0461cce1e",
+		"548f24db492f6cfb85eb16d60df8a245a2c56bb7f10862d32adeb29c23a7c910",
+	},
+	"msg/facade": {
+		"99a3bd21da0cd61ba1edaced59717b5874818b0962d7f0b5aa9f46482e861cca",
+		"263bfbf489168354f200a77efa5b61ba657252410fa6067d788fb3bc25857b80",
+	},
+	"msg/shared": {
+		"69265dce51f281df2d24bc9e930f48dbccec20262c198e3c5d60600c1612f90d",
+		"ffef4afbf0b942f9509890b3534355acdf9ee75c164b50ad5b209183a2efa388",
+	},
+}
+
+// TestEnginePathDigests holds every way the engine produces a result to
+// the same fixed digests: live execution at one and four workers and
+// chunk sizes auto, 1 and 7 (more than the three replications), a cache
+// replay through a JSONL sink, an aggregate-only snapshot hit, and a
+// client-side Aggregator fed the decoded JSONL rows. No path is the
+// oracle of another.
+func TestEnginePathDigests(t *testing.T) {
+	ctx := context.Background()
+	for _, backend := range []string{"sim", "des", "msg"} {
+		for _, policy := range []string{engine.SeedPerCell, engine.SeedFlat, engine.SeedFacade, engine.SeedShared} {
+			key := backend + "/" + policy
+			t.Run(key, func(t *testing.T) {
+				spec := digestSpec(backend)
+				spec.SeedPolicy = policy
+				want := pathDigests[key]
+				checkAgg := func(path string, res *engine.CampaignResult) {
+					t.Helper()
+					if got := aggregateDigest(res); got != want[1] {
+						t.Errorf("%s: aggregate digest %s, want %s", path, got, want[1])
+					}
+				}
+				check := func(path string, stream []byte, res *engine.CampaignResult) {
+					t.Helper()
+					if got := fmt.Sprintf("%x", sha256.Sum256(stream)); got != want[0] {
+						t.Errorf("%s: JSONL digest %s, want %s", path, got, want[0])
+					}
+					checkAgg(path, res)
+				}
+				execute := func(cfg engine.ExecConfig) ([]byte, *engine.CampaignResult) {
+					t.Helper()
+					var buf bytes.Buffer
+					cfg.Sinks = []engine.Sink{engine.NewJSONLSink(&buf)}
+					res, err := spec.Execute(ctx, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return buf.Bytes(), res
+				}
+
+				var stream []byte
+				for _, workers := range []int{1, 4} {
+					for _, chunk := range []int{0, 1, 7} {
+						var res *engine.CampaignResult
+						stream, res = execute(engine.ExecConfig{Workers: workers, ChunkSize: chunk})
+						check(fmt.Sprintf("live workers=%d chunk=%d", workers, chunk), stream, res)
+					}
+				}
+
+				store := cache.NewMemory()
+				res, err := spec.Execute(ctx, engine.ExecConfig{Cache: store})
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkAgg("live cache fill", res)
+				replayed, res := execute(engine.ExecConfig{Cache: store})
+				check("cache replay", replayed, res)
+				if res, err = spec.Execute(ctx, engine.ExecConfig{Cache: store}); err != nil {
+					t.Fatal(err)
+				}
+				checkAgg("snapshot hit", res)
+
+				agg, err := spec.NewAggregator(false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, line := range bytes.SplitAfter(stream, []byte("\n")) {
+					if len(line) == 0 {
+						continue
+					}
+					ev, err := engine.DecodeJSONLEvent(line)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := agg.Consume(ctx, ev); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := agg.Close(); err != nil {
+					t.Fatal(err)
+				}
+				checkAgg("client aggregator", agg.Result())
+			})
+		}
+	}
 }
