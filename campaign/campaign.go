@@ -33,19 +33,18 @@ type (
 	// RunMetrics are the per-run scalars every campaign reports.
 	RunMetrics = engine.RunMetrics
 
-	// Sink consumes the ordered stream of run events.
+	// Sink consumes the ordered stream of run events; see PartialSink
+	// for chunk-granular delivery.
 	Sink = engine.Sink
 
-	// MetricsPartial is one chunk's worth of per-run metrics plus its
-	// pre-folded accumulators, delivered in deterministic chunk order on
-	// the aggregate fast path.
+	// MetricsPartial is one chunk's worth of per-run metrics, delivered
+	// to PartialSinks in deterministic (point, replication) order.
 	MetricsPartial = engine.MetricsPartial
 
-	// PartialSink marks a Sink as chunk-granular: when every sink of a
-	// campaign implements it, the pipeline skips per-run event delivery
-	// and ships MetricsPartial batches instead — same values, same
-	// order, far less per-run overhead. One plain Sink in the set
-	// disables the bypass for the whole campaign.
+	// PartialSink marks a Sink as chunk-granular: it receives one
+	// MetricsPartial per chunk and no per-run Events, while the plain
+	// Sinks of the same campaign receive Events — same values, same
+	// order. The choice is made per sink.
 	PartialSink = engine.PartialSink
 
 	// Aggregate summarizes all replications of one campaign point.

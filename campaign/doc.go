@@ -37,19 +37,17 @@
 // the event stream (Aggregator), a remote execution aggregated
 // client-side is bit-identical to a local one.
 //
-// # Sinks and the aggregate fast path
+// # Sinks: one delivery rule per sink
 //
-// Sinks observe campaign output. A plain Sink receives one Event per
-// run in deterministic (point, replication) order — what the CSV and
-// JSONL exporters need. A PartialSink additionally accepts
-// MetricsPartial batches: one call per replication chunk, carrying the
-// chunk's per-run scalars and chunk-local Welford partials, merged in
-// deterministic chunk order. When every sink attached to a campaign is
-// a PartialSink, the engine skips per-run event construction entirely
-// (the aggregate fast path); one plain Sink disables the bypass for
-// the whole campaign. Either path yields bit-identical aggregates —
-// the fast path is a throughput optimization, never a semantic choice.
-// Aggregator implements PartialSink.
+// Sinks observe campaign output. Every chunk of replications a worker
+// completes is delivered once, in deterministic (point, replication)
+// order, and each sink takes it in its own form. A plain Sink receives
+// one Event per run — what the CSV and JSONL exporters need. A
+// PartialSink receives one MetricsPartial per chunk instead, carrying
+// the chunk's per-run scalars, and no Events. The choice is made per
+// sink, so attaching an exporter never changes how the Aggregator (a
+// PartialSink) is fed, and both forms yield bit-identical aggregates.
+// Cache replays use the same delivery.
 //
 //	spec := campaign.Spec{
 //	    Techniques:   []string{"FAC2", "GSS"},

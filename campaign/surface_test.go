@@ -33,11 +33,10 @@ func TestAPISurfaceSnapshot(t *testing.T) {
 			"P3 float64 json=p3,omitempty; N int64 json=n,omitempty",
 		"RunMetrics": "Wasted float64 json=wasted; Makespan float64 json=makespan; " +
 			"Speedup float64 json=speedup; SchedOps int64 json=sched_ops",
-		"Event": "Point int; Rep int; Spec engine.RunSpec; Metrics engine.RunMetrics; Result *engine.RunResult",
-		"MetricsPartial": "Point int; RepLo int; Runs []engine.RunMetrics; " +
-			"Wasted metrics.Accumulator; Makespan metrics.Accumulator; Speedup metrics.Accumulator; Ops int64",
+		"Event":          "Point int; Rep int; Spec engine.RunSpec; Metrics engine.RunMetrics",
+		"MetricsPartial": "Point int; RepLo int; Runs []engine.RunMetrics",
 		"Aggregate": "Spec engine.RunSpec; Wasted metrics.Summary; Makespan metrics.Summary; " +
-			"Speedup metrics.Summary; MeanOps float64; PerRun []engine.RunMetrics; Results []*engine.RunResult",
+			"Speedup metrics.Summary; MeanOps float64; PerRun []engine.RunMetrics",
 		"Result": "Aggregates []engine.Aggregate; Overall metrics.Accumulator",
 		"Snapshot": "ID string json=id; Hash string json=hash; Tenant string json=tenant,omitempty; " +
 			"State jobs.State json=state; " +
@@ -134,8 +133,8 @@ func TestAPISurfaceSnapshot(t *testing.T) {
 }
 
 // The Aggregator must stay chunk-granular: losing ConsumePartial would
-// silently disable the engine's aggregate fast path for every campaign
-// that attaches one.
+// make the engine build and deliver one Event per run to every
+// campaign's aggregation.
 var _ campaign.PartialSink = (*campaign.Aggregator)(nil)
 
 // structShape renders a struct type's exported surface: field names,

@@ -2,14 +2,14 @@
 // trajectory: it measures campaign throughput (runs per second) and the
 // per-run allocation profile through the engine's streaming pipeline
 // under the configurations future PRs need to compare against — a
-// multi-worker scaling sweep (these rows run the aggregate fast path:
-// no per-run sink, so chunk partials bypass per-event delivery), the
-// ordered per-event path for comparison, and the two cache-hit shapes:
-// per-run replay (a sink consumes every stored record, decoded from the
-// binary cache format) and the aggregate-only snapshot hit (stored
-// aggregates served without touching per-run records). The samples are
-// written as one JSON document (BENCH_PR8.json at the repo root for
-// this PR, next to the earlier BENCH_PR3/5/6/7.json).
+// multi-worker scaling sweep (these rows are aggregate-only: no per-run
+// sink, so no per-run Event is built), the same campaign with one
+// ordered per-event sink attached for comparison, and the two cache-hit
+// shapes: per-run replay (a sink consumes every stored record, decoded
+// from the binary cache format) and the aggregate-only snapshot hit
+// (stored aggregates served without touching per-run records). The
+// samples are written as one JSON document (BENCH_PR8.json at the repo
+// root for this PR, next to the earlier BENCH_PR3/5/6/7.json).
 //
 // With -servers the document additionally records distributed-fleet
 // throughput: the same spec is sharded across the listed dlsimd nodes
@@ -125,8 +125,11 @@ type derived struct {
 	// ReplaySpeedup is the per-run cached replay (every stored record
 	// decoded and delivered to a sink) vs the fastest live measurement.
 	ReplaySpeedup float64 `json:"replay_speedup"`
-	// FastPathSpeedup is the aggregate fast path (chunk partials, no
-	// per-run events) vs the ordered per-event path at one worker.
+	// FastPathSpeedup is the aggregate-only campaign (chunk partials, no
+	// per-run events) vs the same campaign with one ordered per-event
+	// sink attached, at one worker. The aggregator takes partials in
+	// both, so the ratio prices building and delivering one Event per
+	// run.
 	FastPathSpeedup float64 `json:"fast_path_speedup"`
 	// DistributedRunsPerSec is the cold sharded-fleet throughput of the
 	// -servers measurement (0 when no fleet was measured).
@@ -139,8 +142,9 @@ type derived struct {
 }
 
 // discardSink consumes ordered per-run events and drops them. It has no
-// ConsumePartial on purpose: attaching it forces the engine's per-event
-// path, which is exactly what the ordered and replay rows must pay for.
+// ConsumePartial on purpose: the engine delivers it one Event per run,
+// which is exactly what the ordered and replay rows must pay for; the
+// aggregator next to it still takes partials.
 type discardSink struct{}
 
 func (discardSink) Consume(context.Context, engine.Event) error { return nil }
@@ -287,8 +291,8 @@ func run() error {
 		live = append(live, m)
 		byWorkers[w] = m
 	}
-	// The ordered per-event path at one worker: same campaign with one
-	// order-sensitive sink attached, which disables the partial bypass.
+	// The ordered per-event delivery at one worker: same campaign with
+	// one order-sensitive sink attached, which gets one Event per run.
 	orderedRow, err := measure("campaign/ordered/workers=1", 1, nil, false, true)
 	if err != nil {
 		return err

@@ -84,28 +84,29 @@
 // operation replays one fixed leaf-to-root path with one branch-free
 // comparison per level, and pops exactly the (time, worker id) order a
 // heap would. Campaign execution runs through per-worker run arenas:
-// the optional engine.RunnerBackend extension builds one engine.Runner
-// per campaign point, which validates the spec once, resets the
-// scheduler in place (sched.Resetter — all 15 techniques implement it)
-// and reuses the result buffers and rand48 state via sim.RunInto. The
-// results pipeline distributes work as replication chunks — (point,
-// replication-range) batches auto-sized from the grid and the worker
-// count, tunable via engine.ExecConfig.ChunkSize and dlsimd -chunk —
-// and each worker's runner survives point switches through the
-// engine.Rebinder extension, so one execution context (arena, pooled
-// buffers, rand48 slot) serves a worker's whole share of the grid.
-// Completed chunks reorder through a fixed-size ring, one channel send
-// and at most one broadcast per chunk. None of this changes a single
-// output bit: golden tests prove the optimized path byte-identical
-// (JSONL streams and aggregates) to a naive
-// one-Backend.Run-per-replication execution across backends, seed
-// policies, worker counts and chunk sizes, fixed SHA-256 digests pin
-// the JSONL output of all three backends, and CI pins sim.Run at 0
-// steady-state allocs/op up to p = 1024 and gates multi-core scaling
-// (>= 1.5x at 4 workers). cmd/benchtraj records absolute throughput, allocs/run and
-// the worker-scaling curve (BENCH_PR6.json) and takes
-// -cpuprofile/-memprofile for pprof analysis; dlsimd -pprof exposes
-// live /debug/pprof/ handlers.
+// every engine.Backend builds an engine.Runner per campaign point,
+// which validates the spec once, resets the scheduler in place
+// (Reset is part of sched.Scheduler) and reuses the result buffers and
+// rand48 state via sim.RunInto. The results pipeline distributes work
+// as replication chunks — (point, replication-range) batches auto-sized
+// from the grid and the worker count, tunable via
+// engine.ExecConfig.ChunkSize and dlsimd -chunk — and each worker's
+// runner survives point switches through Runner.Rebind, so one
+// execution context (arena, pooled buffers, rand48 slot) serves a
+// worker's whole share of the grid. Each completed chunk travels as one
+// pooled slice of per-run metrics and reorders through a fixed-size
+// ring, one channel send and at most one broadcast per chunk; one
+// delivery stage, shared with cache replay, hands it to each sink as a
+// single partial or as per-run events. None of this changes a single
+// output bit: fixed SHA-256 digests pin the JSONL output and the
+// aggregates of all three backends under every seed policy, whether
+// they come from live runs at any worker count and chunk size, a cache
+// replay, a snapshot hit or client-side aggregation, and CI pins
+// sim.Run at 0 steady-state allocs/op up to p = 1024 and gates
+// multi-core scaling (>= 1.5x at 4 workers). cmd/benchtraj records
+// absolute throughput, allocs/run and the worker-scaling curve
+// (BENCH_PR6.json) and takes -cpuprofile/-memprofile for pprof
+// analysis; dlsimd -pprof exposes live /debug/pprof/ handlers.
 //
 // The benchmark harness regenerating every figure of the paper lives in
 // bench_test.go and cmd/repro; see DESIGN.md and EXPERIMENTS.md.

@@ -11,9 +11,11 @@ import "context"
 // computed, because both sides run this same fold over the same metrics
 // in the same (point, replication) order.
 //
-// Close returns an error if any grid point saw fewer events than the
-// spec's replication count, so a truncated stream can never silently
-// yield partial aggregates.
+// Consume rejects an event whose technique, n or p differ from its
+// point's, so rows of another grid are never folded in, and Close
+// returns an error if any grid point saw fewer events than the spec's
+// replication count, so a truncated stream can never silently yield
+// partial aggregates.
 type Aggregator struct {
 	sink *aggregateSink
 }
@@ -26,16 +28,16 @@ func (s CampaignSpec) NewAggregator(keepPerRun bool) (*Aggregator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Aggregator{sink: newAggregateSink(points, s.Replications, keepPerRun, false)}, nil
+	return &Aggregator{sink: newAggregateSink(points, s.Replications, keepPerRun)}, nil
 }
 
 // Consume implements Sink.
 func (a *Aggregator) Consume(ctx context.Context, ev Event) error { return a.sink.Consume(ctx, ev) }
 
 // ConsumePartial implements PartialSink, so an Aggregator attached to a
-// live campaign engages the pipeline's aggregate fast path: chunk
-// partials fold into the same per-point state the event path feeds,
-// bit-identically.
+// live campaign receives one partial per chunk instead of one event per
+// run: chunk partials fold into the same per-point state the event path
+// feeds, bit-identically.
 func (a *Aggregator) ConsumePartial(ctx context.Context, p MetricsPartial) error {
 	return a.sink.ConsumePartial(ctx, p)
 }

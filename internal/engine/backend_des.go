@@ -22,15 +22,8 @@ func init() { Register(desBackend{}) }
 
 func (desBackend) Name() string { return "des" }
 
-func (desBackend) Run(ctx context.Context, spec RunSpec) (*RunResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	r, err := desBackend{}.NewRunner(spec) // validates the spec
-	if err != nil {
-		return nil, err
-	}
-	return r.Run(ctx, spec)
+func (b desBackend) Run(ctx context.Context, spec RunSpec) (*RunResult, error) {
+	return runOnce(ctx, b, spec)
 }
 
 // desRunner amortizes per-run setup across replications of one point:
@@ -44,13 +37,12 @@ func (desBackend) Run(ctx context.Context, spec RunSpec) (*RunResult, error) {
 // plain values.
 type desRunner struct {
 	s     sched.Scheduler
-	reset sched.Resetter
 	names []string
 	rng   rng.Rand48
 	out   RunResult
 }
 
-// NewRunner implements RunnerBackend.
+// NewRunner implements Backend.
 func (desBackend) NewRunner(spec RunSpec) (Runner, error) {
 	r := &desRunner{}
 	if err := r.Rebind(spec); err != nil {
@@ -59,7 +51,7 @@ func (desBackend) NewRunner(spec RunSpec) (Runner, error) {
 	return r, nil
 }
 
-// Rebind implements Rebinder: validate the new point and rebuild the
+// Rebind implements Runner: validate the new point and rebuild the
 // scheduler, growing the pooled name and result buffers only when the
 // new point has more workers than any point this runner served before.
 func (r *desRunner) Rebind(spec RunSpec) error {
@@ -71,7 +63,6 @@ func (r *desRunner) Rebind(spec RunSpec) error {
 		return err
 	}
 	r.s = s
-	r.reset, _ = s.(sched.Resetter)
 	if cap(r.names) < spec.P {
 		// Fill the whole backing array so later re-slicing to a larger P
 		// within capacity always exposes initialized names.
@@ -96,14 +87,7 @@ func (r *desRunner) Run(ctx context.Context, spec RunSpec) (*RunResult, error) {
 		return nil, err
 	}
 	s := r.s
-	if r.reset != nil {
-		r.reset.Reset()
-	} else {
-		var err error
-		if s, err = spec.Scheduler(); err != nil {
-			return nil, err
-		}
-	}
+	s.Reset()
 	r.rng.SetState(spec.RNGState)
 	res := &r.out
 	res.Makespan = 0

@@ -7,7 +7,6 @@ import (
 	"repro/internal/msg"
 	"repro/internal/platform"
 	"repro/internal/rng"
-	"repro/internal/sched"
 )
 
 // msgBackend adapts the full SimGrid-MSG-style model (internal/msg): a
@@ -37,15 +36,8 @@ func init() { Register(msgBackend{}) }
 
 func (msgBackend) Name() string { return "msg" }
 
-func (msgBackend) Run(ctx context.Context, spec RunSpec) (*RunResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	r, err := msgBackend{}.NewRunner(spec) // validates the spec
-	if err != nil {
-		return nil, err
-	}
-	return r.Run(ctx, spec)
+func (b msgBackend) Run(ctx context.Context, spec RunSpec) (*RunResult, error) {
+	return runOnce(ctx, b, spec)
 }
 
 // msgRunner amortizes the per-point setup of the verification-grade
@@ -60,13 +52,11 @@ func (msgBackend) Run(ctx context.Context, spec RunSpec) (*RunResult, error) {
 type msgRunner struct {
 	app msg.AppConfig
 	pl  *platform.Platform
-	s   sched.Scheduler
-	res sched.Resetter
 	rng rng.Rand48
 	out RunResult
 }
 
-// NewRunner implements RunnerBackend.
+// NewRunner implements Backend.
 func (msgBackend) NewRunner(spec RunSpec) (Runner, error) {
 	r := &msgRunner{}
 	if err := r.Rebind(spec); err != nil {
@@ -75,7 +65,7 @@ func (msgBackend) NewRunner(spec RunSpec) (Runner, error) {
 	return r, nil
 }
 
-// Rebind implements Rebinder: validate the new point and rebuild its
+// Rebind implements Runner: validate the new point and rebuild its
 // scheduler and star platform (platform data is immutable during
 // simulation, so it must match the new point's speeds and P), keeping
 // the runner's rand48 state slot.
@@ -115,8 +105,7 @@ func (r *msgRunner) Rebind(spec RunSpec) error {
 	if spec.HInDynamics {
 		masterOverhead = spec.H
 	}
-	r.pl, r.s = pl, s
-	r.res, _ = s.(sched.Resetter)
+	r.pl = pl
 	r.app = msg.AppConfig{
 		MasterHost:     "pe-0",
 		WorkerHosts:    workers,
@@ -133,15 +122,7 @@ func (r *msgRunner) Run(ctx context.Context, spec RunSpec) (*RunResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if r.res != nil {
-		r.res.Reset()
-	} else {
-		s, err := spec.Scheduler()
-		if err != nil {
-			return nil, err
-		}
-		r.app.Sched = s
-	}
+	r.app.Sched.Reset()
 	r.rng.SetState(spec.RNGState)
 	res, err := msg.RunApp(msg.NewEngine(r.pl), r.app)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"repro/internal/rng"
-	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -17,21 +16,8 @@ func init() { Register(simBackend{}) }
 
 func (simBackend) Name() string { return "sim" }
 
-func (simBackend) Run(ctx context.Context, spec RunSpec) (*RunResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	r, err := simBackend{}.NewRunner(spec) // validates the spec
-	if err != nil {
-		return nil, err
-	}
-	res, err := r.Run(ctx, spec)
-	if err != nil {
-		return nil, err
-	}
-	// The runner and its arena are throwaway here, so the aliased result
-	// needs no copy — no other run will ever overwrite it.
-	return res, nil
+func (b simBackend) Run(ctx context.Context, spec RunSpec) (*RunResult, error) {
+	return runOnce(ctx, b, spec)
 }
 
 // simRunner is the amortized execution state for one campaign point:
@@ -42,13 +28,12 @@ func (simBackend) Run(ctx context.Context, spec RunSpec) (*RunResult, error) {
 // serve a whole worker's share of the grid.
 type simRunner struct {
 	cfg   sim.Config
-	reset sched.Resetter // nil: scheduler must be rebuilt per run
 	rng   rng.Rand48
 	arena sim.Arena
 	out   RunResult
 }
 
-// NewRunner implements RunnerBackend.
+// NewRunner implements Backend.
 func (simBackend) NewRunner(spec RunSpec) (Runner, error) {
 	r := &simRunner{}
 	if err := r.Rebind(spec); err != nil {
@@ -57,7 +42,7 @@ func (simBackend) NewRunner(spec RunSpec) (Runner, error) {
 	return r, nil
 }
 
-// Rebind implements Rebinder: validate the new point, build its
+// Rebind implements Runner: validate the new point, build its
 // scheduler, and retain the arena (which re-sizes itself to the new P
 // on the next run).
 func (r *simRunner) Rebind(spec RunSpec) error {
@@ -68,7 +53,6 @@ func (r *simRunner) Rebind(spec RunSpec) error {
 	if err != nil {
 		return err
 	}
-	r.reset, _ = s.(sched.Resetter)
 	r.cfg = sim.Config{
 		P:              spec.P,
 		Sched:          s,
@@ -88,15 +72,7 @@ func (r *simRunner) Run(ctx context.Context, spec RunSpec) (*RunResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if r.reset != nil {
-		r.reset.Reset()
-	} else {
-		s, err := spec.Scheduler()
-		if err != nil {
-			return nil, err
-		}
-		r.cfg.Sched = s
-	}
+	r.cfg.Sched.Reset()
 	r.rng.SetState(spec.RNGState)
 	res, err := sim.RunInto(r.cfg, &r.arena)
 	if err != nil {

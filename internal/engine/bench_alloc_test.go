@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/workload"
@@ -27,13 +29,12 @@ func benchSpec(reps int) CampaignSpec {
 	}
 }
 
-func benchCampaign(b *testing.B, workers int, naive bool) {
+func benchCampaign(b *testing.B, workers int) {
 	b.Helper()
 	c, err := benchSpec(50).Compile(workers)
 	if err != nil {
 		b.Fatal(err)
 	}
-	c.disableRunners = naive
 	runs := len(c.Points) * c.Replications
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -48,11 +49,10 @@ func benchCampaign(b *testing.B, workers int, naive bool) {
 // BenchmarkCampaignStreamAlloc measures the full streaming pipeline —
 // runner arenas, batched delivery, ring reorder, aggregation — at one
 // worker and at GOMAXPROCS. allocs/op divided by runs/op is the per-run
-// allocation cost the tentpole attacks.
+// allocation cost.
 func BenchmarkCampaignStreamAlloc(b *testing.B) {
-	b.Run("workers=1", func(b *testing.B) { benchCampaign(b, 1, false) })
-	b.Run("workers=N", func(b *testing.B) { benchCampaign(b, 0, false) })
-	b.Run("naive/workers=1", func(b *testing.B) { benchCampaign(b, 1, true) })
+	b.Run("workers=1", func(b *testing.B) { benchCampaign(b, 1) })
+	b.Run("workers=N", func(b *testing.B) { benchCampaign(b, 0) })
 }
 
 // BenchmarkAggregateSinkAlloc isolates the reduction stage: consuming
@@ -63,14 +63,14 @@ func BenchmarkAggregateSinkAlloc(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ev := Event{Spec: points[0], Metrics: RunMetrics{Wasted: 1.5, Makespan: 600, Speedup: 6, SchedOps: 40}}
+	ev := Event{Metrics: RunMetrics{Wasted: 1.5, Makespan: 600, Speedup: 6, SchedOps: 40}}
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := newAggregateSink(points, spec.Replications, false, false)
+		s := newAggregateSink(points, spec.Replications, false)
 		for pi := range points {
-			ev.Point = pi
+			ev.Point, ev.Spec = pi, points[pi]
 			for rep := 0; rep < spec.Replications; rep++ {
 				ev.Rep = rep
 				if err := s.Consume(ctx, ev); err != nil {
@@ -85,73 +85,95 @@ func BenchmarkAggregateSinkAlloc(b *testing.B) {
 	}
 }
 
-// TestCampaignAllocationBudget is the campaign-level allocation gate:
-// a 500-run campaign on the runner path must allocate at least 5× less
-// than the naive one-Backend.Run-per-replication path, and stay under a
-// pinned per-run ceiling. Run sequentially so the counts are stable.
+// TestCampaignAllocationBudget is the campaign-level allocation gate: a
+// 500-run campaign must stay under a pinned per-run ceiling. Run
+// sequentially so the counts are stable.
 func TestCampaignAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is slow under -short")
 	}
-	measure := func(naive bool) float64 {
-		c, err := benchSpec(250).Compile(1) // 2 points × 250 reps = 500 runs
-		if err != nil {
+	c, err := benchSpec(250).Compile(1) // 2 points × 250 reps = 500 runs
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := c.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		c.disableRunners = naive
-		return testing.AllocsPerRun(2, func() {
-			if _, err := c.Run(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	fast := measure(false)
-	naive := measure(true)
-	t.Logf("allocs per 500-run campaign: runner path %.0f, naive path %.0f (%.1fx)", fast, naive, naive/fast)
-	if fast*5 > naive {
-		t.Errorf("runner path allocates %.0f per campaign, naive %.0f: want at least 5x reduction", fast, naive)
-	}
+	})
+	t.Logf("allocs per 500-run campaign: %.0f", allocs)
 	// Pinned ceiling: ~0 steady-state allocs per run plus fixed campaign
 	// setup. 500 runs at <= 2 allocs/run of slack keeps regressions
 	// (per-run boxing, escaping closures) loudly visible.
-	if perRun := fast / 500; perRun > 2 {
-		t.Errorf("runner path allocates %.2f per run, ceiling is 2", perRun)
+	if perRun := allocs / 500; perRun > 2 {
+		t.Errorf("campaign allocates %.2f per run, ceiling is 2", perRun)
 	}
 }
 
-// TestAggregateFastPathAllocationBudget is the fast-path allocation
-// gate: an aggregate-only campaign (every sink chunk-granular, so no
-// per-run Event ever crosses a channel) must stay at or below 0.05
+// TestAggregateFastPathAllocationBudget is the aggregate-only allocation
+// gate: a campaign whose only sink is the aggregator (a PartialSink, so
+// no per-run Event is ever built) must stay at or below 0.05
 // allocations per run — effectively zero steady-state allocation, with
-// the fixed campaign setup amortized over a 5000-run grid. It must also
-// allocate no more than the ordered event path it bypasses.
+// the fixed campaign setup amortized over a 5000-run grid.
 func TestAggregateFastPathAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is slow under -short")
 	}
-	measure := func(ordered bool) float64 {
-		c, err := benchSpec(2500).Compile(1) // 2 points × 2500 reps = 5000 runs
-		if err != nil {
+	c, err := benchSpec(2500).Compile(1) // 2 points × 2500 reps = 5000 runs
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := c.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		c.disablePartials = ordered
-		return testing.AllocsPerRun(2, func() {
-			if _, err := c.Run(context.Background()); err != nil {
+	})
+	perRun := allocs / 5000
+	t.Logf("allocs per 5000-run campaign: %.0f (%.4f/run)", allocs, perRun)
+	if perRun > 0.05 {
+		t.Errorf("aggregate-only campaign allocates %.4f per run, budget is 0.05", perRun)
+	}
+}
+
+// raceEnabled is set by race_test.go in race-detector builds.
+var raceEnabled bool
+
+// discardSink is an ordered sink that drops every event.
+type discardSink struct{}
+
+func (discardSink) Consume(context.Context, Event) error { return nil }
+func (discardSink) Close() error                         { return nil }
+
+// TestOrderedSinkAllocationBudget: attaching an ordered sink costs no
+// heap memory per run. Events are built at delivery time, one at a time
+// on the stack, so an Execute with one discarding ordered sink must
+// allocate within 8 bytes per run of the same campaign without it.
+func TestOrderedSinkAllocationBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counting is slow under -short")
+	}
+	if raceEnabled {
+		t.Skip("heap byte counts vary under the race detector")
+	}
+	spec := benchSpec(2500) // 2 points × 2500 reps = 5000 runs
+	const runs = 5000
+	bytesPerRun := func(sinks ...Sink) float64 {
+		best := math.Inf(1)
+		for i := 0; i < 2; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := spec.Execute(context.Background(), ExecConfig{Workers: 1, Sinks: sinks}); err != nil {
 				t.Fatal(err)
 			}
-		})
+			runtime.ReadMemStats(&after)
+			best = math.Min(best, float64(after.TotalAlloc-before.TotalAlloc)/runs)
+		}
+		return best
 	}
-	fast := measure(false)
-	ordered := measure(true)
-	perRun := fast / 5000
-	t.Logf("allocs per 5000-run campaign: fast path %.0f (%.4f/run), ordered path %.0f", fast, perRun, ordered)
-	if perRun > 0.05 {
-		t.Errorf("aggregate fast path allocates %.4f per run, budget is 0.05", perRun)
-	}
-	// The bypass buys per-run savings at a small fixed setup cost (the
-	// chunk-buffer pool, the streamed cross-check accumulators); it must
-	// never cost more than that fixed overhead relative to the event path.
-	if fast > ordered+16 {
-		t.Errorf("fast path allocates %.0f per campaign vs ordered %.0f: exceeds fixed-setup slack", fast, ordered)
+	bare := bytesPerRun()
+	ordered := bytesPerRun(discardSink{})
+	t.Logf("bytes per run: %.1f without sinks, %.1f with one ordered sink", bare, ordered)
+	if ordered > bare+8 {
+		t.Errorf("an ordered sink costs %.1f B/run over the bare campaign's %.1f; budget is 8", ordered-bare, bare)
 	}
 }

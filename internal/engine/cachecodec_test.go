@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"encoding/json"
 	"math"
 	"math/rand"
 	"reflect"
@@ -137,51 +136,6 @@ func TestCacheCodecRejectsTampering(t *testing.T) {
 		if _, ok := decodeCacheEntry(tampered, "the-key", 2, 3); ok {
 			t.Errorf("bit flip at offset %d went undetected", off)
 		}
-	}
-}
-
-// TestCacheCodecReadsLegacyJSON: version-1 entries written by earlier
-// builds must remain readable, including their validation rules.
-func TestCacheCodecReadsLegacyJSON(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	perRun, _ := randomEntry(r, 2, 3)
-	// JSON cannot carry NaN/Inf; keep finite values only for this path.
-	for pi := range perRun {
-		for rep := range perRun[pi] {
-			m := &perRun[pi][rep]
-			for _, f := range []*float64{&m.Wasted, &m.Makespan, &m.Speedup} {
-				if math.IsNaN(*f) || math.IsInf(*f, 0) {
-					*f = 1.5
-				}
-			}
-		}
-	}
-	data, err := json.Marshal(cachedCampaign{
-		Version: cacheFormatVersion, Hash: "legacy", Points: 2, Replications: 3, PerRun: perRun,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ent, ok := decodeCacheEntry(data, "legacy", 2, 3)
-	if !ok {
-		t.Fatal("legacy JSON entry rejected")
-	}
-	if ent.snap != nil {
-		t.Error("legacy entry cannot carry a snapshot")
-	}
-	got := ent.perRunMetrics()
-	for pi := range perRun {
-		for rep := range perRun[pi] {
-			if !sameMetricsBits(got[pi][rep], perRun[pi][rep]) {
-				t.Fatalf("point %d rep %d: legacy decode mismatch", pi, rep)
-			}
-		}
-	}
-	if _, ok := decodeCacheEntry(data, "other", 2, 3); ok {
-		t.Error("legacy entry decoded under a different hash")
-	}
-	if _, ok := decodeCacheEntry(data, "legacy", 2, 2); ok {
-		t.Error("legacy entry decoded with wrong shape")
 	}
 }
 

@@ -42,27 +42,9 @@ type Campaign struct {
 	// rng.RunSeed(Points[point].RNGState, rep), the derivation the
 	// experiment layer has always used.
 	SeedFor func(point, rep int) uint64
-
-	// KeepRuns retains per-run metrics and full results in the
-	// aggregates (needed for the paper's Figure 9 per-run analysis).
-	KeepRuns bool
-
-	// disableRunners forces the generic Backend.Run path even when the
-	// backend implements RunnerBackend. Test hook: the golden
-	// determinism tests prove the amortized runner path bit-identical to
-	// this one.
-	disableRunners bool
-
-	// disablePartials forces per-run event delivery even when every sink
-	// supports chunk-granular partials. Test hook: the golden fast-path
-	// tests prove the aggregate bypass bit-identical to the ordered sink
-	// path.
-	disablePartials bool
 }
 
 // RunMetrics are the per-run scalars the campaigns of the paper report.
-// The JSON encoding is the cache's persistent per-run format; floats
-// round-trip bit-exactly (shortest-form encoding).
 type RunMetrics struct {
 	Wasted   float64 `json:"wasted"` // average wasted time (paper §III-B), H charged per op
 	Makespan float64 `json:"makespan"`
@@ -79,8 +61,7 @@ type Aggregate struct {
 	Speedup  metrics.Summary
 	MeanOps  float64 // mean scheduling operations per run
 
-	PerRun  []RunMetrics // per-run metrics, replication order (KeepRuns)
-	Results []*RunResult // full per-run results (KeepRuns)
+	PerRun []RunMetrics // per-run metrics, replication order (ExecConfig.KeepPerRun)
 }
 
 // CampaignResult holds one aggregate per campaign point, aligned with
@@ -94,7 +75,7 @@ type CampaignResult struct {
 }
 
 // Run executes the campaign and aggregates every point. It is a buffered
-// view over Stream: an aggregating sink consumes the ordered event
+// view over Stream: an aggregating sink consumes the ordered run
 // stream, so the aggregates are bit-identical to what any other sink
 // arrangement observes. The first run error aborts the remaining grid
 // and is returned; cancelling ctx aborts it with an error wrapping
@@ -107,7 +88,7 @@ func (c Campaign) Run(ctx context.Context) (*CampaignResult, error) {
 // every run event to the given sinks (e.g. a CSV writer exporting raw
 // per-run data alongside the aggregation).
 func (c Campaign) RunWith(ctx context.Context, sinks ...Sink) (*CampaignResult, error) {
-	agg := newAggregateSink(c.Points, c.Replications, c.KeepRuns, c.KeepRuns)
+	agg := newAggregateSink(c.Points, c.Replications, false)
 	if err := c.Stream(ctx, append([]Sink{agg}, sinks...)...); err != nil {
 		return nil, err
 	}

@@ -23,26 +23,33 @@ func testPoint(seed uint64) RunSpec {
 }
 
 // TestCampaignDeterminism is the parallel-runner reproducibility
-// guarantee: the same seed produces byte-identical aggregates for any
-// worker count and any GOMAXPROCS.
+// guarantee: the same seed produces byte-identical per-run metrics and
+// aggregates for any worker count and any GOMAXPROCS.
 func TestCampaignDeterminism(t *testing.T) {
-	run := func(workers int) *CampaignResult {
+	run := func(workers int) (*CampaignResult, []RunMetrics) {
 		t.Helper()
+		sink := &countingSink{}
 		res, err := Campaign{
 			Points:       []RunSpec{testPoint(42)},
 			Replications: 50,
 			Workers:      workers,
-			KeepRuns:     true,
-		}.Run(context.Background())
+		}.RunWith(context.Background(), sink)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		perRun := make([]RunMetrics, len(sink.events))
+		for i, ev := range sink.events {
+			perRun[i] = ev.Metrics
+		}
+		return res, perRun
 	}
-	ref := run(1)
+	ref, refRuns := run(1)
+	if len(refRuns) != 50 {
+		t.Fatalf("serial run delivered %d events, want 50", len(refRuns))
+	}
 	for _, workers := range []int{2, 7, 32} {
-		got := run(workers)
-		if !reflect.DeepEqual(got.Aggregates[0].PerRun, ref.Aggregates[0].PerRun) {
+		got, gotRuns := run(workers)
+		if !reflect.DeepEqual(gotRuns, refRuns) {
 			t.Fatalf("workers=%d: per-run metrics differ from serial", workers)
 		}
 		if got.Aggregates[0].Wasted != ref.Aggregates[0].Wasted ||
@@ -55,7 +62,7 @@ func TestCampaignDeterminism(t *testing.T) {
 	// And under a different GOMAXPROCS with the default worker count.
 	old := runtime.GOMAXPROCS(2)
 	defer runtime.GOMAXPROCS(old)
-	got := run(0)
+	got, _ := run(0)
 	if got.Aggregates[0].Wasted != ref.Aggregates[0].Wasted {
 		t.Fatal("GOMAXPROCS=2 aggregate differs from serial")
 	}
@@ -117,28 +124,8 @@ func TestCampaignMultiPoint(t *testing.T) {
 		t.Errorf("SS wasted %v <= STAT wasted %v",
 			res.Aggregates[1].Wasted.Mean, res.Aggregates[0].Wasted.Mean)
 	}
-	if res.Aggregates[0].PerRun != nil || res.Aggregates[0].Results != nil {
-		t.Error("per-run data retained without KeepRuns")
-	}
-}
-
-func TestCampaignKeepRuns(t *testing.T) {
-	res, err := Campaign{
-		Points:       []RunSpec{testPoint(3)},
-		Replications: 5,
-		KeepRuns:     true,
-	}.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg := res.Aggregates[0]
-	if len(agg.PerRun) != 5 || len(agg.Results) != 5 {
-		t.Fatalf("kept %d metrics, %d results; want 5 each", len(agg.PerRun), len(agg.Results))
-	}
-	for i, r := range agg.Results {
-		if r == nil || r.Makespan != agg.PerRun[i].Makespan {
-			t.Fatalf("result %d inconsistent with metrics", i)
-		}
+	if res.Aggregates[0].PerRun != nil {
+		t.Error("Campaign.Run retained per-run metrics")
 	}
 }
 

@@ -25,6 +25,12 @@ func (b *blockingBackend) Run(ctx context.Context, _ RunSpec) (*RunResult, error
 	return nil, ctx.Err()
 }
 
+// NewRunner returns the backend itself: its Run is safe for concurrent
+// use and keeps no per-point state.
+func (b *blockingBackend) NewRunner(RunSpec) (Runner, error) { return b, nil }
+
+func (b *blockingBackend) Rebind(RunSpec) error { return nil }
+
 var blocking = &blockingBackend{}
 
 func init() { Register(blocking) }

@@ -109,7 +109,7 @@ func checkPEVectors(speeds, starts []float64, p int) error {
 }
 
 // Scheduler builds the spec's chunk calculator. Schedulers are stateful
-// per run, so every backend constructs a fresh one per Run call.
+// per run: a runner builds one per point and Resets it before each run.
 func (s RunSpec) Scheduler() (sched.Scheduler, error) {
 	return sched.New(s.Technique, sched.Params{
 		N: s.N, P: s.P,
@@ -141,64 +141,61 @@ type RunResult struct {
 	MasterBusy float64
 }
 
-// Backend executes one loop run described by a RunSpec. Implementations
-// must be safe for concurrent Run calls: the campaign runner invokes one
-// backend value from many worker goroutines.
+// Backend is one simulator. Implementations must be safe for concurrent
+// Run and NewRunner calls: the campaign pipeline shares one backend
+// value among its worker goroutines.
 type Backend interface {
 	// Name returns the registered backend name (e.g. "sim", "msg").
 	Name() string
-	// Run executes the spec to completion and returns its timing results.
-	// Implementations must return promptly with ctx.Err() when the
-	// context is cancelled before the run starts; honoring cancellation
-	// mid-run is optional (the built-in simulators complete the run),
-	// so campaign-level cancellation has run granularity.
+	// Run executes one spec to completion and returns its timing
+	// results. Implementations must return promptly with ctx.Err() when
+	// the context is cancelled before the run starts; honoring
+	// cancellation mid-run is optional (the built-in simulators complete
+	// the run), so campaign-level cancellation has run granularity.
 	Run(ctx context.Context, spec RunSpec) (*RunResult, error)
+	// NewRunner validates the point spec once and returns a Runner that
+	// executes its replications. Campaigns execute every run through
+	// one.
+	NewRunner(spec RunSpec) (Runner, error)
 }
 
 // Runner executes many runs of one campaign point with per-run setup
 // amortized away: the spec is validated once, the scheduler is Reset
-// instead of rebuilt (sched.Resetter), and result buffers are pooled, so
-// the steady-state hot path allocates nothing. A Runner is built for one
-// point and must only be handed specs that differ from the construction
-// spec in RNGState. It is NOT safe for concurrent use — the campaign
-// pipeline keeps one per worker goroutine.
+// instead of rebuilt, and result buffers are pooled, so the steady-state
+// hot path allocates nothing. A Runner must only be handed specs that
+// differ from its point in RNGState. It is NOT safe for concurrent use
+// — the campaign pipeline keeps one per worker goroutine.
 type Runner interface {
 	// Run executes the spec. The returned result and its slices alias
 	// the runner's internal buffers and are valid only until the next
-	// Run call; callers retaining results across runs must Clone them.
+	// Run call.
 	Run(ctx context.Context, spec RunSpec) (*RunResult, error)
-}
-
-// RunnerBackend is the optional Backend extension behind the engine's
-// allocation-free campaign path. NewRunner validates the point spec once
-// and returns a Runner amortizing all per-run setup; backends without it
-// fall back to one Backend.Run (validate + rebuild) per replication. All
-// three built-in backends implement it.
-type RunnerBackend interface {
-	Backend
-	NewRunner(spec RunSpec) (Runner, error)
-}
-
-// Rebinder is the optional Runner extension behind per-core execution
-// contexts: Rebind re-points an existing runner at a new campaign point
-// while retaining its arenas and pooled buffers, so a long-lived
-// per-worker runner survives point switches instead of being rebuilt.
-// After a successful Rebind the runner must behave exactly like a fresh
-// NewRunner(spec); after a failed Rebind the runner may not be used
-// again. All three built-in runners implement it.
-type Rebinder interface {
-	Runner
+	// Rebind re-points the runner at a new campaign point while keeping
+	// its arenas and pooled buffers, so one per-worker runner serves a
+	// whole share of the grid. After a successful Rebind the runner
+	// behaves exactly like a fresh NewRunner(spec); after a failed one
+	// it may not be used again.
 	Rebind(spec RunSpec) error
 }
 
-// Clone returns a deep copy of the result, detaching it from any runner
-// arena it may alias.
-func (r *RunResult) Clone() *RunResult {
-	out := *r
-	out.Compute = append([]float64(nil), r.Compute...)
-	out.OpsPerWorker = append([]int64(nil), r.OpsPerWorker...)
-	out.TasksPerWorker = append([]int64(nil), r.TasksPerWorker...)
-	return &out
+// RunnerBackend and Rebinder are aliases of Backend and Runner, kept
+// because the benchmark module (bench/layers.go) names them.
+type (
+	RunnerBackend = Backend
+	Rebinder      = Runner
+)
+
+// runOnce is the built-in backends' Run: one run on a throwaway runner.
+// Nothing else reuses the runner, so its aliased result needs no copy.
+func runOnce(ctx context.Context, be Backend, spec RunSpec) (*RunResult, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	r, err := be.NewRunner(spec) // validates the spec
+	if err != nil {
+		return nil, err
+	}
+	return r.Run(ctx, spec)
 }
 
 var (

@@ -3,42 +3,78 @@ package engine
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/workload"
 )
 
-// These tests are the H13-style determinism gate for the allocation-free
-// hot path: the amortized runner path (scheduler Reset + run arenas +
-// batched event delivery) must be byte-identical to the naive path (one
-// Backend.Run per replication, fresh everything) — same JSONL event
-// stream, same aggregates — for every backend, every seed policy and any
-// worker count. A single differing byte means an optimization changed
-// simulation output.
+// These tests hold the campaign pipeline to serial references for every
+// backend and seed policy: the per-worker runners (scheduler Reset, run
+// arenas, Rebind across points) must reproduce a plain serial loop of
+// Backend.Run, and chunking must be scheduling only. Fixed expected
+// output for the same matrix lives in internal/experiment's
+// TestEnginePathDigests.
 
 // goldenRun executes the spec's campaign and returns the JSONL stream
 // bytes plus the campaign result. chunkSize 0 auto-sizes.
-func goldenRun(t *testing.T, spec CampaignSpec, workers int, naive bool) ([]byte, *CampaignResult) {
-	t.Helper()
-	return goldenRunChunked(t, spec, workers, 0, naive)
-}
-
-func goldenRunChunked(t *testing.T, spec CampaignSpec, workers, chunkSize int, naive bool) ([]byte, *CampaignResult) {
+func goldenRun(t *testing.T, spec CampaignSpec, workers, chunkSize int) ([]byte, *CampaignResult) {
 	t.Helper()
 	c, err := spec.Compile(workers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.ChunkSize = chunkSize
-	c.disableRunners = naive
-	c.KeepRuns = true // exercises the arena-result Clone path too
 	var buf bytes.Buffer
 	res, err := c.RunWith(context.Background(), NewJSONLSink(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes(), res
+}
+
+// serialRun is the naive reference: one Backend.Run per replication (a
+// fresh, throwaway runner each time) in (point, replication) order, its
+// events fed to a JSONL sink and the spec's Aggregator.
+func serialRun(t *testing.T, spec CampaignSpec) ([]byte, *CampaignResult) {
+	t.Helper()
+	ctx := context.Background()
+	points, err := spec.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	be, err := New(spec.Backend)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, err := spec.NewAggregator(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	sinks := []Sink{agg, NewJSONLSink(&buf)}
+	seedFor := spec.seedFunc(points)
+	for pi, pt := range points {
+		for rep := 0; rep < spec.Replications; rep++ {
+			run := pt
+			run.RNGState = seedFor(pi, rep)
+			res, err := be.Run(ctx, run)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ev := Event{Point: pi, Rep: rep, Spec: run, Metrics: pointMetrics(run, res)}
+			for _, s := range sinks {
+				if err := s.Consume(ctx, ev); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if err := agg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), agg.Result()
 }
 
 func goldenSpec(backend string) CampaignSpec {
@@ -54,94 +90,63 @@ func goldenSpec(backend string) CampaignSpec {
 	}
 }
 
+// checkGolden compares a campaign's stream and result with a reference.
+func checkGolden(t *testing.T, label string, gotStream, refStream []byte, got, ref *CampaignResult) {
+	t.Helper()
+	if !bytes.Equal(gotStream, refStream) {
+		t.Errorf("%s: JSONL stream differs from the reference", label)
+	}
+	if !reflect.DeepEqual(got.Aggregates, ref.Aggregates) {
+		t.Errorf("%s: aggregates differ from the reference", label)
+	}
+	if got.Overall != ref.Overall {
+		t.Errorf("%s: overall roll-up differs from the reference", label)
+	}
+}
+
 // TestGoldenDeterminismRunnerVsNaive: for all three backends and all
-// four seed policies, the runner path at several worker counts produces
-// the exact JSONL bytes and aggregates of the naive sequential path.
+// four seed policies, the pipeline's per-worker runners at several
+// worker counts produce the exact JSONL bytes and aggregates of the
+// naive serial Backend.Run loop.
 func TestGoldenDeterminismRunnerVsNaive(t *testing.T) {
 	for _, backend := range []string{"sim", "des", "msg"} {
 		for _, policy := range []string{SeedPerCell, SeedFlat, SeedFacade, SeedShared} {
 			t.Run(backend+"/"+policy, func(t *testing.T) {
 				spec := goldenSpec(backend)
 				spec.SeedPolicy = policy
-				refStream, refRes := goldenRun(t, spec, 1, true)
+				refStream, refRes := serialRun(t, spec)
 				if len(refStream) == 0 {
 					t.Fatal("reference stream is empty")
 				}
 				for _, workers := range []int{1, 4} {
-					gotStream, gotRes := goldenRun(t, spec, workers, false)
-					if !bytes.Equal(gotStream, refStream) {
-						t.Errorf("workers=%d: runner-path JSONL stream differs from naive path", workers)
-					}
-					if !reflect.DeepEqual(gotRes.Aggregates, refRes.Aggregates) {
-						t.Errorf("workers=%d: runner-path aggregates differ from naive path", workers)
-					}
-					if gotRes.Overall != refRes.Overall {
-						t.Errorf("workers=%d: overall roll-up differs from naive path", workers)
-					}
+					gotStream, gotRes := goldenRun(t, spec, workers, 0)
+					checkGolden(t, fmt.Sprintf("workers=%d", workers), gotStream, refStream, gotRes, refRes)
 				}
 			})
 		}
 	}
 }
 
-// TestGoldenDeterminismRetainedResults: with KeepRuns, the cloned
-// arena-backed results must equal the naive path's fresh results field
-// by field — a shallow alias of a recycled buffer would diverge here.
-func TestGoldenDeterminismRetainedResults(t *testing.T) {
-	spec := goldenSpec("sim")
-	_, naive := goldenRun(t, spec, 1, true)
-	_, fast := goldenRun(t, spec, 4, false)
-	for pi := range naive.Aggregates {
-		nr, fr := naive.Aggregates[pi].Results, fast.Aggregates[pi].Results
-		if len(nr) != spec.Replications || len(fr) != spec.Replications {
-			t.Fatalf("point %d: retained %d/%d results, want %d", pi, len(nr), len(fr), spec.Replications)
-		}
-		for rep := range nr {
-			if !reflect.DeepEqual(nr[rep], fr[rep]) {
-				t.Fatalf("point %d rep %d: retained result differs between paths", pi, rep)
-			}
-		}
-	}
-	// Cloned results must be distinct allocations, not arena aliases.
-	for pi := range fast.Aggregates {
-		rs := fast.Aggregates[pi].Results
-		for i := 1; i < len(rs); i++ {
-			if &rs[i].Compute[0] == &rs[i-1].Compute[0] {
-				t.Fatalf("point %d: results %d and %d share a Compute buffer", pi, i-1, i)
-			}
-		}
-	}
-}
-
-// TestGoldenDeterminismChunkedVsPerRun pins the batched pipeline against
-// the per-run reference: for every backend, every seed policy and a
-// spread of worker counts and chunk sizes — including chunk=1 (one run
-// per work item, the pre-batching shape) and chunk=7 > Replications=6
-// (clamped to one chunk per point) — the chunked pipeline's JSONL bytes
-// and aggregates must equal the naive path's. Chunking is scheduling
-// only; a differing byte means batching leaked into simulation output.
+// TestGoldenDeterminismChunkedVsPerRun: for every backend, every seed
+// policy and a spread of worker counts and chunk sizes — including
+// chunk=7 > Replications=6 (clamped to one chunk per point) — the
+// chunked pipeline's JSONL bytes and aggregates equal those of a serial
+// run with one replication per chunk. Chunking is scheduling only; a
+// differing byte means batching leaked into simulation output.
 func TestGoldenDeterminismChunkedVsPerRun(t *testing.T) {
 	for _, backend := range []string{"sim", "des", "msg"} {
 		for _, policy := range []string{SeedPerCell, SeedFlat, SeedFacade, SeedShared} {
 			t.Run(backend+"/"+policy, func(t *testing.T) {
 				spec := goldenSpec(backend)
 				spec.SeedPolicy = policy
-				refStream, refRes := goldenRun(t, spec, 1, true)
+				refStream, refRes := goldenRun(t, spec, 1, 1)
 				if len(refStream) == 0 {
 					t.Fatal("reference stream is empty")
 				}
 				for _, workers := range []int{1, 2, 4, 8} {
-					for _, chunk := range []int{1, 2, 4, 7} {
-						gotStream, gotRes := goldenRunChunked(t, spec, workers, chunk, false)
-						if !bytes.Equal(gotStream, refStream) {
-							t.Errorf("workers=%d chunk=%d: JSONL stream differs from per-run path", workers, chunk)
-						}
-						if !reflect.DeepEqual(gotRes.Aggregates, refRes.Aggregates) {
-							t.Errorf("workers=%d chunk=%d: aggregates differ from per-run path", workers, chunk)
-						}
-						if gotRes.Overall != refRes.Overall {
-							t.Errorf("workers=%d chunk=%d: overall roll-up differs from per-run path", workers, chunk)
-						}
+					for _, chunk := range []int{2, 4, 7} {
+						gotStream, gotRes := goldenRun(t, spec, workers, chunk)
+						checkGolden(t, fmt.Sprintf("workers=%d chunk=%d", workers, chunk), gotStream, refStream, gotRes, refRes)
 					}
 				}
 			})
@@ -154,8 +159,8 @@ func TestGoldenDeterminismChunkedVsPerRun(t *testing.T) {
 // and must deliver identical streams for the same spec (msg differs by
 // construction: message timing enters the makespan).
 func TestGoldenDeterminismAcrossBackendsStable(t *testing.T) {
-	simStream, _ := goldenRun(t, goldenSpec("sim"), 3, false)
-	desStream, _ := goldenRun(t, goldenSpec("des"), 3, false)
+	simStream, _ := goldenRun(t, goldenSpec("sim"), 3, 0)
+	desStream, _ := goldenRun(t, goldenSpec("des"), 3, 0)
 	// The streams embed no backend name, so equal dynamics mean equal
 	// bytes.
 	if !bytes.Equal(simStream, desStream) {

@@ -7,34 +7,13 @@ import (
 	"testing"
 )
 
-// These tests are the determinism gate for the aggregate fast path: when
-// every attached sink is chunk-granular (PartialSink), the pipeline skips
-// per-event delivery entirely and ships chunk partials instead. That
-// bypass must be invisible in the output — Aggregates byte-identical
-// (reflect.DeepEqual) and Overall bit-identical (==) to the ordered event
-// path — for every backend, seed policy, worker count and chunk size. A
-// single differing bit means the bypass changed aggregation.
+// These tests pin the per-sink delivery rule: a PartialSink receives one
+// MetricsPartial per chunk and never a per-run Event, any other sink of
+// the same campaign receives every Event in order, and aggregation is
+// bit-identical whichever of the two it is fed — Aggregates equal under
+// reflect.DeepEqual and Overall under ==.
 
-// fastPathRun executes the spec's campaign with the partial bypass either
-// live or force-disabled, plus a spy that proves which path ran.
-func fastPathRun(t *testing.T, spec CampaignSpec, workers, chunkSize int, ordered bool) (*CampaignResult, *pathSpy) {
-	t.Helper()
-	c, err := spec.Compile(workers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.ChunkSize = chunkSize
-	c.disablePartials = ordered
-	spy := &pathSpy{}
-	res, err := c.RunWith(context.Background(), spy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, spy
-}
-
-// pathSpy counts which delivery interface the pipeline used. It
-// implements both, so attaching it never changes fast-path eligibility.
+// pathSpy counts which delivery interface the pipeline used.
 type pathSpy struct {
 	events   atomic.Int64
 	partials atomic.Int64
@@ -54,40 +33,57 @@ func (s *pathSpy) ConsumePartial(_ context.Context, p MetricsPartial) error {
 
 func (s *pathSpy) Close() error { return nil }
 
+// orderedOnly hides ConsumePartial: the wrapped sink is handed per-run
+// events although it could take partials.
+type orderedOnly struct{ Sink }
+
 // TestGoldenFastPathVsOrdered: for all three backends, all four seed
 // policies, several worker counts and chunk sizes — including chunk=1
 // (one run per partial) and chunk=7 > Replications=6 (clamped to one
-// chunk per point) — the aggregate fast path produces byte-identical
-// aggregates and a bit-identical overall roll-up to the ordered event
-// path.
+// chunk per point) — one campaign feeds an Aggregator by partials and
+// a second one by ordered events; both produce the campaign's own
+// aggregates and overall roll-up bit for bit.
 func TestGoldenFastPathVsOrdered(t *testing.T) {
+	ctx := context.Background()
 	for _, backend := range []string{"sim", "des", "msg"} {
 		for _, policy := range []string{SeedPerCell, SeedFlat, SeedFacade, SeedShared} {
 			t.Run(backend+"/"+policy, func(t *testing.T) {
 				spec := goldenSpec(backend)
 				spec.SeedPolicy = policy
-				refRes, refSpy := fastPathRun(t, spec, 1, 0, true)
-				if refSpy.events.Load() == 0 || refSpy.partials.Load() != 0 {
-					t.Fatalf("ordered reference used wrong path: %d events, %d partials",
-						refSpy.events.Load(), refSpy.partials.Load())
+				points, err := spec.Points()
+				if err != nil {
+					t.Fatal(err)
 				}
-				wantRuns := refSpy.events.Load()
+				wantRuns := int64(len(points) * spec.Replications)
 				for _, workers := range []int{1, 4, 8} {
 					for _, chunk := range []int{0, 1, 7} {
-						gotRes, spy := fastPathRun(t, spec, workers, chunk, false)
-						if spy.events.Load() != 0 {
-							t.Fatalf("workers=%d chunk=%d: fast path delivered %d per-run events",
-								workers, chunk, spy.events.Load())
+						c, err := spec.Compile(workers)
+						if err != nil {
+							t.Fatal(err)
 						}
-						if spy.partials.Load() == 0 || spy.runs.Load() != wantRuns {
-							t.Fatalf("workers=%d chunk=%d: partials carried %d runs, want %d",
-								workers, chunk, spy.runs.Load(), wantRuns)
+						c.ChunkSize = chunk
+						byPartial, err := spec.NewAggregator(false)
+						if err != nil {
+							t.Fatal(err)
 						}
-						if !reflect.DeepEqual(gotRes.Aggregates, refRes.Aggregates) {
-							t.Errorf("workers=%d chunk=%d: fast-path aggregates differ from ordered path", workers, chunk)
+						byEvent, err := spec.NewAggregator(false)
+						if err != nil {
+							t.Fatal(err)
 						}
-						if gotRes.Overall != refRes.Overall {
-							t.Errorf("workers=%d chunk=%d: overall roll-up differs from ordered path", workers, chunk)
+						spy := &pathSpy{}
+						res, err := c.RunWith(ctx, spy, byPartial, orderedOnly{byEvent})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if spy.events.Load() != 0 || spy.partials.Load() == 0 || spy.runs.Load() != wantRuns {
+							t.Fatalf("workers=%d chunk=%d: partial sink saw %d events and %d partials carrying %d runs, want 0 events and %d runs",
+								workers, chunk, spy.events.Load(), spy.partials.Load(), spy.runs.Load(), wantRuns)
+						}
+						for name, agg := range map[string]*Aggregator{"partials": byPartial, "events": byEvent} {
+							got := agg.Result()
+							if !reflect.DeepEqual(got.Aggregates, res.Aggregates) || got.Overall != res.Overall {
+								t.Errorf("workers=%d chunk=%d: aggregation fed by %s differs from the campaign's", workers, chunk, name)
+							}
 						}
 					}
 				}
@@ -96,72 +92,86 @@ func TestGoldenFastPathVsOrdered(t *testing.T) {
 	}
 }
 
-// orderedOnly is a Sink without ConsumePartial — one attached ordered
-// consumer must disable the bypass for the whole campaign.
-type orderedOnly struct {
-	events []Event
+// partialRecorder keeps a copy of every partial and counts Consume
+// calls.
+type partialRecorder struct {
+	partials []MetricsPartial
+	events   int
 }
 
-func (s *orderedOnly) Consume(_ context.Context, ev Event) error {
-	s.events = append(s.events, ev)
+func (s *partialRecorder) Consume(context.Context, Event) error {
+	s.events++
 	return nil
 }
 
-func (s *orderedOnly) Close() error { return nil }
-
-// TestFastPathMixedSinksDisableBypass: attaching one ordered-only sink
-// alongside partial-capable ones forces every sink back onto the ordered
-// event path (all-or-nothing eligibility), and the ordered sink observes
-// the full deterministic (point, replication) stream.
-func TestFastPathMixedSinksDisableBypass(t *testing.T) {
-	spec := goldenSpec("sim")
-	c, err := spec.Compile(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spy := &pathSpy{}
-	ordered := &orderedOnly{}
-	res, err := c.RunWith(context.Background(), spy, ordered)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spy.partials.Load() != 0 {
-		t.Fatalf("mixed sinks still received %d partials; bypass must be all-or-nothing", spy.partials.Load())
-	}
-	points, _ := spec.Points()
-	want := len(points) * spec.Replications
-	if spy.events.Load() != int64(want) || len(ordered.events) != want {
-		t.Fatalf("ordered delivery saw %d/%d events, want %d", spy.events.Load(), len(ordered.events), want)
-	}
-	for i, ev := range ordered.events {
-		if ev.Point != i/spec.Replications || ev.Rep != i%spec.Replications {
-			t.Fatalf("event %d out of order: point=%d rep=%d", i, ev.Point, ev.Rep)
-		}
-	}
-	// The ordered fallback must agree with the fast path bit for bit.
-	fastRes, _ := fastPathRun(t, spec, 4, 0, false)
-	if !reflect.DeepEqual(res.Aggregates, fastRes.Aggregates) || res.Overall != fastRes.Overall {
-		t.Error("mixed-sink ordered run disagrees with fast-path run")
-	}
+func (s *partialRecorder) ConsumePartial(_ context.Context, p MetricsPartial) error {
+	p.Runs = append([]RunMetrics(nil), p.Runs...) // Runs is only valid during the call
+	s.partials = append(s.partials, p)
+	return nil
 }
 
-// TestFastPathKeepRunsDisablesBypass: KeepRuns needs full RunResults,
-// which only the event path carries — the bypass must stand down.
-func TestFastPathKeepRunsDisablesBypass(t *testing.T) {
+func (s *partialRecorder) Close() error { return nil }
+
+// TestMixedSinksDeliveredPerSink: with a PartialSink and an ordered sink
+// attached to the same campaign, the PartialSink's partials cover every
+// run exactly once in (point, RepLo) order and it gets no Consume call,
+// the ordered sink gets every event in order with the same metrics, and
+// the aggregates equal those of an aggregate-only run.
+func TestMixedSinksDeliveredPerSink(t *testing.T) {
+	ctx := context.Background()
 	spec := goldenSpec("sim")
-	c, err := spec.Compile(2)
+	points, err := spec.Points()
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.KeepRuns = true
-	spy := &pathSpy{}
-	if _, err := c.RunWith(context.Background(), spy); err != nil {
-		t.Fatal(err)
-	}
-	if spy.partials.Load() != 0 {
-		t.Fatalf("KeepRuns campaign received %d partials", spy.partials.Load())
-	}
-	if spy.events.Load() == 0 {
-		t.Fatal("KeepRuns campaign delivered no events")
+	reps := spec.Replications
+	for _, chunk := range []int{0, 1, 4} {
+		c, err := spec.Compile(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.ChunkSize = chunk
+		rec := &partialRecorder{}
+		ordered := &countingSink{}
+		res, err := c.RunWith(ctx, rec, ordered)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.events != 0 {
+			t.Fatalf("chunk=%d: PartialSink received %d Consume calls", chunk, rec.events)
+		}
+		var fromPartials []RunMetrics
+		pi, rep := 0, 0
+		for _, p := range rec.partials {
+			if p.Point != pi || p.RepLo != rep || p.Len() == 0 || rep+p.Len() > reps {
+				t.Fatalf("chunk=%d: partial (point %d, RepLo %d, %d runs) breaks the order at (point %d, rep %d)",
+					chunk, p.Point, p.RepLo, p.Len(), pi, rep)
+			}
+			fromPartials = append(fromPartials, p.Runs...)
+			if rep += p.Len(); rep == reps {
+				pi, rep = pi+1, 0
+			}
+		}
+		if pi != len(points) || rep != 0 {
+			t.Fatalf("chunk=%d: partials stop at (point %d, rep %d) of %d points", chunk, pi, rep, len(points))
+		}
+		if len(ordered.events) != len(fromPartials) {
+			t.Fatalf("chunk=%d: ordered sink saw %d events, partials carried %d runs", chunk, len(ordered.events), len(fromPartials))
+		}
+		for i, ev := range ordered.events {
+			if ev.Point != i/reps || ev.Rep != i%reps {
+				t.Fatalf("chunk=%d: event %d out of order: point=%d rep=%d", chunk, i, ev.Point, ev.Rep)
+			}
+			if ev.Metrics != fromPartials[i] {
+				t.Fatalf("chunk=%d: event %d metrics differ from its partial's", chunk, i)
+			}
+		}
+		alone, err := c.Run(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Aggregates, alone.Aggregates) || res.Overall != alone.Overall {
+			t.Errorf("chunk=%d: mixed-sink aggregates differ from an aggregate-only run", chunk)
+		}
 	}
 }

@@ -2,26 +2,18 @@ package engine
 
 import (
 	"context"
-
-	"repro/internal/metrics"
+	"fmt"
 )
 
-// MetricsPartial is one replication chunk's worth of folded run output —
-// the payload of the pipeline's aggregate fast path. Instead of building
-// one Event (with its full RunSpec) per run and pushing it through the
-// reorder ring, a worker executing chunk [RepLo, RepLo+len(Runs)) of a
-// point folds every completed run into this struct: the compact per-run
-// scalars are appended to Runs in replication order and the chunk-local
-// Welford partials (metrics.Accumulator) accumulate alongside. The
-// reorder stage then delivers partials to sinks in deterministic
-// (point, chunk) order, exactly like events — but one ConsumePartial
-// call covers a whole chunk, and no per-run Event ever crosses a
-// channel.
+// MetricsPartial is one replication chunk's worth of run output: the
+// per-run scalars of replications [RepLo, RepLo+len(Runs)) of one point,
+// in replication order. A PartialSink receives it in one ConsumePartial
+// call instead of one Event per run.
 //
-// Runs aliases a pooled buffer owned by the pipeline: it is valid only
-// for the duration of the ConsumePartial call, and sinks retaining the
-// per-run scalars must copy them out (an append into the sink's own
-// storage does exactly that).
+// Runs aliases a buffer owned by the pipeline (or the cache entry being
+// replayed): it is valid only for the duration of the ConsumePartial
+// call, and sinks retaining the per-run scalars must copy them out (an
+// append into the sink's own storage does exactly that).
 type MetricsPartial struct {
 	Point int // index into the campaign's points
 	RepLo int // first replication index covered by this chunk
@@ -29,46 +21,18 @@ type MetricsPartial struct {
 	// Runs holds the per-run scalars of replications
 	// [RepLo, RepLo+len(Runs)) in replication order.
 	Runs []RunMetrics
-
-	// Wasted, Makespan and Speedup are chunk-local Welford partials over
-	// the corresponding Runs fields, folded worker-side (in parallel,
-	// off the delivery path). Merging them across chunks in delivery
-	// order via metrics.Accumulator.Merge yields deterministic streaming
-	// statistics without touching the per-run records; note that merged
-	// moments are numerically equivalent but not bit-identical to a
-	// sequential pass (Count, Min and Max are bit-exact either way).
-	Wasted   metrics.Accumulator
-	Makespan metrics.Accumulator
-	Speedup  metrics.Accumulator
-
-	// Ops is the summed SchedOps over Runs.
-	Ops int64
 }
 
 // Len returns the number of runs covered by the partial.
 func (p MetricsPartial) Len() int { return len(p.Runs) }
 
-// add folds one completed run into the partial.
-func (p *MetricsPartial) add(m RunMetrics) {
-	p.Runs = append(p.Runs, m)
-	p.Wasted.Add(m.Wasted)
-	p.Makespan.Add(m.Makespan)
-	p.Speedup.Add(m.Speedup)
-	p.Ops += m.SchedOps
-}
-
-// PartialSink is the optional Sink extension behind the pipeline's
-// aggregate fast path. A sink implementing it declares that it does not
-// need per-run Events — chunk-granular partials delivered in
-// deterministic (point, replication) order carry everything it consumes.
-// When every sink attached to a campaign is a PartialSink (and the
-// campaign does not retain full results), the pipeline bypasses per-run
-// event construction entirely: workers fold chunk-local partials and
-// the merge stage calls ConsumePartial once per chunk instead of
-// Consume once per run. Aggregates produced either way are
-// bit-identical; one order-sensitive sink in the set (CSV, JSONL)
-// disables the bypass for the whole campaign, and every sink then
-// receives ordinary per-run events.
+// PartialSink is the optional Sink extension for sinks that do not need
+// per-run Events: chunk-granular partials delivered in deterministic
+// (point, replication) order carry everything they consume. The choice
+// is made per sink — a PartialSink receives one ConsumePartial per chunk
+// and no Consume calls, while every other sink of the same campaign
+// receives the ordinary per-run events. Aggregates are bit-identical
+// either way.
 //
 // Like Consume, ConsumePartial is invoked from a single goroutine in
 // deterministic order, needs no locking, and a returned error aborts
@@ -78,17 +42,55 @@ type PartialSink interface {
 	ConsumePartial(ctx context.Context, p MetricsPartial) error
 }
 
-// partialSinks returns the sinks as PartialSinks when every one of them
-// supports the fast path, and nil otherwise (one ordered sink disables
-// the bypass for the whole campaign).
-func partialSinks(sinks []Sink) []PartialSink {
-	out := make([]PartialSink, len(sinks))
-	for i, s := range sinks {
-		ps, ok := s.(PartialSink)
-		if !ok {
-			return nil
+// delivery hands completed chunks to the sinks. It is the one delivery
+// stage shared by live campaigns (Stream) and cache replay, so both
+// produce the same sink input from the same per-run metrics.
+type delivery struct {
+	points  []RunSpec
+	seedFor func(point, rep int) uint64
+	partial []PartialSink
+	ordered []Sink
+}
+
+func newDelivery(points []RunSpec, seedFor func(point, rep int) uint64, sinks []Sink) *delivery {
+	d := &delivery{points: points, seedFor: seedFor}
+	for _, s := range sinks {
+		if ps, ok := s.(PartialSink); ok {
+			d.partial = append(d.partial, ps)
+		} else {
+			d.ordered = append(d.ordered, s)
 		}
-		out[i] = ps
 	}
-	return out
+	return d
+}
+
+// deliver passes the metrics of replications [repLo, repLo+len(runs)) of
+// point pi to every sink: one ConsumePartial per PartialSink, then one
+// Consume per run for every other sink, with each run's Event built
+// here — Spec is the point with the run's derived RNGState. Ordered
+// sinks check ctx between runs.
+func (d *delivery) deliver(ctx context.Context, pi, repLo int, runs []RunMetrics) error {
+	for _, ps := range d.partial {
+		if err := ps.ConsumePartial(ctx, MetricsPartial{Point: pi, RepLo: repLo, Runs: runs}); err != nil {
+			return fmt.Errorf("engine: sink: %w", err)
+		}
+	}
+	if len(d.ordered) == 0 {
+		return nil
+	}
+	ev := Event{Point: pi, Spec: d.points[pi]}
+	for i, m := range runs {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("engine: campaign: %w", err)
+		}
+		ev.Rep = repLo + i
+		ev.Spec.RNGState = d.seedFor(pi, ev.Rep)
+		ev.Metrics = m
+		for _, s := range d.ordered {
+			if err := s.Consume(ctx, ev); err != nil {
+				return fmt.Errorf("engine: sink: %w", err)
+			}
+		}
+	}
+	return nil
 }

@@ -24,11 +24,6 @@ type Event struct {
 
 	// Metrics are the per-run scalars every campaign reports.
 	Metrics RunMetrics
-
-	// Result is the full backend result. It is non-nil only when the
-	// campaign retains results (Campaign.KeepRuns); cache replays and
-	// lean streaming runs deliver metrics-only events.
-	Result *RunResult
 }
 
 // Sink consumes the ordered stream of run events. The pipeline invokes
@@ -46,16 +41,15 @@ type Sink interface {
 // Stream executes the campaign, emitting every completed run to the
 // given sinks instead of materializing results. This is the primitive
 // Run is built on: the worker pool executes replication batches
-// (chunks) in arbitrary completion order, a reorder stage restores
+// (chunks) on per-worker Runners in arbitrary completion order, each
+// chunk travels as one pooled []RunMetrics, a reorder stage restores
 // deterministic (point, replication) order at chunk granularity, and
-// sinks observe the exact event sequence a serial execution would
-// produce. When every sink is a PartialSink (and KeepRuns is off), the
-// partial-merge fast path replaces per-run event delivery: workers
-// fold each chunk into a MetricsPartial and the reorder stage merges
-// the partials in the same deterministic chunk order via
-// ConsumePartial — same values, same order, no per-run Event ever
-// crossing a channel. All sinks are closed before Stream returns; the
-// first run or sink error aborts the remaining grid and is returned.
+// the delivery stage shared with cache replay hands every chunk to
+// each sink — one ConsumePartial per PartialSink, one Consume per run
+// for any other sink — so sinks observe the exact sequence a serial
+// execution would produce. All sinks are closed before Stream returns;
+// the first run or sink error aborts the remaining grid and is
+// returned.
 //
 // Cancelling ctx aborts the campaign: no further backend runs are
 // scheduled once cancellation is observed, the worker pool drains
@@ -67,32 +61,24 @@ func (c Campaign) Stream(ctx context.Context, sinks ...Sink) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// closeAll flushes every sink exactly once, on success and on every
-	// error path alike, preserving the first error.
-	closeAll := func(first error) error {
-		for _, s := range sinks {
-			if err := s.Close(); err != nil && first == nil {
-				first = fmt.Errorf("engine: sink close: %w", err)
-			}
-		}
-		return first
-	}
+	// Every sink is closed exactly once, on success and on every error
+	// path alike.
 	if err := ctx.Err(); err != nil {
-		return closeAll(fmt.Errorf("engine: campaign: %w", err))
+		return closeSinks(sinks, fmt.Errorf("engine: campaign: %w", err))
 	}
 	if len(c.Points) == 0 {
-		return closeAll(fmt.Errorf("engine: campaign has no points"))
+		return closeSinks(sinks, fmt.Errorf("engine: campaign has no points"))
 	}
 	if c.Replications <= 0 {
-		return closeAll(fmt.Errorf("engine: Replications must be positive, got %d", c.Replications))
+		return closeSinks(sinks, fmt.Errorf("engine: Replications must be positive, got %d", c.Replications))
 	}
 	be, err := New(c.Backend)
 	if err != nil {
-		return closeAll(err)
+		return closeSinks(sinks, err)
 	}
 	for i, pt := range c.Points {
 		if err := pt.Validate(); err != nil {
-			return closeAll(fmt.Errorf("engine: campaign point %d: %w", i, err))
+			return closeSinks(sinks, fmt.Errorf("engine: campaign point %d: %w", i, err))
 		}
 	}
 	seedFor := c.SeedFor
@@ -127,39 +113,14 @@ func (c Campaign) Stream(ctx context.Context, sinks ...Sink) error {
 	if int64(workers) > totalChunks {
 		workers = int(totalChunks)
 	}
-	// Backends exposing the amortized Runner path give each worker a
-	// per-core execution context: spec validated once per point, the
-	// scheduler Reset instead of rebuilt, result buffers pooled in the
-	// worker's arena (and retained across points via Rebind). The
-	// generic Backend.Run fallback (and the disableRunners test hook)
-	// revalidates and reallocates per run; both paths produce
-	// bit-identical events.
-	rb, _ := be.(RunnerBackend)
-	if c.disableRunners {
-		rb = nil
-	}
-	// The aggregate fast path: when every sink accepts chunk-granular
-	// partials and no full results are retained, workers fold each chunk
-	// into a MetricsPartial (compact per-run scalars plus chunk-local
-	// Welford accumulators) and the merge stage delivers one partial per
-	// chunk in deterministic order — no per-run Event is ever built or
-	// crosses a channel. One order-sensitive sink disables the bypass
-	// for the whole campaign. Aggregates are bit-identical either way.
-	var psinks []PartialSink
-	if !c.KeepRuns && !c.disablePartials {
-		psinks = partialSinks(sinks)
-	}
-	fast := psinks != nil
-	// runPool recycles the per-chunk scalar buffers of the fast path:
-	// the merge stage returns each buffer after dispatching its partial,
-	// so the steady state allocates nothing per chunk.
-	var runPool sync.Pool
-	if fast {
-		runPool.New = func() any {
-			b := make([]RunMetrics, 0, chunkSize)
-			return &b
-		}
-	}
+	d := newDelivery(c.Points, seedFor, sinks)
+	// runPool recycles the per-chunk metrics buffers: the reorder stage
+	// returns each buffer after delivering its chunk, so the steady state
+	// allocates nothing per chunk.
+	runPool := sync.Pool{New: func() any {
+		b := make([]RunMetrics, 0, chunkSize)
+		return &b
+	}}
 
 	var (
 		next     atomic.Int64
@@ -181,7 +142,7 @@ func (c Campaign) Stream(ctx context.Context, sinks ...Sink) error {
 	)
 	// The in-flight window is in chunk units: enough slack that fast
 	// workers never stall behind one slow chunk, small enough that the
-	// ring buffers at most window chunks of completed events.
+	// ring buffers at most window chunks of completed runs.
 	window := int64(4 * workers)
 	if window < 8 {
 		window = 8
@@ -217,13 +178,14 @@ func (c Campaign) Stream(ctx context.Context, sinks ...Sink) error {
 	}()
 
 	// chunkDone carries one completed (possibly incomplete, on abort)
-	// chunk from a worker to the reorder stage: per-run events on the
-	// ordered path, one folded MetricsPartial on the fast path.
+	// chunk from a worker to the reorder stage: the metrics of
+	// replications [repLo, repLo+len(*runs)) of point pi, in a pooled
+	// buffer.
 	type chunkDone struct {
-		idx     int64 // global chunk index
-		events  []Event
-		partial MetricsPartial
-		buf     *[]RunMetrics // pooled backing buffer of partial.Runs
+		idx   int64 // global chunk index
+		pi    int
+		repLo int
+		runs  *[]RunMetrics
 	}
 	chunks := make(chan chunkDone, workers)
 	for w := 0; w < workers; w++ {
@@ -239,7 +201,7 @@ func (c Campaign) Stream(ctx context.Context, sinks ...Sink) error {
 				if k >= totalChunks || failed.Load() {
 					return
 				}
-				// A worker holds no completed events while parked (chunks
+				// A worker holds no completed runs while parked (chunks
 				// are handed over as soon as they finish), so waiting on
 				// the window can never starve the reorder stage.
 				outMu.Lock()
@@ -256,14 +218,16 @@ func (c Campaign) Stream(ctx context.Context, sinks ...Sink) error {
 				if repHi > reps {
 					repHi = reps
 				}
-				if rb != nil && runnerPt != pi {
+				if runnerPt != pi {
+					// The worker's runner is its execution context: the
+					// spec validated once per point, the scheduler Reset
+					// instead of rebuilt, result buffers pooled in its
+					// arena and kept across points by Rebind.
 					var err error
-					if rbn, ok := runner.(Rebinder); ok {
-						// Keep the worker's execution context (arenas,
-						// pooled buffers) alive across point switches.
-						err = rbn.Rebind(c.Points[pi])
+					if runner == nil {
+						runner, err = be.NewRunner(c.Points[pi])
 					} else {
-						runner, err = rb.NewRunner(c.Points[pi])
+						err = runner.Rebind(c.Points[pi])
 					}
 					if err != nil {
 						fail(fmt.Errorf("engine: point %d: %w", pi, err))
@@ -271,65 +235,30 @@ func (c Campaign) Stream(ctx context.Context, sinks ...Sink) error {
 					}
 					runnerPt = pi
 				}
-				var (
-					batch []Event
-					part  MetricsPartial
-					buf   *[]RunMetrics
-				)
-				if fast {
-					buf = runPool.Get().(*[]RunMetrics)
-					part = MetricsPartial{Point: pi, RepLo: repLo, Runs: (*buf)[:0]}
-				} else {
-					batch = make([]Event, 0, repHi-repLo)
-				}
+				buf := runPool.Get().(*[]RunMetrics)
+				runs := (*buf)[:0]
+				spec := c.Points[pi]
 				aborted := false
 				for rep := repLo; rep < repHi; rep++ {
 					if failed.Load() {
 						aborted = true
 						break
 					}
-					spec := c.Points[pi]
 					spec.RNGState = seedFor(pi, rep)
-					var res *RunResult
-					var err error
-					if rb != nil {
-						res, err = runner.Run(ctx, spec)
-					} else {
-						res, err = be.Run(ctx, spec)
-					}
+					res, err := runner.Run(ctx, spec)
 					if err != nil {
 						fail(fmt.Errorf("engine: point %d replication %d: %w", pi, rep, err))
 						aborted = true
 						break
 					}
-					if fast {
-						// Fold the run into the chunk-local partial: a
-						// 32-byte scalar append plus three Welford Adds —
-						// no Event, no Spec copy, no per-run dispatch.
-						part.add(pointMetrics(spec, res))
-						continue
-					}
-					ev := Event{Point: pi, Rep: rep, Spec: spec, Metrics: pointMetrics(spec, res)}
-					if c.KeepRuns {
-						if rb != nil {
-							// Runner results alias the runner's arena; detach
-							// them before the next run overwrites the buffers.
-							res = res.Clone()
-						}
-						ev.Result = res
-					}
-					batch = append(batch, ev)
+					runs = append(runs, pointMetrics(spec, res))
 				}
+				*buf = runs // retain the grown backing array for reuse
 				// An incomplete chunk is only produced after fail(), whose
 				// atomic store happens before this send — the reorder
-				// stage observes failed and never dispatches it, so the
+				// stage observes failed and never delivers it, so the
 				// delivered stream stays a contiguous prefix.
-				if fast {
-					*buf = part.Runs // retain the grown backing array for reuse
-					chunks <- chunkDone{idx: k, partial: part, buf: buf}
-				} else {
-					chunks <- chunkDone{idx: k, events: batch}
-				}
+				chunks <- chunkDone{idx: k, pi: pi, repLo: repLo, runs: buf}
 				if aborted {
 					return
 				}
@@ -341,15 +270,13 @@ func (c Campaign) Stream(ctx context.Context, sinks ...Sink) error {
 		close(chunks)
 	}()
 
-	// Reorder completed chunks into global order and dispatch. Runs
+	// Reorder completed chunks into global order and deliver them. Runs
 	// within a chunk are already in replication order, so ordering the
 	// chunks orders the whole stream. The worker-side window bounds
 	// in-flight chunk indices to [nextOut, nextOut+window), so slot
 	// k%window is collision-free. nextOutLocal is the reorder stage's
 	// private cursor, published to nextOut (with one broadcast) once per
-	// received chunk that advances it. On the fast path this stage is
-	// the partial-merge stage: one ConsumePartial per chunk instead of
-	// one Consume per run, with the scalar buffer recycled afterwards.
+	// received chunk that advances it.
 	var (
 		ring         = make([]chunkDone, window)
 		present      = make([]bool, window)
@@ -370,33 +297,13 @@ func (c Campaign) Stream(ctx context.Context, sinks ...Sink) error {
 			present[slot] = false
 			nextOutLocal++
 			advanced = true
-			if fast {
-				if !failed.Load() {
-					for _, ps := range psinks {
-						if err := ps.ConsumePartial(ctx, out.partial); err != nil {
-							fail(fmt.Errorf("engine: sink: %w", err))
-							break
-						}
-					}
-				}
-				*out.buf = out.partial.Runs[:0]
-				runPool.Put(out.buf)
-				continue
-			}
-			evs := out.events
-			for i := range evs {
-				if failed.Load() {
-					break // drain without dispatching after an abort
-				}
-				ev := evs[i]
-				evs[i] = Event{} // drop the Result reference
-				for _, s := range sinks {
-					if err := s.Consume(ctx, ev); err != nil {
-						fail(fmt.Errorf("engine: sink: %w", err))
-						break
-					}
+			if !failed.Load() { // drain without delivering after an abort
+				if err := d.deliver(ctx, out.pi, out.repLo, *out.runs); err != nil {
+					fail(err)
 				}
 			}
+			*out.runs = (*out.runs)[:0]
+			runPool.Put(out.runs)
 		}
 		if advanced {
 			outMu.Lock()
@@ -412,7 +319,17 @@ func (c Campaign) Stream(ctx context.Context, sinks ...Sink) error {
 	errMu.Lock()
 	err = firstErr
 	errMu.Unlock()
-	return closeAll(err)
+	return closeSinks(sinks, err)
+}
+
+// closeSinks closes every sink exactly once, preserving the first error.
+func closeSinks(sinks []Sink, first error) error {
+	for _, s := range sinks {
+		if err := s.Close(); err != nil && first == nil {
+			first = fmt.Errorf("engine: sink close: %w", err)
+		}
+	}
+	return first
 }
 
 // autoChunkSize picks the replication-batch size when the caller didn't:
@@ -421,7 +338,7 @@ func (c Campaign) Stream(ctx context.Context, sinks ...Sink) error {
 // small enough to keep ~8 chunks per worker in flight for load balance.
 // Chunks never span points, so the result is capped at the per-point
 // replication count, and a hard ceiling bounds how many completed
-// events the reorder window can buffer. Chunk size affects scheduling
+// runs the reorder window can buffer. Chunk size affects scheduling
 // only — the delivered stream is bit-identical for every value.
 func autoChunkSize(total, reps, workers int) int {
 	const (
@@ -441,108 +358,76 @@ func autoChunkSize(total, reps, workers int) int {
 	return c
 }
 
-// aggregateSink folds the event stream into per-point Aggregates — the
-// one aggregation implementation behind Campaign.Run, CampaignSpec
-// execution and cache replay. Events arrive in replication order, so the
-// per-run scalars (32 bytes per run, not full RunResults) buffer in the
-// exact sequence a serial execution produces; summarizing them yields
-// aggregates bit-identical to the historical buffered path. The online
-// wasted-time accumulators feed the campaign's streaming Overall
-// roll-up.
+// aggregateSink folds the delivered runs into per-point Aggregates —
+// the one aggregation implementation behind Campaign.Run, CampaignSpec
+// execution, cache replay and the client-side Aggregator. Runs arrive
+// in replication order, so the per-run scalars (32 bytes per run, not
+// full RunResults) buffer in the exact sequence a serial execution
+// produces; summarizing them yields aggregates bit-identical to the
+// historical buffered path. The online wasted-time accumulators feed
+// the campaign's streaming Overall roll-up.
 type aggregateSink struct {
-	points      []RunSpec
-	reps        int
-	keepPerRun  bool // expose per-run metrics in the Aggregates
-	keepResults bool // expose full results in the Aggregates
+	points     []RunSpec
+	reps       int
+	keepPerRun bool // expose per-run metrics in the Aggregates
 
-	wasted  []metrics.Accumulator
-	ops     []int64
-	perRun  [][]RunMetrics
-	results [][]*RunResult
-
-	// streamed are the per-point merges of the fast path's chunk-local
-	// Welford partials, combined in delivery (chunk) order via
-	// Accumulator.Merge. They are the partial-merge stage's consistency
-	// guard: Close cross-checks their counts against the buffered
-	// scalars, so a partial that skipped or double-counted a run fails
-	// loudly instead of silently skewing aggregates. Allocated lazily on
-	// the first ConsumePartial.
-	streamed []metrics.Accumulator
+	wasted []metrics.Accumulator
+	ops    []int64
+	perRun [][]RunMetrics
 }
 
-func newAggregateSink(points []RunSpec, reps int, keepPerRun, keepResults bool) *aggregateSink {
+func newAggregateSink(points []RunSpec, reps int, keepPerRun bool) *aggregateSink {
 	if reps < 0 {
-		reps = 0 // Stream rejects the campaign before any event flows
+		reps = 0 // Stream rejects the campaign before any run is delivered
 	}
 	s := &aggregateSink{
-		points:      points,
-		reps:        reps,
-		keepPerRun:  keepPerRun,
-		keepResults: keepResults,
-		wasted:      make([]metrics.Accumulator, len(points)),
-		ops:         make([]int64, len(points)),
-		perRun:      make([][]RunMetrics, len(points)),
+		points:     points,
+		reps:       reps,
+		keepPerRun: keepPerRun,
+		wasted:     make([]metrics.Accumulator, len(points)),
+		ops:        make([]int64, len(points)),
+		perRun:     make([][]RunMetrics, len(points)),
 	}
 	for i := range points {
 		s.perRun[i] = make([]RunMetrics, 0, reps)
 	}
-	if keepResults {
-		s.results = make([][]*RunResult, len(points))
-		for i := range points {
-			s.results[i] = make([]*RunResult, 0, reps)
-		}
-	}
 	return s
 }
 
+// Consume folds one event. Besides the order check every fold makes, it
+// rejects an event whose cell (technique, n, p) is not its point's: a
+// decoded JSONL row from another grid must not be folded in silently.
 func (s *aggregateSink) Consume(_ context.Context, ev Event) error {
-	pi := ev.Point
-	if pi < 0 || pi >= len(s.points) {
-		return fmt.Errorf("engine: aggregate sink: point %d out of range", pi)
+	if pi := ev.Point; pi >= 0 && pi < len(s.points) {
+		if pt := s.points[pi]; ev.Spec.Technique != pt.Technique || ev.Spec.N != pt.N || ev.Spec.P != pt.P {
+			return fmt.Errorf("engine: aggregate sink: point %d replication %d is %s n=%d p=%d, want %s n=%d p=%d",
+				pi, ev.Rep, ev.Spec.Technique, ev.Spec.N, ev.Spec.P, pt.Technique, pt.N, pt.P)
+		}
 	}
-	if ev.Rep != len(s.perRun[pi]) {
-		return fmt.Errorf("engine: aggregate sink: point %d got replication %d, want %d (events out of order)",
-			pi, ev.Rep, len(s.perRun[pi]))
-	}
-	m := ev.Metrics
-	s.wasted[pi].Add(m.Wasted)
-	s.ops[pi] += m.SchedOps
-	s.perRun[pi] = append(s.perRun[pi], m)
-	if s.keepResults {
-		s.results[pi] = append(s.results[pi], ev.Result)
-	}
-	return nil
+	return s.fold(ev.Point, ev.Rep, []RunMetrics{ev.Metrics})
 }
 
 // ConsumePartial implements PartialSink: one call folds a whole chunk.
-// The buffered per-run scalars and the sequential wasted-time
-// accumulator are fed in exactly the order the per-event path would
-// feed them, so every downstream statistic — including the two-pass
-// standard deviation, the median and the Overall roll-up — is
-// bit-identical to the ordered sink path. The chunk's pre-folded
-// Welford partials are merged in delivery order as the partial-merge
-// stage's integrity cross-check.
 func (s *aggregateSink) ConsumePartial(_ context.Context, p MetricsPartial) error {
-	pi := p.Point
+	return s.fold(p.Point, p.RepLo, p.Runs)
+}
+
+// fold appends the metrics of replications [repLo, repLo+len(runs)) of
+// point pi. Requiring repLo to equal the count seen so far, together
+// with Close's full-count check, catches every skipped or doubled run.
+func (s *aggregateSink) fold(pi, repLo int, runs []RunMetrics) error {
 	if pi < 0 || pi >= len(s.points) {
 		return fmt.Errorf("engine: aggregate sink: point %d out of range", pi)
 	}
-	if p.RepLo != len(s.perRun[pi]) {
-		return fmt.Errorf("engine: aggregate sink: point %d got chunk at replication %d, want %d (partials out of order)",
-			pi, p.RepLo, len(s.perRun[pi]))
+	if repLo != len(s.perRun[pi]) {
+		return fmt.Errorf("engine: aggregate sink: point %d got replication %d, want %d (runs out of order)",
+			pi, repLo, len(s.perRun[pi]))
 	}
-	if s.streamed == nil {
-		s.streamed = make([]metrics.Accumulator, len(s.points))
+	s.perRun[pi] = append(s.perRun[pi], runs...)
+	for _, m := range runs {
+		s.wasted[pi].Add(m.Wasted)
+		s.ops[pi] += m.SchedOps
 	}
-	s.perRun[pi] = append(s.perRun[pi], p.Runs...)
-	for i := range p.Runs {
-		// Sequential feed keeps the Overall roll-up bit-identical to the
-		// ordered path (merging chunk partials would reassociate the
-		// floating-point sums).
-		s.wasted[pi].Add(p.Runs[i].Wasted)
-	}
-	s.ops[pi] += p.Ops
-	s.streamed[pi].Merge(p.Wasted)
 	return nil
 }
 
@@ -550,10 +435,6 @@ func (s *aggregateSink) Close() error {
 	for pi := range s.points {
 		if got := len(s.perRun[pi]); got != s.reps {
 			return fmt.Errorf("engine: aggregate sink: point %d saw %d of %d replications", pi, got, s.reps)
-		}
-		if s.streamed != nil && s.streamed[pi].Count != int64(s.reps) {
-			return fmt.Errorf("engine: aggregate sink: point %d merged partials cover %d of %d replications",
-				pi, s.streamed[pi].Count, s.reps)
 		}
 	}
 	return nil
@@ -583,9 +464,6 @@ func (s *aggregateSink) Aggregates() []Aggregate {
 		}
 		if s.keepPerRun {
 			agg.PerRun = runs
-		}
-		if s.keepResults {
-			agg.Results = s.results[pi]
 		}
 		out[pi] = agg
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -30,6 +31,12 @@ func (b *countingBackend) Run(ctx context.Context, spec RunSpec) (*RunResult, er
 	}
 	return be.Run(ctx, spec)
 }
+
+// NewRunner returns the backend itself: its Run is safe for concurrent
+// use and keeps no per-point state.
+func (b *countingBackend) NewRunner(RunSpec) (Runner, error) { return b, nil }
+
+func (b *countingBackend) Rebind(RunSpec) error { return nil }
 
 var counting = &countingBackend{}
 
@@ -174,32 +181,101 @@ func TestCacheReplayFeedsSinksIdentically(t *testing.T) {
 	}
 }
 
-// TestCacheCorruptEntryFallsBackToLiveRun: an undecodable or mismatched
-// cache entry must demote to a miss, not fail the campaign.
+// TestCacheCorruptEntryFallsBackToLiveRun: an undecodable, mismatched
+// or foreign-format cache entry must demote to a miss, not fail the
+// campaign — including a well-formed version-1 JSON entry of an earlier
+// build, which this build no longer reads.
 func TestCacheCorruptEntryFallsBackToLiveRun(t *testing.T) {
 	spec := countingSpec()
-	store := cache.NewMemory()
 	hash, err := spec.Hash()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Put(context.Background(), hash, []byte("{not json")); err != nil {
+	points, err := spec.Points()
+	if err != nil {
 		t.Fatal(err)
 	}
-	before := counting.calls.Load()
-	if _, err := spec.Execute(context.Background(), ExecConfig{Cache: store}); err != nil {
+	perRun := make([][]RunMetrics, len(points))
+	for pi := range perRun {
+		perRun[pi] = make([]RunMetrics, spec.Replications)
+		for rep := range perRun[pi] {
+			perRun[pi][rep] = RunMetrics{Wasted: 1.5, Makespan: 300, Speedup: 2, SchedOps: 40}
+		}
+	}
+	v1, err := json.Marshal(map[string]any{
+		"version": 1, "hash": hash, "points": len(points),
+		"replications": spec.Replications, "per_run": perRun,
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if counting.calls.Load() == before {
-		t.Fatal("corrupt cache entry was served instead of re-running")
+	for name, entry := range map[string][]byte{
+		"not json":  []byte("{not json"),
+		"version 1": v1,
+	} {
+		t.Run(name, func(t *testing.T) {
+			store := cache.NewMemory()
+			if err := store.Put(context.Background(), hash, entry); err != nil {
+				t.Fatal(err)
+			}
+			before := counting.calls.Load()
+			if _, err := spec.Execute(context.Background(), ExecConfig{Cache: store}); err != nil {
+				t.Fatal(err)
+			}
+			if counting.calls.Load() == before {
+				t.Fatal("cache entry was served instead of re-running")
+			}
+			// The live run must have overwritten the entry.
+			if got, ok, err := store.Get(context.Background(), hash); err != nil || !ok || bytes.Equal(got, entry) {
+				t.Fatalf("entry not overwritten (ok=%v err=%v)", ok, err)
+			}
+			before = counting.calls.Load()
+			if _, err := spec.Execute(context.Background(), ExecConfig{Cache: store}); err != nil {
+				t.Fatal(err)
+			}
+			if counting.calls.Load() != before {
+				t.Fatal("repaired cache entry not served")
+			}
+		})
 	}
-	// The live run must have overwritten the corrupt entry.
-	before = counting.calls.Load()
-	if _, err := spec.Execute(context.Background(), ExecConfig{Cache: store}); err != nil {
+}
+
+// TestAggregatorRejectsRowsFromAnotherGrid: a client-side Aggregator
+// must refuse a decoded JSONL row whose technique, n or p is not its
+// point's — here spec A's stream fed to the Aggregator of spec B, which
+// is A with its techniques reversed.
+func TestAggregatorRejectsRowsFromAnotherGrid(t *testing.T) {
+	a := countingSpec()
+	var buf bytes.Buffer
+	if _, err := a.Execute(context.Background(), ExecConfig{Sinks: []Sink{NewJSONLSink(&buf)}}); err != nil {
 		t.Fatal(err)
 	}
-	if counting.calls.Load() != before {
-		t.Fatal("repaired cache entry not served")
+	b := a
+	b.Techniques = []string{a.Techniques[1], a.Techniques[0]}
+	agg, err := b.NewAggregator(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var consumeErr error
+	for _, line := range strings.SplitAfter(buf.String(), "\n") {
+		if line == "" {
+			continue
+		}
+		ev, err := DecodeJSONLEvent([]byte(line))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if consumeErr = agg.Consume(context.Background(), ev); consumeErr != nil {
+			break
+		}
+	}
+	if consumeErr == nil {
+		t.Fatal("Aggregator folded rows of another grid")
+	}
+	for _, want := range []string{"point 0 replication 0", "FAC2 n=256 p=2", "SS n=256 p=2"} {
+		if !strings.Contains(consumeErr.Error(), want) {
+			t.Errorf("error %q does not name %q", consumeErr, want)
+		}
 	}
 }
 

@@ -220,10 +220,9 @@ func (j *Job) Snapshot() Snapshot {
 }
 
 // progressSink feeds the job's completion counter from the campaign's
-// ordered event stream — O(1) state, no buffering. It also accepts
-// chunk-granular partials, so attaching it never disqualifies a job
-// from the engine's aggregate fast path (one counter bump per chunk
-// instead of per run).
+// delivered runs — O(1) state, no buffering. It is a PartialSink, so
+// the engine hands it one partial per chunk (one counter bump per chunk
+// instead of per run) and builds no per-run Event for it.
 type progressSink struct {
 	j    *Job
 	runs *atomic.Int64 // manager-wide delivered-run counter (metrics)

@@ -55,13 +55,9 @@ func TestResetReproducesFreshScheduler(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, ok := s.(Resetter)
-			if !ok {
-				t.Fatalf("%s does not implement sched.Resetter", name)
-			}
 			first := driveTrace(s, params.P)
 
-			r.Reset()
+			s.Reset()
 			if got, want := s.Remaining(), params.N; got != want {
 				t.Fatalf("after Reset: Remaining() = %d, want %d", got, want)
 			}
@@ -103,7 +99,7 @@ func TestResetMidRun(t *testing.T) {
 			}
 			ref := driveTrace(s, params.P)
 
-			s.(Resetter).Reset()
+			s.Reset()
 			// Execute a few operations without reporting some of them,
 			// leaving batch counters and outstanding-task state dirty.
 			for i := 0; i < 5; i++ {
@@ -111,7 +107,7 @@ func TestResetMidRun(t *testing.T) {
 					s.Report(i%params.P, c, float64(c)*1.5, float64(i)+1)
 				}
 			}
-			s.(Resetter).Reset()
+			s.Reset()
 			if got := driveTrace(s, params.P); len(got) != len(ref) {
 				t.Fatalf("trace length after dirty Reset: %d, want %d", len(got), len(ref))
 			} else {

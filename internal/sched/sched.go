@@ -66,17 +66,18 @@ type Scheduler interface {
 	Remaining() int64
 	// Chunks returns the number of scheduling operations performed so far.
 	Chunks() int64
+	// Reset restores the scheduler to the state it had immediately after
+	// construction, so one value serves many runs of the same parameters
+	// without reallocating; the engine's runners rely on it to keep the
+	// per-run hot path allocation-free. A Reset scheduler must produce
+	// exactly the chunk sequence a freshly constructed one would, given
+	// the same Next/Report calls (verified per technique by
+	// reset_test.go).
+	Reset()
 }
 
-// Resetter is the optional reuse extension of Scheduler: Reset restores
-// the scheduler to the state it had immediately after construction, so
-// one value can serve many runs of the same parameters without
-// reallocating. Every technique in this package implements it — the
-// engine's campaign runners rely on Reset to keep the per-run hot path
-// allocation-free (falling back to reconstruction for schedulers that do
-// not). A Reset scheduler must produce exactly the chunk sequence a
-// freshly constructed one would, given the same Next/Report calls
-// (verified per technique by reset_test.go).
+// Resetter names the Reset method on its own, for callers that only
+// reset. Every Scheduler satisfies it.
 type Resetter interface {
 	Reset()
 }

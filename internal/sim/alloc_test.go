@@ -18,7 +18,7 @@ func arenaConfig(t testing.TB, technique string, n int64, p int) (Config, sched.
 		t.Fatal(err)
 	}
 	r := rng.FromState(0x2A5F3C)
-	return Config{P: p, Sched: s, Work: workload.NewExponential(1), RNG: r, H: 0.5}, s.(sched.Resetter), r
+	return Config{P: p, Sched: s, Work: workload.NewExponential(1), RNG: r, H: 0.5}, s, r
 }
 
 // arenaSizes are the (n, p) points of the allocation gate and its

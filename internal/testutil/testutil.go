@@ -65,6 +65,13 @@ func (b *GateBackend) Run(ctx context.Context, spec engine.RunSpec) (*engine.Run
 	return res, err
 }
 
+// NewRunner implements engine.Backend: Run is safe for concurrent use,
+// so the backend is its own runner.
+func (b *GateBackend) NewRunner(engine.RunSpec) (engine.Runner, error) { return b, nil }
+
+// Rebind implements engine.Runner; the gate keeps no per-point state.
+func (b *GateBackend) Rebind(engine.RunSpec) error { return nil }
+
 // Release opens the gate for all current and future runs. Idempotent.
 func (b *GateBackend) Release() {
 	b.mu.Lock()
