@@ -11,6 +11,8 @@ import (
 	"math"
 	"testing"
 
+	"repro/campaign"
+	"repro/campaign/distrib"
 	"repro/internal/cache"
 	"repro/internal/engine"
 	"repro/internal/metrics"
@@ -279,9 +281,10 @@ var pathDigests = map[string][2]string{
 // TestEnginePathDigests holds every way the engine produces a result to
 // the same fixed digests: live execution at one and four workers and
 // chunk sizes auto, 1 and 7 (more than the three replications), a cache
-// replay through a JSONL sink, an aggregate-only snapshot hit, and a
-// client-side Aggregator fed the decoded JSONL rows. No path is the
-// oracle of another.
+// replay through a JSONL sink, an aggregate-only snapshot hit, a
+// client-side Aggregator fed the decoded JSONL rows, and a sharded
+// fleet's rolling and asynchronous merges (checkFleetPaths). No path is
+// the oracle of another.
 func TestEnginePathDigests(t *testing.T) {
 	ctx := context.Background()
 	for _, backend := range []string{"sim", "des", "msg"} {
@@ -357,7 +360,57 @@ func TestEnginePathDigests(t *testing.T) {
 					t.Fatal(err)
 				}
 				checkAgg("client aggregator", agg.Result())
+
+				checkFleetPaths(t, spec, check)
 			})
+		}
+	}
+}
+
+// checkFleetPaths runs spec through a distrib.Coordinator over three
+// in-process LocalRunner nodes (one worker each, one shared memory
+// store) at shard counts 1, 2, 3, 7 and 15; at 15 every run of
+// digestSpec is its own shard. Each count checks two merges against the
+// key's digests: campaign.Execute (the rolling merge) and Submit, then
+// Stream into an Aggregator and a JSONL sink (the asynchronous merge).
+func checkFleetPaths(t *testing.T, spec engine.CampaignSpec, check func(string, []byte, *engine.CampaignResult)) {
+	t.Helper()
+	ctx := context.Background()
+	store := cache.NewMemory()
+	nodes := make([]campaign.Runner, 3)
+	for i := range nodes {
+		local := campaign.NewLocal(campaign.LocalConfig{Store: store, Workers: 1})
+		t.Cleanup(local.Close)
+		nodes[i] = local
+	}
+	for _, shards := range []int{1, 2, 3, 7, 15} {
+		coord, err := distrib.New(nodes, distrib.Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		res, err := campaign.Execute(ctx, coord, spec,
+			campaign.ExecOptions{Sinks: []campaign.Sink{campaign.NewJSONLSink(&buf)}})
+		if err != nil {
+			t.Fatalf("fleet execute shards=%d: %v", shards, err)
+		}
+		check(fmt.Sprintf("fleet execute shards=%d", shards), buf.Bytes(), res)
+
+		jb, err := coord.Submit(ctx, spec)
+		if err != nil {
+			t.Fatalf("fleet submit shards=%d: %v", shards, err)
+		}
+		agg, err := spec.NewAggregator(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.Reset()
+		if err := coord.Stream(ctx, jb.ID, agg, campaign.NewJSONLSink(&buf)); err != nil {
+			t.Fatalf("fleet stream shards=%d: %v", shards, err)
+		}
+		check(fmt.Sprintf("fleet submit+stream shards=%d", shards), buf.Bytes(), agg.Result())
+		if err := coord.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
