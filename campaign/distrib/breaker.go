@@ -1,4 +1,4 @@
-// Per-node circuit breakers and the health-checked node pool. Both are
+// Per-node circuit breakers and the node pick. Both are
 // scheduling-only machinery: they decide which node runs a shard and
 // when, never what the shard computes — the bit-identical merge
 // guarantee is structurally out of their reach.
@@ -6,11 +6,8 @@
 package distrib
 
 import (
-	"context"
 	"sync"
 	"time"
-
-	"repro/campaign"
 )
 
 // breakerState is a circuit breaker's position.
@@ -131,95 +128,16 @@ func (b *breaker) set(to breakerState) {
 	}
 }
 
-// healthChecker is the optional probe surface of a node. client.Client
-// implements it against GET /v1/health; in-process LocalRunners
-// normally don't and are simply never probed.
-type healthChecker interface {
-	Health(ctx context.Context) (campaign.Health, error)
-}
-
-// nodeState is the pool's per-node view beyond the breaker: liveness
-// and drain, maintained by the background prober (and defaulted to
-// available when probing is off or the node has no health surface).
-type nodeState struct {
-	mu       sync.Mutex
-	healthy  bool
-	draining bool
-	lastErr  string // most recent attempt or probe failure, for reports
-}
-
-func (n *nodeState) available() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.healthy && !n.draining
-}
-
-func (n *nodeState) note(err error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if err != nil {
-		n.lastErr = err.Error()
-	}
-}
-
-// probeLoop polls every probeable node each HealthInterval. A
-// successful probe refreshes liveness, mirrors the node's drain flag,
-// and feeds the breaker a success (a node answering health checks is
-// strong evidence it recovered); a failed probe marks the node down
-// and counts as a breaker failure, so a dead node's breaker opens even
-// with no shard traffic pointed at it.
-func (c *Coordinator) probeLoop(ctx context.Context) {
-	defer c.probeWG.Done()
-	tick := time.NewTicker(c.opts.HealthInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick.C:
-		}
-		for ni, node := range c.nodes {
-			hc, ok := node.(healthChecker)
-			if !ok {
-				continue
-			}
-			pctx, cancel := context.WithTimeout(ctx, c.opts.HealthInterval)
-			h, err := hc.Health(pctx)
-			cancel()
-			st := c.states[ni]
-			st.mu.Lock()
-			if err != nil {
-				st.healthy = false
-				st.lastErr = "health probe: " + err.Error()
-			} else {
-				st.healthy = h.Ok
-				st.draining = h.Draining || !h.Ready
-			}
-			st.mu.Unlock()
-			if err != nil {
-				c.mProbeFails.Inc()
-				c.brs[ni].failure()
-			} else if h.Ok {
-				c.brs[ni].success()
-			}
-			if ctx.Err() != nil {
-				return
-			}
-		}
-	}
-}
-
-// pick scans the fleet from startNode for the first node that is
-// available (healthy, not draining) and whose breaker admits traffic.
-// A half-open breaker's probe slot is reserved by the pick; the caller
-// settles it via the breaker verdict calls.
+// pick scans the fleet from startNode for the first node whose breaker
+// admits traffic. A half-open breaker's probe slot is reserved by the
+// pick; the caller settles it via the breaker verdict calls. A draining
+// or dead node needs no separate check: it refuses or fails the
+// attempt, which rotates the shard onward and, repeated, opens the
+// node's breaker.
 func (c *Coordinator) pick(startNode int) (int, bool) {
 	n := len(c.nodes)
 	for off := 0; off < n; off++ {
 		ni := ((startNode+off)%n + n) % n
-		if !c.states[ni].available() {
-			continue
-		}
 		if c.brs[ni].allow() {
 			return ni, true
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -24,30 +23,11 @@ type Options struct {
 	// one remote job. 0 means one shard per node; counts beyond the
 	// grid's total run count are clamped.
 	Shards int
-	// MaxPerNode bounds the shards concurrently in flight against one
-	// node — the fan-out's backpressure. 0 means 4.
-	MaxPerNode int
 	// ShardTimeout is the per-attempt deadline for one shard (submit
 	// through completion). A shard stuck on a straggler past the
 	// deadline is cancelled on that node and reassigned to the next.
 	// 0 means no deadline.
 	ShardTimeout time.Duration
-	// Attempts is the total number of placement attempts per shard,
-	// rotating through the fleet, so a shard survives Attempts-1 node
-	// failures. 0 means 3; 1 disables retries.
-	Attempts int
-	// Backoff is the delay before a shard's first retry; it doubles per
-	// subsequent retry up to MaxBackoff. Zero values mean 100ms and 5s.
-	Backoff    time.Duration
-	MaxBackoff time.Duration
-	// Jitter is the fraction of each backoff randomized away, in
-	// [0, 1]: the actual sleep is uniform in [(1-Jitter)·d, d]. 0
-	// keeps the backoff deterministic.
-	Jitter float64
-	// CleanupTimeout bounds the best-effort remote cleanup RPCs — the
-	// cancel of an abandoned job and the reap of a possible orphan.
-	// 0 means 5s.
-	CleanupTimeout time.Duration
 	// HedgeAfter, when positive, arms straggler hedging: a shard still
 	// unplaced (or unfinished) after this budget is speculatively
 	// re-dispatched on the next eligible node, first completion wins
@@ -60,18 +40,6 @@ type Options struct {
 	// fleet cannot deliver, the sinks keep the byte-identical completed
 	// prefix, and the run's error is a typed *Incomplete report.
 	PartialResults bool
-	// BreakerThreshold is the consecutive node-attributable failures
-	// that open a node's circuit breaker. 0 means 3.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker blocks a node before
-	// allowing a half-open probe attempt. 0 means 2s.
-	BreakerCooldown time.Duration
-	// HealthInterval, when positive, starts a background prober that
-	// polls each node's health endpoint (nodes without one are
-	// skipped): probe failures mark the node down and feed its breaker,
-	// a node advertising drain stops receiving new shards. 0 disables
-	// probing.
-	HealthInterval time.Duration
 	// Registry receives the coordinator's fault-tolerance metrics
 	// (breaker states and transitions, hedge and retry counters). nil
 	// means a private registry; a shared registry must not be given to
@@ -79,33 +47,19 @@ type Options struct {
 	Registry *telemetry.Registry
 }
 
-func (o Options) withDefaults(nodes int) Options {
-	if o.Shards <= 0 {
-		o.Shards = nodes
-	}
-	if o.MaxPerNode <= 0 {
-		o.MaxPerNode = 4
-	}
-	if o.Attempts <= 0 {
-		o.Attempts = 3
-	}
-	if o.Backoff <= 0 {
-		o.Backoff = 100 * time.Millisecond
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 5 * time.Second
-	}
-	if o.CleanupTimeout <= 0 {
-		o.CleanupTimeout = 5 * time.Second
-	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 3
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 2 * time.Second
-	}
-	return o
-}
+// The fixed fault-handling policy. A shard gets `attempts` placements,
+// rotating through the fleet, so it survives two node failures; retry r
+// sleeps backoffBase·2^r, capped at backoffMax, or the server's
+// Retry-After when that is longer.
+const (
+	maxPerNode       = 4                      // shards in flight against one node
+	attempts         = 3                      // placements per shard
+	backoffBase      = 100 * time.Millisecond // delay before a shard's first retry
+	backoffMax       = 5 * time.Second
+	cleanupTimeout   = 5 * time.Second // bounds a best-effort remote cancel or orphan reap
+	breakerThreshold = 3               // consecutive node failures that open a breaker
+	breakerCooldown  = 2 * time.Second // how long an open breaker blocks before a half-open probe
+)
 
 // Coordinator fans one campaign out across a fleet of runners — dlsimd
 // nodes reached through client.Client, in-process LocalRunners, or a
@@ -114,24 +68,21 @@ func (o Options) withDefaults(nodes int) Options {
 // anywhere a node does) and campaign.Executor (the synchronous
 // fan-out + merge fast path campaign.Execute prefers).
 type Coordinator struct {
-	nodes  []campaign.Runner
-	opts   Options
-	sems   []chan struct{} // per-node in-flight shard bound
-	brs    []*breaker      // per-node circuit breakers
-	states []*nodeState    // per-node health-pool state
+	nodes []campaign.Runner
+	opts  Options
+	sems  []chan struct{} // per-node in-flight shard bound
+	brs   []*breaker      // per-node circuit breakers
 
-	probeCancel context.CancelFunc
-	probeWG     sync.WaitGroup
-	bg          sync.WaitGroup // hedge losers still cleaning up
+	bg sync.WaitGroup // hedge losers still cleaning up
 
-	mHedges, mHedgeWins   *telemetry.Counter
-	mRetries, mProbeFails *telemetry.Counter
-	mTransitions          *telemetry.CounterVec
+	mHedges, mHedgeWins, mRetries *telemetry.Counter
+	mTransitions                  *telemetry.CounterVec
 
-	mu     sync.Mutex
-	jobs   map[string]*job
-	byHash map[string]*job // non-terminal jobs, for submit dedup
-	nextID int
+	mu      sync.Mutex
+	lastErr []string        // per node: most recent attempt failure, for *Incomplete
+	jobs    map[string]*job // by ID
+	byHash  map[string]*job // non-terminal, non-cancelled jobs, for submit dedup
+	nextID  int
 }
 
 var (
@@ -147,36 +98,33 @@ func New(nodes []campaign.Runner, opts Options) (*Coordinator, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("distrib: no nodes")
 	}
+	if opts.Shards <= 0 {
+		opts.Shards = len(nodes)
+	}
 	c := &Coordinator{
-		nodes:  nodes,
-		opts:   opts.withDefaults(len(nodes)),
-		jobs:   make(map[string]*job),
-		byHash: make(map[string]*job),
+		nodes:   nodes,
+		opts:    opts,
+		sems:    make([]chan struct{}, len(nodes)),
+		brs:     make([]*breaker, len(nodes)),
+		lastErr: make([]string, len(nodes)),
+		jobs:    make(map[string]*job),
+		byHash:  make(map[string]*job),
 	}
-	c.sems = make([]chan struct{}, len(nodes))
-	for i := range c.sems {
-		c.sems[i] = make(chan struct{}, c.opts.MaxPerNode)
-	}
-
-	reg := c.opts.Registry
+	reg := opts.Registry
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
 	c.mHedges = reg.Counter("dlsim_fleet_hedges_total", "Hedged shard submissions launched.")
 	c.mHedgeWins = reg.Counter("dlsim_fleet_hedge_wins_total", "Hedged submissions that finished before the primary.")
 	c.mRetries = reg.Counter("dlsim_fleet_shard_retries_total", "Shard placement retry attempts.")
-	c.mProbeFails = reg.Counter("dlsim_fleet_health_probe_failures_total", "Failed node health probes.")
 	c.mTransitions = reg.CounterVec("dlsim_fleet_breaker_transitions_total",
 		"Circuit breaker state transitions, by node index and new state.", "node", "to")
-
-	c.brs = make([]*breaker, len(nodes))
-	c.states = make([]*nodeState, len(nodes))
 	for i := range nodes {
+		c.sems[i] = make(chan struct{}, maxPerNode)
 		ni := strconv.Itoa(i)
-		c.brs[i] = newBreaker(c.opts.BreakerThreshold, c.opts.BreakerCooldown, func(to breakerState) {
+		c.brs[i] = newBreaker(breakerThreshold, breakerCooldown, func(to breakerState) {
 			c.mTransitions.With(ni, to.String()).Inc()
 		})
-		c.states[i] = &nodeState{healthy: true}
 	}
 	reg.GaugeSetFunc("dlsim_fleet_breaker_state",
 		"Per-node circuit breaker state (0 closed, 1 open, 2 half-open).", []string{"node"},
@@ -187,24 +135,12 @@ func New(nodes []campaign.Runner, opts Options) (*Coordinator, error) {
 			}
 			return out
 		})
-
-	if c.opts.HealthInterval > 0 {
-		var pctx context.Context
-		pctx, c.probeCancel = context.WithCancel(context.Background())
-		c.probeWG.Add(1)
-		go c.probeLoop(pctx)
-	}
 	return c, nil
 }
 
-// Close stops the coordinator's background machinery — the health
-// prober and any hedge losers still cleaning up remote state. It does
+// Close waits for hedge losers still cleaning up remote state. It does
 // not cancel jobs already submitted.
 func (c *Coordinator) Close() error {
-	if c.probeCancel != nil {
-		c.probeCancel()
-	}
-	c.probeWG.Wait()
 	c.bg.Wait()
 	return nil
 }
@@ -287,21 +223,13 @@ func (c *Coordinator) acquire(ctx context.Context, ni int) error {
 	}
 }
 
-func (c *Coordinator) backoff(retry int) time.Duration {
-	d := c.opts.Backoff
-	for i := 0; i < retry && d < c.opts.MaxBackoff; i++ {
+// backoff is the policy delay before retry number retry+1.
+func backoff(retry int) time.Duration {
+	d := backoffBase
+	for i := 0; i < retry && d < backoffMax; i++ {
 		d *= 2
 	}
-	if d > c.opts.MaxBackoff {
-		d = c.opts.MaxBackoff
-	}
-	if j := c.opts.Jitter; j > 0 {
-		if j > 1 {
-			j = 1
-		}
-		d = time.Duration(float64(d) * (1 - j*rand.Float64()))
-	}
-	return d
+	return min(d, backoffMax)
 }
 
 func sleepCtx(ctx context.Context, d time.Duration) error {
@@ -343,24 +271,20 @@ func retryAfterHint(err error) time.Duration {
 func (c *Coordinator) dispatch(ctx context.Context, p piece, startNode int) (placement, error) {
 	var last error
 	rot := 0 // rotation offset; frozen while rate-limited
-	for a := 0; a < c.opts.Attempts; a++ {
+	for a := 0; a < attempts; a++ {
 		if a > 0 {
 			c.mRetries.Inc()
-			d := c.backoff(a - 1)
-			if hint := retryAfterHint(last); hint > d {
-				d = hint
-			}
-			if err := sleepCtx(ctx, d); err != nil {
+			if err := sleepCtx(ctx, max(backoff(a-1), retryAfterHint(last))); err != nil {
 				break
 			}
 		}
 		ni, ok := c.pick(startNode + rot)
 		if !ok {
-			// Every node is drained, down, or breaker-blocked right now.
-			// That is a transient fleet condition, not a verdict on the
-			// shard: burn the attempt and back off, so a cooldown expiry
-			// or a recovering probe can reopen a path.
-			last = fmt.Errorf("distrib: shard %d: no eligible node (fleet draining, down, or breaker-open)", p.index)
+			// Every node's breaker is blocking right now. That is a
+			// transient fleet condition, not a verdict on the shard: burn
+			// the attempt and back off, so a cooldown expiry can reopen a
+			// path.
+			last = fmt.Errorf("distrib: shard %d: no eligible node (every breaker open or probing)", p.index)
 			if ctx.Err() != nil {
 				break
 			}
@@ -376,7 +300,9 @@ func (c *Coordinator) dispatch(ctx context.Context, p piece, startNode int) (pla
 			c.brs[ni].success()
 			return pl, nil
 		}
-		c.states[ni].note(err)
+		c.mu.Lock()
+		c.lastErr[ni] = err.Error()
+		c.mu.Unlock()
 		// Only node-attributable failures feed the breaker: a cancelled
 		// context, a per-tenant rate limit, or a job that ran to a
 		// deterministic terminal failure says nothing about node health.
@@ -488,7 +414,7 @@ func (c *Coordinator) attempt(ctx context.Context, ni int, p piece) (placement, 
 	snap, err := node.Wait(actx, jb.ID)
 	if err != nil {
 		if !jb.Deduped {
-			cctx, ccancel := context.WithTimeout(context.WithoutCancel(ctx), c.opts.CleanupTimeout)
+			cctx, ccancel := context.WithTimeout(context.WithoutCancel(ctx), cleanupTimeout)
 			_ = node.Cancel(cctx, jb.ID)
 			ccancel()
 		}
@@ -512,7 +438,7 @@ func (e *errJobTerminal) Unwrap() error { return e.err }
 // by spec hash via submit dedup. Best effort and bounded; used only
 // when an aborted submission may have left a job behind.
 func (c *Coordinator) reap(ctx context.Context, node campaign.Runner, spec campaign.Spec) {
-	rctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), c.opts.CleanupTimeout)
+	rctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), cleanupTimeout)
 	defer cancel()
 	jb, err := node.Submit(rctx, spec)
 	if err != nil {
@@ -571,33 +497,51 @@ func (c *Coordinator) streamPiece(ctx context.Context, p piece, pl placement, si
 	return c.nodes[pl2.node].Stream(ctx, pl2.id, rs)
 }
 
+// fanout is one campaign's concurrent placement: a goroutine per piece
+// around place. pls[i] and errs[i] are piece i's outcome, readable once
+// done[i] is closed.
+type fanout struct {
+	pls  []placement
+	errs []error
+	done []chan struct{}
+	wg   sync.WaitGroup
+}
+
+// fanOut starts placing every piece under ctx. settled, if non-nil, is
+// called from each piece's goroutine as the piece settles, before its
+// done channel closes.
+func (c *Coordinator) fanOut(ctx context.Context, pieces []piece, settled func(i int, err error)) *fanout {
+	f := &fanout{
+		pls:  make([]placement, len(pieces)),
+		errs: make([]error, len(pieces)),
+		done: make([]chan struct{}, len(pieces)),
+	}
+	for i := range pieces {
+		f.done[i] = make(chan struct{})
+		f.wg.Add(1)
+		go func(i int) {
+			defer f.wg.Done()
+			defer close(f.done[i])
+			f.pls[i], f.errs[i] = c.place(ctx, pieces[i], pieces[i].index)
+			if settled != nil {
+				settled(i, f.errs[i])
+			}
+		}(i)
+	}
+	return f
+}
+
 // run fans the spec out and merges the shard streams into sinks (which
-// it does not close) in the parent's deterministic order. progress, if
-// non-nil, observes completed run counts as shards finish.
-func (c *Coordinator) run(ctx context.Context, spec campaign.Spec, sinks []campaign.Sink, progress func(int64)) error {
+// it does not close) in the parent's deterministic order.
+func (c *Coordinator) run(ctx context.Context, spec campaign.Spec, sinks []campaign.Sink) error {
 	pieces, err := plan(spec, c.opts.Shards)
 	if err != nil {
 		return err
 	}
 	fctx, cancel := context.WithCancel(ctx)
-	var wg sync.WaitGroup
-	defer wg.Wait() // leak-free: runs after cancel, so dispatchers drain
+	f := c.fanOut(fctx, pieces, nil)
+	defer f.wg.Wait() // leak-free: runs after cancel, so dispatchers drain
 	defer cancel()
-	pls := make([]placement, len(pieces))
-	errs := make([]error, len(pieces))
-	done := make([]chan struct{}, len(pieces))
-	for i := range pieces {
-		done[i] = make(chan struct{})
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer close(done[i])
-			pls[i], errs[i] = c.place(fctx, pieces[i], pieces[i].index)
-			if errs[i] == nil && progress != nil {
-				progress(int64(pieces[i].reps))
-			}
-		}(i)
-	}
 	// Merge in plan order: piece i streams as soon as it and every
 	// earlier piece have completed, while later pieces keep executing —
 	// the merge is a rolling frontier, not a barrier.
@@ -609,21 +553,20 @@ func (c *Coordinator) run(ctx context.Context, spec campaign.Spec, sinks []campa
 	// cancelled, so their causes are captured where already known.
 	for i := range pieces {
 		select {
-		case <-done[i]:
+		case <-f.done[i]:
 		case <-fctx.Done():
 			return fctx.Err()
 		}
-		if errs[i] != nil {
-			if c.opts.PartialResults && ctx.Err() == nil {
-				hash, _ := spec.Hash()
-				return error(c.incomplete(hash, pieces, i, errs, done, nil))
-			}
-			return errs[i]
+		var streamErr error
+		err := f.errs[i]
+		if err == nil {
+			streamErr = c.streamPiece(fctx, pieces[i], f.pls[i], sinks)
+			err = streamErr
 		}
-		if err := c.streamPiece(fctx, pieces[i], pls[i], sinks); err != nil {
+		if err != nil {
 			if c.opts.PartialResults && ctx.Err() == nil {
 				hash, _ := spec.Hash()
-				return error(c.incomplete(hash, pieces, i, errs, done, err))
+				return c.incomplete(hash, pieces, i, f, streamErr)
 			}
 			return err
 		}
@@ -641,7 +584,7 @@ func (c *Coordinator) Execute(ctx context.Context, spec campaign.Spec, opts camp
 		return nil, campaign.CloseSinks(err, opts.Sinks...)
 	}
 	sinks := append([]campaign.Sink{agg}, opts.Sinks...)
-	runErr := c.run(ctx, spec, sinks, nil)
+	runErr := c.run(ctx, spec, sinks)
 	var inc *Incomplete
 	if errors.As(runErr, &inc) {
 		// Degraded mode: flush the caller's sinks so the completed
@@ -660,9 +603,10 @@ func (c *Coordinator) Execute(ctx context.Context, spec campaign.Spec, opts camp
 // job is one asynchronously submitted campaign's coordinator-side
 // state.
 type job struct {
-	spec   campaign.Spec
-	pieces []piece
-	pls    []placement // placements, valid where the piece succeeded
+	id, hash string
+	spec     campaign.Spec
+	pieces   []piece
+	pls      []placement // set when the fan-out ends; valid where the piece succeeded
 
 	completed atomic.Int64
 
@@ -675,12 +619,12 @@ type job struct {
 	submissions int
 }
 
-func (j *job) snapshot(id, hash string) campaign.Snapshot {
+func (j *job) snapshot() campaign.Snapshot {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	s := campaign.Snapshot{
-		ID:          id,
-		Hash:        hash,
+		ID:          j.id,
+		Hash:        j.hash,
 		State:       j.state,
 		Total:       int64(j.spec.GridPoints() * j.spec.Replications),
 		Completed:   j.completed.Load(),
@@ -710,76 +654,70 @@ func (c *Coordinator) Submit(ctx context.Context, spec campaign.Spec) (campaign.
 		j.mu.Lock()
 		j.submissions++
 		j.mu.Unlock()
-		var id string
-		for jid, cand := range c.jobs {
-			if cand == j {
-				id = jid
-				break
-			}
-		}
 		c.mu.Unlock()
-		return campaign.Job{ID: id, Hash: hash, Deduped: true}, nil
+		return campaign.Job{ID: j.id, Hash: hash, Deduped: true}, nil
 	}
 	c.nextID++
-	id := "d" + strconv.Itoa(c.nextID)
 	jctx, cancel := context.WithCancel(context.Background())
 	j := &job{
+		id:          "d" + strconv.Itoa(c.nextID),
+		hash:        hash,
 		spec:        spec,
 		pieces:      pieces,
-		pls:         make([]placement, len(pieces)),
 		cancel:      cancel,
 		done:        make(chan struct{}),
 		state:       campaign.StateRunning,
 		submissions: 1,
 	}
-	c.jobs[id] = j
+	c.jobs[j.id] = j
 	c.byHash[hash] = j
 	c.mu.Unlock()
-	go c.runJob(jctx, j, hash)
-	return campaign.Job{ID: id, Hash: hash}, nil
+	go c.runJob(jctx, j)
+	return campaign.Job{ID: j.id, Hash: hash}, nil
 }
 
 // runJob executes a submitted job's fan-out: every piece is dispatched
 // (with the usual retry/reassignment), but nothing is streamed — the
 // results stay on the nodes, content-addressed, until a Stream call
-// merges them on demand.
-func (c *Coordinator) runJob(jctx context.Context, j *job, hash string) {
-	var wg sync.WaitGroup
+// merges them on demand. The first piece error while jctx is live
+// fails the job and cancels the rest; an error after that is the echo
+// of this cancel or of Cancel, so a cancelled job ends cancelled.
+func (c *Coordinator) runJob(jctx context.Context, j *job) {
 	var failed atomic.Pointer[error]
-	for i := range j.pieces {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			pl, err := c.place(jctx, j.pieces[i], j.pieces[i].index)
-			if err != nil {
-				failed.CompareAndSwap(nil, &err)
-				j.cancel()
-				return
-			}
-			j.pls[i] = pl
+	f := c.fanOut(jctx, j.pieces, func(i int, err error) {
+		switch {
+		case err == nil:
 			j.completed.Add(int64(j.pieces[i].reps))
-		}(i)
-	}
-	wg.Wait()
+		case jctx.Err() == nil:
+			failed.CompareAndSwap(nil, &err)
+			j.cancel()
+		}
+	})
+	f.wg.Wait()
 	j.mu.Lock()
+	j.pls = f.pls
 	switch {
-	case jctx.Err() != nil && failed.Load() == nil:
-		j.state = campaign.StateCancelled
-		j.err = fmt.Errorf("distrib: cancelled")
 	case failed.Load() != nil:
-		j.state = campaign.StateFailed
-		j.err = *failed.Load()
+		j.state, j.err = campaign.StateFailed, *failed.Load()
+	case jctx.Err() != nil:
+		j.state, j.err = campaign.StateCancelled, errors.New("distrib: cancelled")
 	default:
 		j.state = campaign.StateDone
 	}
 	j.mu.Unlock()
-	c.mu.Lock()
-	if c.byHash[hash] == j {
-		delete(c.byHash, hash)
-	}
-	c.mu.Unlock()
+	c.retire(j)
 	j.cancel() // release the context either way
 	close(j.done)
+}
+
+// retire drops j from submit dedup, unless an identical submission has
+// already replaced it.
+func (c *Coordinator) retire(j *job) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.byHash[j.hash] == j {
+		delete(c.byHash, j.hash)
+	}
 }
 
 func (c *Coordinator) get(id string) (*job, error) {
@@ -798,10 +736,9 @@ func (c *Coordinator) Wait(ctx context.Context, id string) (campaign.Snapshot, e
 	if err != nil {
 		return campaign.Snapshot{}, err
 	}
-	hash, _ := j.spec.Hash()
 	select {
 	case <-j.done:
-		return j.snapshot(id, hash), nil
+		return j.snapshot(), nil
 	case <-ctx.Done():
 		return campaign.Snapshot{}, ctx.Err()
 	}
@@ -842,12 +779,15 @@ func (c *Coordinator) stream(ctx context.Context, id string, sinks []campaign.Si
 
 // Cancel implements campaign.Runner. Cancelling a running job aborts
 // every in-flight shard on the nodes (each dispatcher reaps its remote
-// job on the way out); a terminal job is left untouched.
+// job on the way out) and ends the job cancelled; a terminal job is
+// left untouched. As on a node, the spec hash is retired first, so an
+// identical Submit right after Cancel starts a fresh job.
 func (c *Coordinator) Cancel(ctx context.Context, id string) error {
 	j, err := c.get(id)
 	if err != nil {
 		return err
 	}
+	c.retire(j)
 	j.cancel()
 	return nil
 }

@@ -26,6 +26,7 @@ var (
 	gateWarm   = testutil.NewGateBackend("distrib-gate-warm")
 	gateCancel = testutil.NewGateBackend("distrib-gate-cancel")
 	gateAsync  = testutil.NewGateBackend("distrib-gate-async")
+	gateRedo   = testutil.NewGateBackend("distrib-gate-redo")
 )
 
 func init() {
@@ -33,6 +34,7 @@ func init() {
 	engine.Register(gateWarm)
 	engine.Register(gateCancel)
 	engine.Register(gateAsync)
+	engine.Register(gateRedo)
 }
 
 // node is one in-process dlsimd: a jobs manager behind the real /v1
@@ -238,7 +240,7 @@ func TestNodeFailureReassignment(t *testing.T) {
 
 	store := cache.NewMemory()
 	nodes, fleet := newFleet(t, 3, store)
-	coord, err := New(nodes, Options{Shards: 3, Attempts: 4, Backoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond, Jitter: 0.5})
+	coord, err := New(nodes, Options{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,6 +455,70 @@ func TestCoordinatorRunnerSurface(t *testing.T) {
 	}
 }
 
+// TestCancelRunningJobThenResubmit holds the coordinator to the
+// campaign.Runner contract jobs.Manager honours: cancelling a running
+// job ends it cancelled, not failed by the echo of its own
+// cancellation, and an identical Submit right after Cancel starts a
+// fresh job instead of joining the cancelled one. The fresh job
+// completes with the local reference bytes.
+func TestCancelRunningJobThenResubmit(t *testing.T) {
+	spec := goldenSpec(campaign.SeedPerCell, 5)
+	spec.Backend = gateRedo.Name()
+	nodes, _ := newFleet(t, 2, cache.NewMemory())
+	coord, err := New(nodes, Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	ctx := context.Background()
+
+	jb1, err := coord.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for gateRedo.Started.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no run entered the gate")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := coord.Cancel(ctx, jb1.ID); err != nil {
+		t.Fatal(err)
+	}
+	jb2, err := coord.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jb2.Deduped || jb2.ID == jb1.ID {
+		t.Errorf("resubmission after Cancel joined the cancelled job: %+v vs %+v", jb2, jb1)
+	}
+	snap1, err := coord.Wait(ctx, jb1.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap1.State != campaign.StateCancelled {
+		t.Errorf("cancelled job ended %s (%s), want %s", snap1.State, snap1.Error, campaign.StateCancelled)
+	}
+
+	gateRedo.Release()
+	snap2, err := coord.Wait(ctx, jb2.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap2.State != campaign.StateDone {
+		t.Fatalf("resubmitted job ended %s (%s), want %s", snap2.State, snap2.Error, campaign.StateDone)
+	}
+	var buf bytes.Buffer
+	if err := coord.Stream(ctx, jb2.ID, campaign.NewJSONLSink(&buf)); err != nil {
+		t.Fatal(err)
+	}
+	wantJSONL, _ := localReference(t, spec)
+	if !bytes.Equal(buf.Bytes(), wantJSONL) {
+		t.Error("resubmitted job's bytes differ from the local reference")
+	}
+}
+
 // rlErr mimics the SDK's rate-limited error: it unwraps to
 // campaign.ErrRateLimited and carries a Retry-After hint through the
 // RetryAfterHint method the dispatcher discovers via errors.As.
@@ -473,7 +539,7 @@ type limitedNode struct {
 func (n *limitedNode) Submit(ctx context.Context, spec campaign.Spec) (campaign.Job, error) {
 	n.submits.Add(1)
 	if n.rejections.Add(-1) >= 0 {
-		return campaign.Job{}, rlErr{after: 5 * time.Millisecond}
+		return campaign.Job{}, rlErr{after: 300 * time.Millisecond}
 	}
 	return n.Runner.Submit(ctx, spec)
 }
@@ -495,8 +561,7 @@ func TestRateLimitedShardStaysOnNode(t *testing.T) {
 	n0 := &limitedNode{Runner: runners[0]}
 	n0.rejections.Store(2)
 	n1 := &limitedNode{Runner: runners[1]}
-	coord, err := New([]campaign.Runner{n0, n1},
-		Options{Shards: 1, Attempts: 5, Backoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond})
+	coord, err := New([]campaign.Runner{n0, n1}, Options{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,10 +579,10 @@ func TestRateLimitedShardStaysOnNode(t *testing.T) {
 	if got := n0.submits.Load(); got < 3 {
 		t.Fatalf("node 0 saw %d submits, want ≥ 3 (2 rejections + success)", got)
 	}
-	// The Retry-After hint (5ms) floors both backoff sleeps over the
-	// 1-2ms policy.
-	if elapsed := time.Since(start); elapsed < 10*time.Millisecond {
-		t.Fatalf("campaign finished in %v, want ≥ 10ms (two floored backoffs)", elapsed)
+	// The Retry-After hint (300ms) floors both backoff sleeps over the
+	// 100ms and 200ms policy delays.
+	if elapsed := time.Since(start); elapsed < 600*time.Millisecond {
+		t.Fatalf("campaign finished in %v, want ≥ 600ms (two floored backoffs)", elapsed)
 	}
 	if !bytes.Equal(buf.Bytes(), wantJSONL) {
 		t.Error("merged JSONL after rate limiting differs from local reference")

@@ -28,12 +28,22 @@
 //
 // # Fault handling
 //
-// Each shard attempt is bounded by Options.ShardTimeout and retried up
-// to Options.Attempts times with exponential backoff and optional
-// jitter, rotating through the fleet, so shards stranded on a dead or
-// straggling node are reassigned to survivors. A reassigned or
-// re-submitted shard whose sub-spec results already sit in a store
-// shared by the fleet (dlsimd -cache on a shared directory) replays
-// from the cache with zero backend runs — shard-level idempotency via
-// content addressing.
+// Each shard attempt is bounded by Options.ShardTimeout. A shard gets
+// three attempts, rotating through the fleet, with a backoff of 100ms
+// doubling up to 5s between them, so shards stranded on a dead or
+// straggling node are reassigned to survivors. A rate-limited attempt
+// retries the same node instead, after the server's Retry-After when
+// that is longer than the backoff. Three node-attributable failures in
+// a row open a node's circuit breaker for 2s, after which a single
+// half-open attempt decides whether it closes. A draining dlsimd
+// refuses submissions, and a dead one fails them, so both are routed
+// around by the same rotation and breaker; the coordinator runs no
+// health prober. Options.HedgeAfter re-dispatches a straggling shard
+// on the next node, and Options.PartialResults keeps the completed
+// prefix of a campaign the fleet cannot finish (*Incomplete).
+//
+// A reassigned or re-submitted shard whose sub-spec results already
+// sit in a store shared by the fleet (dlsimd -cache on a shared
+// directory) replays from the cache with zero backend runs —
+// shard-level idempotency via content addressing.
 package distrib

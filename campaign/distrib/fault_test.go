@@ -73,11 +73,7 @@ func TestChaosGoldenByteIdentical(t *testing.T) {
 		},
 	}
 	nodes, engines := chaosFleet(t, 3, cache.NewMemory(), rules)
-	coord, err := New(nodes, Options{
-		Shards: 7, Attempts: 5,
-		Backoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond,
-		BreakerThreshold: 10, // faults are finite; keep the golden test about bytes
-	})
+	coord, err := New(nodes, Options{Shards: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,10 +238,7 @@ func TestPartialResultsPrefix(t *testing.T) {
 
 	runners, _ := newFleet(t, 2, cache.NewMemory())
 	nodes := []campaign.Runner{&vetoNode{runners[0]}, &vetoNode{runners[1]}}
-	coord, err := New(nodes, Options{
-		Shards: 2, Attempts: 2, Backoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond,
-		PartialResults: true,
-	})
+	coord, err := New(nodes, Options{Shards: 2, PartialResults: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,8 +271,8 @@ func TestPartialResultsPrefix(t *testing.T) {
 		t.Fatalf("node report %+v, want both nodes", inc.Nodes)
 	}
 	for _, nf := range inc.Nodes {
-		if nf.Breaker == "" || !nf.Healthy {
-			t.Errorf("node %d report %+v, want a breaker state and probe-less healthy=true", nf.Node, nf)
+		if nf.Breaker == "" || !contains(nf.Cause, "injected") {
+			t.Errorf("node %d report %+v, want a breaker state and the injected failure as cause", nf.Node, nf)
 		}
 	}
 	if !bytes.Equal(buf.Bytes(), prefix) {
@@ -287,17 +280,21 @@ func TestPartialResultsPrefix(t *testing.T) {
 	}
 }
 
-// slowNode blocks every submission until its context dies — a straggler
-// that never finishes, the shape hedging exists for.
+// slowNode blocks its first submission until its context dies — a
+// straggler that never finishes the shard, the shape hedging exists
+// for. Later submissions (the reap of the abandoned attempt) go
+// through.
 type slowNode struct {
 	campaign.Runner
 	submits atomic.Int64
 }
 
 func (n *slowNode) Submit(ctx context.Context, spec campaign.Spec) (campaign.Job, error) {
-	n.submits.Add(1)
-	<-ctx.Done()
-	return campaign.Job{}, ctx.Err()
+	if n.submits.Add(1) == 1 {
+		<-ctx.Done()
+		return campaign.Job{}, ctx.Err()
+	}
+	return n.Runner.Submit(ctx, spec)
 }
 
 // TestHedgedShardWins points a campaign's only shard at a node that
@@ -312,10 +309,7 @@ func TestHedgedShardWins(t *testing.T) {
 
 	runners, _ := newFleet(t, 2, cache.NewMemory())
 	nodes := []campaign.Runner{&slowNode{Runner: runners[0]}, runners[1]}
-	coord, err := New(nodes, Options{
-		Shards: 1, HedgeAfter: 10 * time.Millisecond,
-		CleanupTimeout: 20 * time.Millisecond, // the straggler blocks cleanup RPCs too
-	})
+	coord, err := New(nodes, Options{Shards: 1, HedgeAfter: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +319,7 @@ func TestHedgedShardWins(t *testing.T) {
 		campaign.ExecOptions{Sinks: []campaign.Sink{campaign.NewJSONLSink(&buf)}}); err != nil {
 		t.Fatalf("hedged campaign failed: %v", err)
 	}
-	if err := coord.Close(); err != nil { // waits out the cancelled straggler's cleanup
+	if err := coord.Close(); err != nil { // waits out the cancelled straggler's reap
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), wantJSONL) {
@@ -342,100 +336,85 @@ func TestHedgedShardWins(t *testing.T) {
 	}
 }
 
-// healthNode gives a real node a controllable GET /v1/health surface
-// and counts the submissions that reach it.
-type healthNode struct {
+// countingNode counts the submissions that reach a real node.
+type countingNode struct {
 	campaign.Runner
 	submits atomic.Int64
-	health  func() (campaign.Health, error)
 }
 
-func (n *healthNode) Submit(ctx context.Context, spec campaign.Spec) (campaign.Job, error) {
+func (n *countingNode) Submit(ctx context.Context, spec campaign.Spec) (campaign.Job, error) {
 	n.submits.Add(1)
 	return n.Runner.Submit(ctx, spec)
 }
 
-func (n *healthNode) Health(context.Context) (campaign.Health, error) { return n.health() }
-
-// TestHealthPoolRoutesAroundDrain starts the background prober against
-// a two-node fleet where one node advertises drain: the pool must stop
-// placing shards there, and the campaign completes bit-identically on
-// the survivor.
+// TestHealthPoolRoutesAroundDrain: a node whose job manager is draining
+// refuses every submission (dlsimd answers shutting_down, which the SDK
+// maps to campaign.ErrClosed); the coordinator must rotate each refused
+// shard to the other node, leave the draining node holding no job, and
+// complete bit-identically. The name predates the deletion of the
+// health-probed node pool: refusal, rotation and the breaker now do
+// what the pool did, and the test keeps its ID so the suite's record of
+// it continues.
 func TestHealthPoolRoutesAroundDrain(t *testing.T) {
 	spec := goldenSpec(campaign.SeedPerCell, 5)
 	wantJSONL, _ := localReference(t, spec)
 
-	runners, _ := newFleet(t, 2, cache.NewMemory())
-	draining := &healthNode{Runner: runners[0], health: func() (campaign.Health, error) {
-		return campaign.Health{Ok: true, Ready: false, Draining: true}, nil
-	}}
-	healthy := &healthNode{Runner: runners[1], health: func() (campaign.Health, error) {
-		return campaign.Health{Ok: true, Ready: true}, nil
-	}}
-	coord, err := New([]campaign.Runner{draining, healthy},
-		Options{Shards: 4, HealthInterval: 2 * time.Millisecond})
+	runners, fleet := newFleet(t, 2, cache.NewMemory())
+	fleet[0].mgr.Drain()
+	draining := &countingNode{Runner: runners[0]}
+	coord, err := New([]campaign.Runner{draining, runners[1]}, Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
 
-	waitFor(t, "prober to observe the drain", func() bool {
-		return !coord.states[0].available()
-	})
 	var buf bytes.Buffer
 	if _, err := campaign.Execute(context.Background(), coord, spec,
 		campaign.ExecOptions{Sinks: []campaign.Sink{campaign.NewJSONLSink(&buf)}}); err != nil {
 		t.Fatalf("campaign failed on the surviving node: %v", err)
 	}
-	if got := draining.submits.Load(); got != 0 {
-		t.Errorf("draining node received %d submissions, want 0", got)
+	if draining.submits.Load() == 0 {
+		t.Error("no shard was offered to the draining node; the test proved nothing")
+	}
+	if jobs := fleet[0].mgr.List(); len(jobs) != 0 {
+		t.Errorf("draining node holds %d jobs, want 0", len(jobs))
 	}
 	if !bytes.Equal(buf.Bytes(), wantJSONL) {
 		t.Error("single-survivor result differs from reference")
 	}
 }
 
-// TestHealthProbeOpensDeadNodeBreaker: a node whose health endpoint
-// errors must be marked down and its breaker opened by probes alone —
-// no shard traffic required — with the failures visible on the probe
-// and transition counters.
+// TestHealthProbeOpensDeadNodeBreaker: a node killed before the
+// campaign starts fails every shard whose rotation begins there; those
+// shard failures alone must open its breaker, visible on the
+// transition counter, while the survivors deliver the reference bytes.
+// The name predates the deletion of the health prober, which used to
+// open the breaker from failed probes; the test keeps its ID so the
+// suite's record of it continues.
 func TestHealthProbeOpensDeadNodeBreaker(t *testing.T) {
-	runners, _ := newFleet(t, 1, cache.NewMemory())
-	dead := &healthNode{Runner: runners[0], health: func() (campaign.Health, error) {
-		return campaign.Health{}, errors.New("connection refused (injected)")
-	}}
-	coord, err := New([]campaign.Runner{dead},
-		Options{HealthInterval: 2 * time.Millisecond, BreakerThreshold: 3, BreakerCooldown: time.Hour})
+	spec := goldenSpec(campaign.SeedPerCell, 5)
+	wantJSONL, _ := localReference(t, spec)
+
+	runners, fleet := newFleet(t, 3, cache.NewMemory())
+	fleet[0].kill()
+	// 20 runs in 8 shards of 2 or 3 cut into 11 pieces; pieces 0, 3, 6
+	// and 9 begin their rotation on the dead node 0.
+	coord, err := New(runners, Options{Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
 
-	waitFor(t, "probe failures to open the breaker", func() bool {
-		return coord.brs[0].current() == breakerOpen
-	})
-	if coord.states[0].available() {
-		t.Error("dead node still marked available")
-	}
-	if got := coord.mProbeFails.Value(); got < 3 {
-		t.Errorf("probe failure counter = %d, want >= threshold", got)
+	var buf bytes.Buffer
+	if _, err := campaign.Execute(context.Background(), coord, spec,
+		campaign.ExecOptions{Sinks: []campaign.Sink{campaign.NewJSONLSink(&buf)}}); err != nil {
+		t.Fatalf("campaign failed on the survivors: %v", err)
 	}
 	if got := coord.mTransitions.With("0", "open").Value(); got < 1 {
 		t.Errorf("breaker open-transition counter = %d, want >= 1", got)
 	}
-	if _, ok := coord.pick(0); ok {
-		t.Error("pick placed a shard on the only (dead, breaker-open) node")
-	}
-}
-
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(time.Millisecond)
+	if !bytes.Equal(buf.Bytes(), wantJSONL) {
+		t.Error("survivors' result differs from reference")
 	}
 }
 

@@ -32,12 +32,6 @@ type NodeFailure struct {
 	Node int `json:"node"`
 	// Breaker is the circuit state: "closed", "open" or "half-open".
 	Breaker string `json:"breaker"`
-	// Draining reports the node advertised drain (or unreadiness) via
-	// its health endpoint.
-	Draining bool `json:"draining,omitempty"`
-	// Healthy is the prober's current liveness verdict (true when
-	// probing is off).
-	Healthy bool `json:"healthy"`
 	// Cause is the node's most recent recorded failure, if any.
 	Cause string `json:"cause,omitempty"`
 }
@@ -87,7 +81,7 @@ func shortHash(h string) string {
 // `failedAt` were fully merged; `failedAt` and everything after are
 // missing. Dispatch goroutines may still be landing when this runs, so
 // per-piece causes are read only through their done channels.
-func (c *Coordinator) incomplete(hash string, pieces []piece, failedAt int, errs []error, done []chan struct{}, streamErr error) *Incomplete {
+func (c *Coordinator) incomplete(hash string, pieces []piece, failedAt int, f *fanout, streamErr error) *Incomplete {
 	inc := &Incomplete{Hash: hash}
 	for i, p := range pieces {
 		if i < failedAt {
@@ -103,9 +97,9 @@ func (c *Coordinator) incomplete(hash string, pieces []piece, failedAt int, errs
 			sr.Cause = fmt.Sprintf("stream failed mid-shard: %v", streamErr)
 		default:
 			select {
-			case <-done[i]:
-				if errs[i] != nil {
-					sr.Cause = errs[i].Error()
+			case <-f.done[i]:
+				if f.errs[i] != nil {
+					sr.Cause = f.errs[i].Error()
 				}
 			default:
 				sr.Cause = fmt.Sprintf("abandoned after shard %d failed", failedAt)
@@ -113,18 +107,10 @@ func (c *Coordinator) incomplete(hash string, pieces []piece, failedAt int, errs
 		}
 		inc.Missing = append(inc.Missing, sr)
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for ni := range c.nodes {
-		st := c.states[ni]
-		st.mu.Lock()
-		nf := NodeFailure{
-			Node:     ni,
-			Breaker:  c.brs[ni].current().String(),
-			Draining: st.draining,
-			Healthy:  st.healthy,
-			Cause:    st.lastErr,
-		}
-		st.mu.Unlock()
-		inc.Nodes = append(inc.Nodes, nf)
+		inc.Nodes = append(inc.Nodes, NodeFailure{Node: ni, Breaker: c.brs[ni].current().String(), Cause: c.lastErr[ni]})
 	}
 	return inc
 }

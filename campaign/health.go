@@ -1,10 +1,11 @@
 package campaign
 
 // Health is the readiness document one execution surface serves at
-// GET /v1/health and the fleet coordinator's node pool consumes. It
-// answers the operational question a load balancer or coordinator asks
-// before placing work: is this node alive, is it accepting, and how
-// loaded is it.
+// GET /v1/health. It answers the operational question a load balancer
+// or an operator asks before placing work: is this node alive, is it
+// accepting, and how loaded is it. The fleet coordinator does not read
+// it; a draining node's refusal of new submissions routes shards away
+// on its own.
 //
 // Liveness and readiness are distinct: /healthz answers "is the
 // process up" and stays 200 for the daemon's whole life, while

@@ -63,6 +63,7 @@ import (
 	"time"
 
 	"repro/campaign"
+	"repro/campaign/distrib"
 	"repro/internal/cache"
 	"repro/internal/cliutil"
 	"repro/internal/engine"
@@ -349,7 +350,7 @@ func run() error {
 		if shardsUsed == 0 {
 			shardsUsed = nodes
 		}
-		fleet, closeFleet, err := cliutil.NewFleetRunner(*serversCSV, cliutil.FleetOptions{Shards: *shards})
+		fleet, closeFleet, err := cliutil.NewFleetRunner(*serversCSV, distrib.Options{Shards: *shards}, "")
 		if err != nil {
 			return err
 		}

@@ -44,6 +44,7 @@ import (
 	"strings"
 
 	"repro/campaign"
+	"repro/campaign/distrib"
 	"repro/internal/ascii"
 	"repro/internal/cliutil"
 	"repro/internal/engine"
@@ -125,10 +126,10 @@ func run(ctx context.Context) error {
 		closeRunner func()
 	)
 	if *servers != "" {
-		runner, closeRunner, err = cliutil.NewFleetRunner(*servers, cliutil.FleetOptions{
+		runner, closeRunner, err = cliutil.NewFleetRunner(*servers, distrib.Options{
 			Shards: *shards, ShardTimeout: *shardTO,
-			HedgeAfter: *hedge, Partial: *partial, MetricsFile: *fleetMet,
-		})
+			HedgeAfter: *hedge, PartialResults: *partial,
+		}, *fleetMet)
 	} else {
 		runner, closeRunner, err = cliutil.NewRunner(*server, store, *workers)
 	}

@@ -21,7 +21,6 @@ import (
 	"strings"
 	"sync"
 	"syscall"
-	"time"
 
 	"repro/campaign"
 	"repro/campaign/distrib"
@@ -160,36 +159,18 @@ func NewRunner(server string, store cache.Store, workers int) (campaign.Runner, 
 	return c, func() {}, nil
 }
 
-// FleetOptions carries the flag-level tuning of a -servers fleet.
-type FleetOptions struct {
-	// Shards is the target shard count (0 = one per node).
-	Shards int
-	// ShardTimeout is the per-shard attempt deadline (0 = none).
-	ShardTimeout time.Duration
-	// Attempts is the placement attempts per shard (0 = distrib default).
-	Attempts int
-	// HedgeAfter is the straggler budget before a shard is hedged onto
-	// a second node (0 = no hedging).
-	HedgeAfter time.Duration
-	// Partial keeps the completed prefix of results on unrecoverable
-	// failure instead of failing the whole campaign (distrib
-	// PartialResults).
-	Partial bool
-	// MetricsFile, when non-empty, receives the coordinator's
-	// fault-tolerance metrics (breaker states and transitions, hedges,
-	// retries) in Prometheus text format when the runner is cleaned up
-	// — scrapeable offline with cmd/metricscheck.
-	MetricsFile string
-}
-
 // NewFleetRunner builds the distributed coordinator the -servers flag
 // selects: one SDK client per comma-separated dlsimd base URL, fanned
-// out through campaign/distrib. Each client gets a retrying transport
-// (client.DefaultRetry) so transient node hiccups are absorbed below
-// the coordinator's own shard retry. Results are bit-identical to a
-// single-node or in-process run of the same spec. A malformed URL list
-// is a usage error.
-func NewFleetRunner(servers string, opts FleetOptions) (campaign.Runner, func(), error) {
+// out through campaign/distrib with opts. Each client gets a retrying
+// transport (client.DefaultRetry) so transient node hiccups are
+// absorbed below the coordinator's own shard retry. Results are
+// bit-identical to a single-node or in-process run of the same spec.
+// When metricsFile is non-empty, the coordinator reports into a fresh
+// registry (replacing opts.Registry) whose fault-tolerance metrics
+// (breaker states and transitions, hedges, retries) are written there
+// in Prometheus text format when the runner is cleaned up — scrapeable
+// offline with cmd/metricscheck. A malformed URL list is a usage error.
+func NewFleetRunner(servers string, opts distrib.Options, metricsFile string) (campaign.Runner, func(), error) {
 	var nodes []campaign.Runner
 	for _, raw := range strings.Split(servers, ",") {
 		u := strings.TrimSpace(raw)
@@ -205,30 +186,22 @@ func NewFleetRunner(servers string, opts FleetOptions) (campaign.Runner, func(),
 	if len(nodes) == 0 {
 		return nil, nil, Usagef("servers: no base URLs in %q", servers)
 	}
-	var reg *telemetry.Registry
-	if opts.MetricsFile != "" {
-		reg = telemetry.NewRegistry()
+	if metricsFile != "" {
+		opts.Registry = telemetry.NewRegistry()
 	}
-	coord, err := distrib.New(nodes, distrib.Options{
-		Shards:         opts.Shards,
-		ShardTimeout:   opts.ShardTimeout,
-		Attempts:       opts.Attempts,
-		HedgeAfter:     opts.HedgeAfter,
-		PartialResults: opts.Partial,
-		Registry:       reg,
-	})
+	coord, err := distrib.New(nodes, opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	cleanup := func() {
 		_ = coord.Close()
-		if reg == nil {
+		if metricsFile == "" {
 			return
 		}
-		if err := writeMetricsFile(opts.MetricsFile, reg); err != nil {
+		if err := writeMetricsFile(metricsFile, opts.Registry); err != nil {
 			log.Printf("fleet metrics: %v", err)
 		} else {
-			log.Printf("wrote fleet metrics to %s", opts.MetricsFile)
+			log.Printf("wrote fleet metrics to %s", metricsFile)
 		}
 	}
 	return coord, cleanup, nil
@@ -266,7 +239,7 @@ func ReportIncomplete(err error) bool {
 			m.Shard, m.Point, m.RepOff, m.RepOff+m.Reps, m.Cause)
 	}
 	for _, n := range inc.Nodes {
-		fmt.Fprintf(os.Stderr, "  node %d: breaker %s, healthy=%v, draining=%v", n.Node, n.Breaker, n.Healthy, n.Draining)
+		fmt.Fprintf(os.Stderr, "  node %d: breaker %s", n.Node, n.Breaker)
 		if n.Cause != "" {
 			fmt.Fprintf(os.Stderr, " (%s)", n.Cause)
 		}
