@@ -21,6 +21,7 @@ func FuzzDecodeLine(f *testing.F) {
 	}
 	f.Add([]byte("0000000000000000 {}"))
 	f.Add([]byte("not a journal line"))
+	f.Add(fixtureLine(f, scheduleFixture, "schedule"))
 	f.Fuzz(func(t *testing.T, line []byte) {
 		rec, err := DecodeLine(line)
 		if err != nil {
@@ -61,6 +62,7 @@ func FuzzReplay(f *testing.F) {
 	f.Add(seedFile.Bytes())
 	f.Add(seedFile.Bytes()[:seedFile.Len()-3])
 	f.Add([]byte("garbage\nmore garbage\n"))
+	f.Add(append(fixtureLine(f, scheduleFixture, "schedule"), '\n'))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, good := decodeAll(data)
 		if good > len(data) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -252,19 +253,65 @@ func TestCompactKeepsLiveAndRecentTerminal(t *testing.T) {
 	}
 }
 
-// TestScheduleFold pins schedule registration/deletion folding.
-func TestScheduleFold(t *testing.T) {
-	spec := testSpec(1)
-	t0 := time.Now().UTC()
-	recs := []Record{
-		{Kind: KindSchedule, Time: t0, ID: "s1", Tenant: "a", Spec: &spec, Interval: 5 * time.Second, Jitter: time.Second},
-		{Kind: KindSchedule, Time: t0, ID: "s2", Tenant: "b", Spec: &spec, Interval: time.Minute},
-		{Kind: KindScheduleDelete, Time: t0, ID: "s1"},
-		{Kind: KindScheduleDelete, Time: t0, ID: "unknown"},
+// scheduleFixture is a journal written by a daemon that still served
+// recurring schedules: job j1 ran, schedule s1 registered its spec at a
+// 1 s interval and ticked jobs j2 and j3, then schedule s2 was
+// registered and deleted. Its 12 lines are job, state, schedule and
+// schedule_delete records exactly as that daemon framed them.
+const scheduleFixture = "testdata/schedules.jsonl"
+
+// fixtureCopy copies a testdata journal into a fresh directory as its
+// journal file, so Open may truncate or compact it.
+func fixtureCopy(t *testing.T, name string) (dir string, lines int) {
+	t.Helper()
+	data, err := os.ReadFile(name)
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, scheds := Fold(recs)
-	if len(scheds) != 1 || scheds[0].ID != "s2" || scheds[0].Tenant != "b" {
-		t.Fatalf("folded schedules = %+v, want s2 only", scheds)
+	dir = t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, FileName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir, bytes.Count(data, []byte("\n"))
+}
+
+// fixtureLine returns the first line of a testdata journal whose
+// payload has the given kind, without its newline.
+func fixtureLine(tb testing.TB, name string, kind Kind) []byte {
+	tb.Helper()
+	data, err := os.ReadFile(name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, line := range bytes.Split(data, []byte("\n")) {
+		if bytes.Contains(line, []byte(`{"kind":"`+string(kind)+`"`)) {
+			return line
+		}
+	}
+	tb.Fatalf("%s has no %q line", name, kind)
+	return nil
+}
+
+// TestScheduleFold replays a journal that holds schedule records: every
+// line must replay, nothing may be truncated, and the jobs recorded
+// before, between and after the schedule records must all fold.
+func TestScheduleFold(t *testing.T) {
+	dir, lines := fixtureCopy(t, scheduleFixture)
+	j, recs, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if len(recs) != lines {
+		t.Fatalf("replayed %d of %d records", len(recs), lines)
+	}
+	jobs, _ := Fold(recs)
+	var got []string
+	for _, v := range jobs {
+		got = append(got, v.ID+":"+v.State)
+	}
+	if want := "j1:done j2:done j3:done"; strings.Join(got, " ") != want {
+		t.Fatalf("folded jobs = %v, want %s", got, want)
 	}
 }
 
