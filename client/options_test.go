@@ -1,9 +1,11 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -124,22 +126,48 @@ func TestNoRetryOnClientError(t *testing.T) {
 	}
 }
 
+// doerFunc adapts a function to the Doer interface.
+type doerFunc func(*http.Request) (*http.Response, error)
+
+func (f doerFunc) Do(req *http.Request) (*http.Response, error) { return f(req) }
+
 // TestRetryStopsOnCancel: a cancelled caller context ends the retry
 // loop with the last real error instead of sleeping out the policy.
+// The doer cancels only after it has buffered the third 500's body, so
+// the cancellation lands between attempts, never inside one (where the
+// client rightly reports the context error instead).
 func TestRetryStopsOnCancel(t *testing.T) {
 	h := &flaky{failures: 99, status: http.StatusInternalServerError, code: campaign.CodeInternal}
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
-	c, err := New(srv.URL, WithOptions(Options{
-		Retry: RetryPolicy{MaxAttempts: 1000, BaseDelay: 10 * time.Millisecond, MaxDelay: 10 * time.Millisecond},
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var responses int
+	var cancelledAt time.Time
+	doer := doerFunc(func(req *http.Request) (*http.Response, error) {
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			return nil, err
+		}
+		if responses++; responses == 3 {
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				return nil, err
+			}
+			resp.Body = io.NopCloser(bytes.NewReader(body))
+			cancelledAt = time.Now()
+			cancel()
+		}
+		return resp, nil
+	})
+	c, err := New(srv.URL, WithDoer(doer), WithOptions(Options{
+		Retry: RetryPolicy{MaxAttempts: 1000, BaseDelay: time.Millisecond, MaxDelay: time.Hour},
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
 	err = c.Live(ctx)
 	if err == nil {
 		t.Fatal("Health succeeded against a permanently failing server")
@@ -148,8 +176,11 @@ func TestRetryStopsOnCancel(t *testing.T) {
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusInternalServerError {
 		t.Fatalf("Health = %v, want the last HTTP 500", err)
 	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
+	if elapsed := time.Since(cancelledAt); elapsed > 2*time.Second {
 		t.Fatalf("retry loop ran %v past cancellation", elapsed)
+	}
+	if got := h.seen.Load(); got != 3 {
+		t.Fatalf("server saw %d attempts, want 3", got)
 	}
 }
 

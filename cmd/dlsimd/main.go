@@ -15,14 +15,13 @@
 // jobs get a bounded window to finish before anything is cancelled.
 //
 // Production hardening is opt-in per subsystem: -journal DIR keeps a
-// durable, checksummed lifecycle journal (terminal jobs and recurring
-// schedules survive a crash; interrupted jobs are re-enqueued and
-// replay from the result cache with zero backend runs), -auth FILE
-// enables multi-tenant API keys, -rate/-quota-queued/-quota-running
-// bound each tenant's request rate and job footprint, and -metrics
-// exposes a Prometheus endpoint. Every flag has a DLSIMD_* environment
-// fallback so deployments can be configured without editing unit
-// files.
+// durable, checksummed lifecycle journal (terminal jobs survive a
+// crash; interrupted jobs are re-enqueued and replay from the result
+// cache with zero backend runs), -auth FILE enables multi-tenant API
+// keys, -rate/-quota-queued/-quota-running bound each tenant's request
+// rate and job footprint, and -metrics exposes a Prometheus endpoint.
+// Every flag has a DLSIMD_* environment fallback so deployments can be
+// configured without editing unit files.
 //
 // Quickstart:
 //
@@ -57,11 +56,9 @@ import (
 	"repro/campaign"
 	"repro/internal/cache"
 	"repro/internal/cliutil"
-	"repro/internal/engine"
 	"repro/internal/jobs"
 	"repro/internal/journal"
 	"repro/internal/mw"
-	"repro/internal/recur"
 	"repro/internal/service"
 )
 
@@ -187,32 +184,14 @@ func run(ctx context.Context) error {
 		log.Printf("quotas: %d queued, %d running per tenant (0=unlimited)", *quotaQ, *quotaR)
 	}
 
-	// Recurring campaigns resubmit through the same quota-checked path
-	// as the API; an unchanged spec is a pure cache hit every tick.
-	schedCfg := recur.Config{
-		Submit: func(tenant string, spec engine.CampaignSpec) (string, error) {
-			job, _, err := mgr.SubmitAs(tenant, spec)
-			if err != nil {
-				return "", err
-			}
-			return job.ID(), nil
-		},
-	}
 	if jn != nil {
-		schedCfg.OnChange = scheduleJournal(jn)
-	}
-	sched := recur.New(schedCfg)
-	defer sched.Stop()
-
-	if jn != nil {
-		restoreFromJournal(recovered, mgr, sched)
+		restoreFromJournal(recovered, mgr)
 		// Startup compaction trims terminal history accumulated by prior
 		// runs so the journal does not grow without bound across restarts.
 		if err := jn.Compact(512); err != nil {
 			log.Printf("journal: startup compaction: %v", err)
 		}
 	}
-	sched.Start()
 
 	effWorkers := *workers
 	if effWorkers <= 0 {
@@ -232,7 +211,6 @@ func run(ctx context.Context) error {
 		ChunkSize:   *chunk,
 		Concurrency: effJobs,
 	})
-	svc.SetScheduler(sched)
 	hasJournal, hasAuth := jn != nil, *authFile != ""
 	svc.SetHealthHook(func(h *campaign.Health) {
 		if hasJournal {

@@ -185,6 +185,45 @@ const (
 	slowSpec = `{"backend":"sim","techniques":["FAC2","SS"],"ns":[262144],"ps":[2],"workload":{"kind":"exponential","p1":1},"h":0.5,"replications":150,"seed":42}`
 )
 
+// TestRestartOverScheduleJournal starts a daemon on a journal written
+// by a daemon that still served recurring schedules. Every job in it
+// must come back as done, and the schedule records must neither block
+// replay nor bring the /v1/schedules routes back.
+func TestRestartOverScheduleJournal(t *testing.T) {
+	data, err := os.ReadFile("../../internal/journal/testdata/schedules.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	jdir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(jdir, "journal.jsonl"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d := startDaemon(t, nil, "-journal", jdir)
+	defer d.shutdown(t)
+
+	for _, id := range []string{"j1", "j2", "j3"} {
+		if s := d.state(t, id); s != "done" {
+			t.Errorf("job %s is %q after restart, want done", id, s)
+		}
+	}
+	if log := d.logText(); !strings.Contains(log, "(12 records recovered)") ||
+		!strings.Contains(log, "recovered 3 terminal jobs, re-enqueued 0") {
+		t.Errorf("daemon log does not report the full replay:\n%s", log)
+	}
+	if code, body := d.do(t, http.MethodGet, "/v1/schedules", nil); code != http.StatusNotFound {
+		t.Errorf("GET /v1/schedules = %d, want 404: %s", code, body)
+	}
+	// Startup compaction rewrote the journal before the daemon began
+	// listening: one job and one state line per job, no schedule lines.
+	compacted, err := os.ReadFile(filepath.Join(jdir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(compacted, []byte("\n")); n != 6 || bytes.Contains(compacted, []byte(`"kind":"schedule`)) {
+		t.Errorf("compacted journal has %d lines, want 6 job and state lines:\n%s", n, compacted)
+	}
+}
+
 // TestCrashRecovery is the hardening acceptance test: a daemon with a
 // journal is SIGKILLed with one job running and one queued; the
 // restarted daemon restores the finished job's snapshot, re-enqueues

@@ -1,9 +1,9 @@
 // Production wiring for the daemon: environment-overridable settings,
 // the durable job journal, lifecycle observers, the metrics registry,
-// and journal-backed recovery of jobs and recurring schedules. main.go
-// owns flag parsing and the HTTP plumbing; this file owns the glue
-// between the hardening subsystems (internal/journal, internal/mw,
-// internal/telemetry, internal/recur) and the job manager.
+// and journal-backed recovery of jobs. main.go owns flag parsing and
+// the HTTP plumbing; this file owns the glue between the hardening
+// subsystems (internal/journal, internal/mw, internal/telemetry) and
+// the job manager.
 package main
 
 import (
@@ -17,7 +17,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/jobs"
 	"repro/internal/journal"
-	"repro/internal/recur"
 	"repro/internal/telemetry"
 )
 
@@ -201,34 +200,14 @@ func (o journalObserver) append(rec journal.Record) {
 	}
 }
 
-// scheduleJournal returns the recur.Scheduler OnChange hook persisting
-// schedule adds and deletes.
-func scheduleJournal(jn *journal.Journal) func(recur.Op, recur.Schedule) {
-	return func(op recur.Op, s recur.Schedule) {
-		rec := journal.Record{Kind: journal.KindScheduleDelete, Time: time.Now(), ID: s.ID}
-		if op == recur.OpAdd {
-			spec := s.Spec
-			rec = journal.Record{
-				Kind: journal.KindSchedule, Time: s.CreatedAt, ID: s.ID,
-				Tenant: s.Tenant, Hash: s.Hash, Spec: &spec,
-				Interval: time.Duration(s.Interval), Jitter: time.Duration(s.Jitter),
-			}
-		}
-		if err := jn.Append(rec); err != nil {
-			log.Printf("journal: %v", err)
-		}
-	}
-}
-
 // restoreFromJournal replays a recovered record sequence: terminal jobs
 // come back as browsable snapshots (results re-materialize from the
-// content-addressed store on demand), jobs that were queued or running
-// at crash time are re-enqueued (zero backend runs when their spec is
-// cached), and live schedules re-register under their original IDs.
-func restoreFromJournal(recs []journal.Record, mgr *jobs.Manager, sched *recur.Scheduler) {
-	views, schedViews := journal.Fold(recs)
+// content-addressed store on demand), and jobs that were queued or
+// running at crash time are re-enqueued (zero backend runs when their
+// spec is cached).
+func restoreFromJournal(recs []journal.Record, mgr *jobs.Manager) {
 	terminal, requeued := 0, 0
-	for _, v := range views {
+	for _, v := range journal.Fold(recs) {
 		snap := jobs.Snapshot{
 			ID: v.ID, Tenant: v.Tenant, Hash: v.Hash,
 			State: jobs.State(v.State), Error: v.Error, CreatedAt: v.Created,
@@ -251,19 +230,5 @@ func restoreFromJournal(recs []journal.Record, mgr *jobs.Manager, sched *recur.S
 			requeued++
 		}
 	}
-	restored := 0
-	for _, s := range schedViews {
-		err := sched.Restore(recur.Schedule{
-			ID: s.ID, Tenant: s.Tenant, Hash: s.Hash, Spec: s.Spec,
-			Interval: recur.Duration(s.Interval), Jitter: recur.Duration(s.Jitter),
-			CreatedAt: s.Created,
-		})
-		if err != nil {
-			log.Printf("journal: skipping schedule %s: %v", s.ID, err)
-			continue
-		}
-		restored++
-	}
-	log.Printf("journal: recovered %d terminal jobs, re-enqueued %d, restored %d schedules",
-		terminal, requeued, restored)
+	log.Printf("journal: recovered %d terminal jobs, re-enqueued %d", terminal, requeued)
 }

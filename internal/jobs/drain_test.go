@@ -19,6 +19,7 @@ func init() { engine.Register(gateDrain) }
 // running job keeps executing and stays fully observable; WaitIdle
 // blocks until that job lands and honors its context while blocked.
 func TestDrainRefusesAndWaitIdleFinishes(t *testing.T) {
+	gateDrain.Reset() // re-arm for -count>1 reruns
 	m := NewManager(Config{})
 	defer m.Close()
 

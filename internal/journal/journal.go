@@ -1,8 +1,7 @@
-// Package journal persists the dlsimd daemon's job and schedule
-// lifecycle as an append-only, checksummed JSON Lines file — the
-// durable record that lets a restarted daemon restore terminal job
-// snapshots, re-enqueue work that was queued or running at crash time,
-// and re-register recurring campaign schedules.
+// Package journal persists the dlsimd daemon's job lifecycle as an
+// append-only, checksummed JSON Lines file — the durable record that
+// lets a restarted daemon restore terminal job snapshots and re-enqueue
+// work that was queued or running at crash time.
 //
 // Each line is one Record framed as
 //
@@ -18,10 +17,10 @@
 // trusted, nothing after it is).
 //
 // Compaction rewrites the file keeping only the records that still
-// matter — live (non-terminal) jobs, the most recent N terminal jobs,
-// and live schedules — using the same write-to-temp-then-rename
-// discipline as internal/cache, so readers and crashes never observe a
-// half-compacted journal.
+// matter — live (non-terminal) jobs and the most recent N terminal
+// jobs — using the same write-to-temp-then-rename discipline as
+// internal/cache, so readers and crashes never observe a half-compacted
+// journal.
 //
 // The journal records lifecycle metadata only. Campaign results live in
 // the content-addressed result store; on recovery a re-enqueued job
@@ -47,24 +46,31 @@ import (
 // Kind discriminates journal records.
 type Kind string
 
-// Record kinds. Job and state records track one job's lifecycle;
-// schedule records track recurring campaign registrations.
+// Record kinds: job and state records track one job's lifecycle.
 const (
-	KindJob            Kind = "job"             // a job was submitted (carries the spec)
-	KindState          Kind = "state"           // a job changed state
-	KindSchedule       Kind = "schedule"        // a recurring schedule was registered
-	KindScheduleDelete Kind = "schedule_delete" // a recurring schedule was removed
+	KindJob   Kind = "job"   // a job was submitted (carries the spec)
+	KindState Kind = "state" // a job changed state
+)
+
+// Journals written while the daemon still served recurring schedules
+// hold these two kinds. They stay valid on decode, because Open cuts
+// the file at the first line it rejects and would drop every job
+// recorded after an old schedule line. Fold skips them, so the next
+// compaction drops them.
+const (
+	kindSchedule       Kind = "schedule"
+	kindScheduleDelete Kind = "schedule_delete"
 )
 
 // Record is one journal line. Fields are populated per Kind: job
 // records carry the identity (tenant, hash, spec); state records carry
-// the transition; schedule records carry the recurrence.
+// the transition.
 type Record struct {
 	Kind Kind      `json:"kind"`
 	Time time.Time `json:"ts"`
 	ID   string    `json:"id"`
 
-	// KindJob / KindSchedule
+	// KindJob
 	Tenant string               `json:"tenant,omitempty"`
 	Hash   string               `json:"hash,omitempty"`
 	Spec   *engine.CampaignSpec `json:"spec,omitempty"`
@@ -72,10 +78,6 @@ type Record struct {
 	// KindState
 	State string `json:"state,omitempty"`
 	Error string `json:"error,omitempty"`
-
-	// KindSchedule
-	Interval time.Duration `json:"interval,omitempty"`
-	Jitter   time.Duration `json:"jitter,omitempty"`
 }
 
 // FileName is the journal's file name inside its directory.
@@ -177,7 +179,7 @@ func DecodeLine(line []byte) (Record, error) {
 		return Record{}, fmt.Errorf("journal: decode record: %w", err)
 	}
 	switch rec.Kind {
-	case KindJob, KindState, KindSchedule, KindScheduleDelete:
+	case KindJob, KindState, kindSchedule, kindScheduleDelete:
 	default:
 		return Record{}, fmt.Errorf("journal: unknown record kind %q", rec.Kind)
 	}
@@ -276,28 +278,14 @@ func (v JobView) Terminal() bool {
 	return v.State == "done" || v.State == "failed" || v.State == "cancelled"
 }
 
-// ScheduleView is one live recurring schedule folded from the journal.
-type ScheduleView struct {
-	ID       string
-	Tenant   string
-	Hash     string
-	Spec     engine.CampaignSpec
-	Interval time.Duration
-	Jitter   time.Duration
-	Created  time.Time
-}
-
-// Fold replays a record sequence into per-job and per-schedule views:
-// job records create views, state records advance them, and
-// schedule_delete records drop schedules. Records referencing unknown
-// IDs (their job record fell to damage or compaction) are skipped.
-// Jobs are returned in first-submission order, schedules in
-// registration order.
-func Fold(recs []Record) ([]JobView, []ScheduleView) {
+// Fold replays a record sequence into per-job views: job records
+// create views and state records advance them. Records referencing
+// unknown IDs (their job record fell to damage or compaction) and
+// records of any other kind are skipped. Jobs are returned in
+// first-submission order.
+func Fold(recs []Record) []JobView {
 	jobs := make(map[string]*JobView)
-	var jobOrder []string
-	scheds := make(map[string]*ScheduleView)
-	var schedOrder []string
+	var order []string
 	for _, r := range recs {
 		switch r.Kind {
 		case KindJob:
@@ -311,7 +299,7 @@ func Fold(recs []Record) ([]JobView, []ScheduleView) {
 				ID: r.ID, Tenant: r.Tenant, Hash: r.Hash,
 				Spec: *r.Spec, State: "queued", Created: r.Time,
 			}
-			jobOrder = append(jobOrder, r.ID)
+			order = append(order, r.ID)
 		case KindState:
 			v, ok := jobs[r.ID]
 			if !ok {
@@ -325,42 +313,22 @@ func Fold(recs []Record) ([]JobView, []ScheduleView) {
 			case "done", "failed", "cancelled":
 				v.Finished = r.Time
 			}
-		case KindSchedule:
-			if r.Spec == nil {
-				continue
-			}
-			if _, ok := scheds[r.ID]; ok {
-				continue
-			}
-			scheds[r.ID] = &ScheduleView{
-				ID: r.ID, Tenant: r.Tenant, Hash: r.Hash,
-				Spec: *r.Spec, Interval: r.Interval, Jitter: r.Jitter, Created: r.Time,
-			}
-			schedOrder = append(schedOrder, r.ID)
-		case KindScheduleDelete:
-			delete(scheds, r.ID)
 		}
 	}
-	jv := make([]JobView, 0, len(jobOrder))
-	for _, id := range jobOrder {
-		jv = append(jv, *jobs[id])
+	views := make([]JobView, 0, len(order))
+	for _, id := range order {
+		views = append(views, *jobs[id])
 	}
-	sv := make([]ScheduleView, 0, len(schedOrder))
-	for _, id := range schedOrder {
-		if v, ok := scheds[id]; ok {
-			sv = append(sv, *v)
-		}
-	}
-	return jv, sv
+	return views
 }
 
 // Compact rewrites the journal keeping only the records that still
-// matter: every live (non-terminal) job, the keepTerminal most recently
-// finished terminal jobs, and every live schedule. Each surviving job
-// is re-emitted as its job record plus one state record carrying the
-// folded final state, so a compacted journal folds to the same views as
-// the original. The rewrite is atomic (temp file + rename); on any
-// failure the previous journal remains intact.
+// matter: every live (non-terminal) job and the keepTerminal most
+// recently finished terminal jobs. Each surviving job is re-emitted as
+// its job record plus one state record carrying the folded final state,
+// so a compacted journal folds to the same views as the original. The
+// rewrite is atomic (temp file + rename); on any failure the previous
+// journal remains intact.
 func (j *Journal) Compact(keepTerminal int) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -371,7 +339,7 @@ func (j *Journal) compactLocked(keepTerminal int) error {
 	if j.f == nil {
 		return fmt.Errorf("journal: closed")
 	}
-	jobs, scheds := Fold(j.recs)
+	jobs := Fold(j.recs)
 
 	// Partition and rank terminal jobs by finish time, newest first.
 	var live, terminal []JobView
@@ -411,14 +379,6 @@ func (j *Journal) compactLocked(keepTerminal int) error {
 			}
 			recs = append(recs, Record{Kind: KindState, Time: t, ID: v.ID, State: v.State, Error: v.Error})
 		}
-	}
-	for _, s := range scheds {
-		s := s
-		recs = append(recs, Record{
-			Kind: KindSchedule, Time: s.Created, ID: s.ID,
-			Tenant: s.Tenant, Hash: s.Hash, Spec: &s.Spec,
-			Interval: s.Interval, Jitter: s.Jitter,
-		})
 	}
 
 	var buf bytes.Buffer

@@ -80,7 +80,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 			t.Errorf("record %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
-	jobs, _ := Fold(got)
+	jobs := Fold(got)
 	if len(jobs) != 2 {
 		t.Fatalf("folded %d jobs, want 2", len(jobs))
 	}
@@ -187,8 +187,9 @@ func TestCorruptionStopsReplay(t *testing.T) {
 }
 
 // TestCompactKeepsLiveAndRecentTerminal pins the compaction policy:
-// live jobs and schedules always survive, terminal jobs beyond the
-// keep window are dropped, and the compacted file folds identically.
+// live jobs always survive, terminal jobs beyond the keep window and
+// the schedule records of older journals are dropped, and the compacted
+// file folds identically.
 func TestCompactKeepsLiveAndRecentTerminal(t *testing.T) {
 	dir := t.TempDir()
 	j, _, err := Open(dir)
@@ -197,7 +198,8 @@ func TestCompactKeepsLiveAndRecentTerminal(t *testing.T) {
 	}
 	t0 := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
 	// Five terminal jobs finishing in order, one live (running) job,
-	// one schedule plus one deleted schedule.
+	// then the records an older daemon wrote for one live and one
+	// deleted schedule.
 	for i := 0; i < 5; i++ {
 		id := string(rune('a' + i))
 		mustAppend(t, j,
@@ -211,9 +213,9 @@ func TestCompactKeepsLiveAndRecentTerminal(t *testing.T) {
 	)
 	spec := testSpec(7)
 	mustAppend(t, j,
-		Record{Kind: KindSchedule, Time: t0, ID: "s1", Tenant: "t1", Spec: &spec, Interval: time.Minute},
-		Record{Kind: KindSchedule, Time: t0, ID: "s2", Tenant: "t1", Spec: &spec, Interval: time.Minute},
-		Record{Kind: KindScheduleDelete, Time: t0, ID: "s2"},
+		Record{Kind: kindSchedule, Time: t0, ID: "s1", Tenant: "t1", Spec: &spec},
+		Record{Kind: kindSchedule, Time: t0, ID: "s2", Tenant: "t1", Spec: &spec},
+		Record{Kind: kindScheduleDelete, Time: t0, ID: "s2"},
 	)
 
 	if err := j.Compact(2); err != nil {
@@ -225,7 +227,12 @@ func TestCompactKeepsLiveAndRecentTerminal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs, scheds := Fold(recs)
+	for _, r := range recs {
+		if r.Kind != KindJob && r.Kind != KindState {
+			t.Errorf("compaction kept a %q record for %s", r.Kind, r.ID)
+		}
+	}
+	jobs := Fold(recs)
 	var ids []string
 	for _, v := range jobs {
 		ids = append(ids, v.ID+":"+v.State)
@@ -238,9 +245,6 @@ func TestCompactKeepsLiveAndRecentTerminal(t *testing.T) {
 		if ids[i] != want[i] {
 			t.Fatalf("compacted jobs = %v, want %v", ids, want)
 		}
-	}
-	if len(scheds) != 1 || scheds[0].ID != "s1" || scheds[0].Interval != time.Minute {
-		t.Fatalf("compacted schedules = %+v, want live s1 only", scheds)
 	}
 	// Spec survives compaction intact (hash-identical).
 	wantHash, _ := testSpec(99).Hash()
@@ -295,6 +299,8 @@ func fixtureLine(tb testing.TB, name string, kind Kind) []byte {
 // TestScheduleFold replays a journal that holds schedule records: every
 // line must replay, nothing may be truncated, and the jobs recorded
 // before, between and after the schedule records must all fold.
+// Compacting it then leaves only job and state lines that fold to the
+// same jobs.
 func TestScheduleFold(t *testing.T) {
 	dir, lines := fixtureCopy(t, scheduleFixture)
 	j, recs, err := Open(dir)
@@ -305,13 +311,44 @@ func TestScheduleFold(t *testing.T) {
 	if len(recs) != lines {
 		t.Fatalf("replayed %d of %d records", len(recs), lines)
 	}
-	jobs, _ := Fold(recs)
+	jobs := Fold(recs)
 	var got []string
 	for _, v := range jobs {
 		got = append(got, v.ID+":"+v.State)
 	}
 	if want := "j1:done j2:done j3:done"; strings.Join(got, " ") != want {
 		t.Fatalf("folded jobs = %v, want %s", got, want)
+	}
+
+	if err := j.Compact(len(jobs)); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, FileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	compacted, good := decodeAll(data)
+	if good != len(data) {
+		t.Fatalf("compacted journal damaged at byte %d of %d", good, len(data))
+	}
+	for _, r := range compacted {
+		if r.Kind != KindJob && r.Kind != KindState {
+			t.Errorf("compaction kept a %q record for %s", r.Kind, r.ID)
+		}
+	}
+	refolded := Fold(compacted)
+	if len(refolded) != len(jobs) {
+		t.Fatalf("compacted journal folds to %d jobs, want %d", len(refolded), len(jobs))
+	}
+	for i, v := range refolded {
+		w := jobs[i]
+		if v.ID != w.ID || v.Tenant != w.Tenant || v.Hash != w.Hash || v.State != w.State ||
+			v.Error != w.Error || !v.Created.Equal(w.Created) || !v.Finished.Equal(w.Finished) {
+			t.Errorf("compacted view %+v, want %+v", v, w)
+		}
+		if h, err := v.Spec.Hash(); err != nil || h != w.Hash {
+			t.Errorf("%s: compacted spec hashes to %q (%v), want %q", v.ID, h, err, w.Hash)
+		}
 	}
 }
 
@@ -370,7 +407,7 @@ func TestAutoCompact(t *testing.T) {
 		t.Fatalf("journal grew to %d records; auto-compaction never ran", n)
 	}
 	// The kept window folds to the most recent terminal jobs only.
-	jobs, _ := Fold(j.Records())
+	jobs := Fold(j.Records())
 	if len(jobs) > autoCompactAt {
 		t.Fatalf("folded %d jobs after auto-compaction", len(jobs))
 	}

@@ -239,7 +239,7 @@ func RateLimit(l *Limiter, rejected func()) func(http.Handler) http.Handler {
 // all map to "other".
 func Route(path string) string {
 	switch path {
-	case "/v1", "/v1/techniques", "/v1/backends", "/v1/jobs", "/v1/schedules", "/v1/health", "/healthz", "/metrics":
+	case "/v1", "/v1/techniques", "/v1/backends", "/v1/jobs", "/v1/health", "/healthz", "/metrics":
 		return path
 	}
 	if rest, ok := strings.CutPrefix(path, "/v1/jobs/"); ok {
@@ -249,9 +249,6 @@ func Route(path string) string {
 		if !strings.Contains(rest, "/") {
 			return "/v1/jobs/{id}"
 		}
-	}
-	if rest, ok := strings.CutPrefix(path, "/v1/schedules/"); ok && !strings.Contains(rest, "/") {
-		return "/v1/schedules/{id}"
 	}
 	return "other"
 }

@@ -179,8 +179,8 @@ func TestRoute(t *testing.T) {
 		"/v1/jobs/j42":         "/v1/jobs/{id}",
 		"/v1/jobs/j42/results": "/v1/jobs/{id}/results",
 		"/v1/jobs/j42/weird":   "other",
-		"/v1/schedules":        "/v1/schedules",
-		"/v1/schedules/s1":     "/v1/schedules/{id}",
+		"/v1/schedules":        "other",
+		"/v1/schedules/s1":     "other",
 		"/healthz":             "/healthz",
 		"/metrics":             "/metrics",
 		"/debug/pprof/":        "other",

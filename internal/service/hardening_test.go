@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,7 +13,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/jobs"
 	"repro/internal/mw"
-	"repro/internal/recur"
 	"repro/internal/testutil"
 )
 
@@ -55,100 +53,9 @@ func envelopeCode(t *testing.T, body []byte) string {
 	return env.Error.Code
 }
 
-// TestScheduleRoutes drives the /v1/schedules surface end to end behind
-// the auth middleware: registration, tenant-scoped listing, cross-tenant
-// invisibility, validation failures, and delete-returns-the-entry.
-func TestScheduleRoutes(t *testing.T) {
-	defer testutil.CheckGoroutines(t)()
-	mgr := jobs.NewManager(jobs.Config{QueueDepth: 8, Concurrency: 1})
-	defer mgr.Close()
-	sched := recur.New(recur.Config{
-		Submit: func(tenant string, spec engine.CampaignSpec) (string, error) {
-			job, _, err := mgr.SubmitAs(tenant, spec)
-			if err != nil {
-				return "", err
-			}
-			return job.ID(), nil
-		},
-	})
-	defer sched.Stop()
-
-	keys := mw.NewKeyring(map[string]string{"alice": "a-key", "bob": "b-key"})
-	svc := New(mgr)
-	svc.SetScheduler(sched)
-	srv := httptest.NewServer(mw.Chain(svc.Handler(), mw.Auth(keys, nil)))
-	defer srv.Close()
-
-	body := func(interval string, reps int) []byte {
-		return []byte(fmt.Sprintf(`{"spec": %s, "interval": %q}`,
-			specJSON(t, "svc-gate-quota", 1, reps), interval))
-	}
-
-	// Register as alice.
-	code, resp := authedDo(t, srv.URL, "a-key", http.MethodPost, "/v1/schedules", body("1h", 3))
-	if code != http.StatusCreated {
-		t.Fatalf("schedule add = %d: %s", code, resp)
-	}
-	var created recur.Schedule
-	if err := json.Unmarshal(resp, &created); err != nil {
-		t.Fatal(err)
-	}
-	if created.ID == "" || created.Tenant != "alice" || created.Hash == "" {
-		t.Fatalf("created schedule = %+v", created)
-	}
-
-	// Interval below the scheduler floor and an invalid spec are
-	// distinguishable failures.
-	if code, resp := authedDo(t, srv.URL, "a-key", http.MethodPost, "/v1/schedules", body("10ms", 3)); code != http.StatusBadRequest || envelopeCode(t, resp) != campaign.CodeInvalidArgument {
-		t.Fatalf("tiny interval = %d %s", code, resp)
-	}
-	if code, resp := authedDo(t, srv.URL, "a-key", http.MethodPost, "/v1/schedules", body("1h", 0)); code != http.StatusBadRequest || envelopeCode(t, resp) != campaign.CodeInvalidSpec {
-		t.Fatalf("invalid spec = %d %s", code, resp)
-	}
-
-	// Listing is tenant-scoped; bob sees nothing.
-	var listed struct {
-		Schedules []recur.Schedule `json:"schedules"`
-	}
-	code, resp = authedDo(t, srv.URL, "a-key", http.MethodGet, "/v1/schedules", nil)
-	if err := json.Unmarshal(resp, &listed); err != nil || code != http.StatusOK {
-		t.Fatalf("list = %d: %s (%v)", code, resp, err)
-	}
-	if len(listed.Schedules) != 1 || listed.Schedules[0].ID != created.ID {
-		t.Fatalf("alice's list = %+v", listed.Schedules)
-	}
-	code, resp = authedDo(t, srv.URL, "b-key", http.MethodGet, "/v1/schedules", nil)
-	if err := json.Unmarshal(resp, &listed); err != nil || code != http.StatusOK {
-		t.Fatalf("bob list = %d: %s (%v)", code, resp, err)
-	}
-	if len(listed.Schedules) != 0 {
-		t.Fatalf("bob sees alice's schedules: %+v", listed.Schedules)
-	}
-
-	// Foreign and unknown IDs are both opaque 404s.
-	if code, resp := authedDo(t, srv.URL, "b-key", http.MethodGet, "/v1/schedules/"+created.ID, nil); code != http.StatusNotFound || envelopeCode(t, resp) != campaign.CodeNotFound {
-		t.Fatalf("cross-tenant get = %d %s", code, resp)
-	}
-	if code, _ := authedDo(t, srv.URL, "b-key", http.MethodDelete, "/v1/schedules/"+created.ID, nil); code != http.StatusNotFound {
-		t.Fatalf("cross-tenant delete = %d", code)
-	}
-	if code, _ := authedDo(t, srv.URL, "a-key", http.MethodGet, "/v1/schedules/zzz", nil); code != http.StatusNotFound {
-		t.Fatalf("unknown id = %d", code)
-	}
-
-	// The owner's delete returns the removed entry.
-	code, resp = authedDo(t, srv.URL, "a-key", http.MethodDelete, "/v1/schedules/"+created.ID, nil)
-	var removed recur.Schedule
-	if err := json.Unmarshal(resp, &removed); err != nil || code != http.StatusOK || removed.ID != created.ID {
-		t.Fatalf("delete = %d: %s (%v)", code, resp, err)
-	}
-	if code, _ := authedDo(t, srv.URL, "a-key", http.MethodGet, "/v1/schedules/"+created.ID, nil); code != http.StatusNotFound {
-		t.Fatalf("deleted schedule still visible: %d", code)
-	}
-}
-
-// TestScheduleRoutesAbsentWithoutScheduler: a server without
-// SetScheduler answers 404 on the whole /v1/schedules surface.
+// TestScheduleRoutesAbsentWithoutScheduler: the service has no
+// recurring schedules, so every route older daemons served under
+// /v1/schedules answers 404 like any unknown path.
 func TestScheduleRoutesAbsentWithoutScheduler(t *testing.T) {
 	mgr := jobs.NewManager(jobs.Config{QueueDepth: 2, Concurrency: 1})
 	defer mgr.Close()
@@ -161,7 +68,7 @@ func TestScheduleRoutesAbsentWithoutScheduler(t *testing.T) {
 		{http.MethodDelete, "/v1/schedules/s1"},
 	} {
 		if code, _ := authedDo(t, srv.URL, "", probe.method, probe.path, nil); code != http.StatusNotFound {
-			t.Fatalf("%s %s without scheduler = %d, want 404", probe.method, probe.path, code)
+			t.Fatalf("%s %s = %d, want 404", probe.method, probe.path, code)
 		}
 	}
 }

@@ -10,17 +10,8 @@
 //	GET    /v1/jobs/{id}          one job's status; ?wait=1 blocks until terminal
 //	GET    /v1/jobs/{id}/results  stream results as JSON Lines or CSV
 //	DELETE /v1/jobs/{id}          cancel a queued or running job
-//	POST   /v1/schedules          register a recurring campaign (spec + interval + jitter)
-//	GET    /v1/schedules          list the caller's schedules
-//	GET    /v1/schedules/{id}     one schedule's status and tick statistics
-//	DELETE /v1/schedules/{id}     remove a schedule (returns the removed entry)
 //	GET    /v1/health             readiness document (queue depth, drain flag, journal/auth state)
 //	GET    /healthz               liveness probe
-//
-// The /v1/schedules routes exist only when a recurring-campaign
-// scheduler is attached via SetScheduler (the daemon's -schedules
-// mode); otherwise they answer 404. Schedules are tenant-scoped: a
-// caller only ever sees and deletes its own.
 //
 // Every error response is a structured JSON envelope
 //
@@ -47,20 +38,17 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"repro/campaign"
 	"repro/internal/engine"
 	"repro/internal/jobs"
 	"repro/internal/mw"
-	"repro/internal/recur"
 )
 
 // Server routes HTTP requests to a job manager.
 type Server struct {
-	mgr   *jobs.Manager
-	exec  *campaign.Execution
-	sched *recur.Scheduler
+	mgr  *jobs.Manager
+	exec *campaign.Execution
 
 	draining   atomic.Bool
 	healthHook atomic.Pointer[func(*campaign.Health)]
@@ -74,15 +62,10 @@ func New(mgr *jobs.Manager) *Server { return &Server{mgr: mgr} }
 // Informational only; call before Handler is served.
 func (s *Server) SetExecution(e campaign.Execution) { s.exec = &e }
 
-// SetScheduler enables the /v1/schedules routes backed by the given
-// recurring-campaign scheduler. Call before Handler is served; without
-// it the routes answer 404.
-func (s *Server) SetScheduler(sc *recur.Scheduler) { s.sched = sc }
-
 // SetDraining flips the /v1/health readiness bit. Safe to call while
 // serving — the daemon sets it when graceful shutdown begins, before
-// the listener stops, so probes and coordinators see the node stop
-// being a placement target while running jobs finish.
+// the listener stops, so probes and load balancers stop sending new
+// work while running jobs finish.
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
 // SetHealthHook installs a function that decorates the /v1/health
@@ -104,12 +87,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}", s.status)
 	mux.HandleFunc("GET /v1/jobs/{id}/results", s.results)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.cancel)
-	if s.sched != nil {
-		mux.HandleFunc("POST /v1/schedules", s.scheduleAdd)
-		mux.HandleFunc("GET /v1/schedules", s.scheduleList)
-		mux.HandleFunc("GET /v1/schedules/{id}", s.scheduleGet)
-		mux.HandleFunc("DELETE /v1/schedules/{id}", s.scheduleDelete)
-	}
 	return mux
 }
 
@@ -138,10 +115,9 @@ func (s *Server) health(w http.ResponseWriter, _ *http.Request) {
 
 // healthV1 serves the readiness document. Liveness stays /healthz; this
 // endpoint answers the richer placement question — accepting? draining?
-// how loaded? — for probes and the fleet coordinator's node pool. A
-// draining node answers 503 (so status-code probes flip immediately)
-// but still carries the full JSON document in the body; clients decode
-// it either way.
+// how loaded? — for probes and load balancers. A draining node answers
+// 503 (so status-code probes flip immediately) but still carries the
+// full JSON document in the body; clients decode it either way.
 func (s *Server) healthV1(w http.ResponseWriter, _ *http.Request) {
 	stats := s.mgr.Stats()
 	h := campaign.Health{
@@ -353,93 +329,6 @@ func negotiateFormat(r *http.Request) (format string, errStatus int) {
 		// Our encodings were mentioned and every one was refused (q=0).
 		return "", http.StatusNotAcceptable
 	}
-}
-
-// scheduleRequest is the POST /v1/schedules body.
-type scheduleRequest struct {
-	Spec     engine.CampaignSpec `json:"spec"`
-	Interval recur.Duration      `json:"interval"`
-	Jitter   recur.Duration      `json:"jitter,omitempty"`
-}
-
-func (s *Server) scheduleAdd(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, 1<<20)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	var req scheduleRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, campaign.CodeInvalidArgument, nil,
-			"decode schedule request: %v", err)
-		return
-	}
-	// Validate the spec before Add so a bad grid reports invalid_spec
-	// (matching POST /v1/jobs) while interval/jitter problems report
-	// invalid_argument below.
-	if err := req.Spec.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, campaign.CodeInvalidSpec, nil, "%v", err)
-		return
-	}
-	sched, err := s.sched.Add(tenantOf(r), req.Spec,
-		time.Duration(req.Interval), time.Duration(req.Jitter))
-	switch {
-	case errors.Is(err, recur.ErrClosed):
-		writeError(w, http.StatusServiceUnavailable, campaign.CodeShuttingDown, nil, "%v", err)
-		return
-	case err != nil:
-		writeError(w, http.StatusBadRequest, campaign.CodeInvalidArgument, nil, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, sched)
-}
-
-// scheduleListResponse wraps the schedule list for forward-compatible
-// extension.
-type scheduleListResponse struct {
-	Schedules []recur.Schedule `json:"schedules"`
-}
-
-func (s *Server) scheduleList(w http.ResponseWriter, r *http.Request) {
-	list := s.sched.ListTenant(tenantOf(r))
-	if list == nil {
-		list = []recur.Schedule{}
-	}
-	writeJSON(w, http.StatusOK, scheduleListResponse{Schedules: list})
-}
-
-// scheduleFor fetches a schedule the caller owns; foreign and unknown
-// IDs are indistinguishable (both 404) so tenants cannot probe each
-// other's schedule namespace.
-func (s *Server) scheduleFor(w http.ResponseWriter, r *http.Request) (recur.Schedule, bool) {
-	id := r.PathValue("id")
-	sched, err := s.sched.Get(id)
-	if err != nil || sched.Tenant != tenantOf(r) {
-		writeError(w, http.StatusNotFound, campaign.CodeNotFound,
-			map[string]any{"id": id}, "%s: %q", recur.ErrNotFound, id)
-		return recur.Schedule{}, false
-	}
-	return sched, true
-}
-
-func (s *Server) scheduleGet(w http.ResponseWriter, r *http.Request) {
-	sched, ok := s.scheduleFor(w, r)
-	if !ok {
-		return
-	}
-	writeJSON(w, http.StatusOK, sched)
-}
-
-func (s *Server) scheduleDelete(w http.ResponseWriter, r *http.Request) {
-	sched, ok := s.scheduleFor(w, r)
-	if !ok {
-		return
-	}
-	if err := s.sched.Remove(sched.ID); err != nil {
-		// Lost a race with a concurrent delete.
-		writeError(w, http.StatusNotFound, campaign.CodeNotFound,
-			map[string]any{"id": sched.ID}, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, sched)
 }
 
 // results streams the job's per-run metrics. Query parameters:
