@@ -1,12 +1,16 @@
 package chaos
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -233,6 +237,27 @@ func TestInjectorFaults(t *testing.T) {
 		}
 	})
 
+	t.Run("blackhole", func(t *testing.T) {
+		e, _ := NewEngine(1, Rule{Fault: FaultBlackhole, FirstN: 1})
+		in := &Injector{Next: doerFunc(func(r *http.Request) (*http.Response, error) {
+			t.Error("blackholed request reached Next")
+			return okJSON("{}")(r)
+		}), Engine: e}
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		defer cancel()
+		resp, err := in.Do(req().WithContext(ctx))
+		if err == nil {
+			resp.Body.Close()
+			t.Fatal("blackhole fault returned a response")
+		}
+		if ctx.Err() == nil {
+			t.Fatalf("Do returned %v before the request context ended", err)
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want the context's error", err)
+		}
+	})
+
 	t.Run("passthrough", func(t *testing.T) {
 		e, _ := NewEngine(1, Rule{Fault: FaultReset, FirstN: 1, Path: "/never-matched"})
 		in := &Injector{Next: okJSON(`{"ok":true}`), Engine: e}
@@ -327,51 +352,237 @@ func TestWrapHandlerFaults(t *testing.T) {
 	})
 }
 
-func TestProxyForwardsAndInjects(t *testing.T) {
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = io.WriteString(w, `{"path":"`+r.URL.Path+`"}`)
+// proxied starts upstream behind a NewProxy armed with rules and
+// returns the proxy's URL and the number of requests upstream has seen.
+func proxied(t *testing.T, upstream http.HandlerFunc, rules ...Rule) (string, *atomic.Int64) {
+	t.Helper()
+	var hits atomic.Int64
+	back := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		upstream(w, r)
 	}))
-	defer backend.Close()
-
-	e, err := NewEngine(7, Rule{Fault: FaultError5xx, FirstN: 1, Path: "/v1/jobs"})
+	t.Cleanup(back.Close)
+	e, err := NewEngine(7, rules...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewProxy(backend.URL, e)
+	p, err := NewProxy(back.URL, e)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Cleanups run last-in first-out: the front closes first, and
+	// Close waits for every proxied request, blackholed ones included.
 	front := httptest.NewServer(p)
-	defer front.Close()
+	t.Cleanup(front.Close)
+	return front.URL, &hits
+}
 
-	// First /v1/jobs request eats the injected 503.
-	resp, err := http.Get(front.URL + "/v1/jobs")
+// fetch GETs url and returns the response with its body read to the
+// end or to the first read error, which it also returns.
+func fetch(t *testing.T, url string) (*http.Response, []byte, error) {
+	t.Helper()
+	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d, want 503", resp.StatusCode)
-	}
-	// Subsequent requests forward transparently.
-	resp2, err := http.Get(front.URL + "/v1/jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	body, _ := io.ReadAll(resp2.Body)
-	if string(body) != `{"path":"/v1/jobs"}` {
-		t.Fatalf("forwarded body = %q", body)
-	}
-	if resp2.Header.Get("Content-Type") != "application/json" {
-		t.Fatal("upstream headers not forwarded")
-	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	return resp, body, err
+}
 
-	if _, err := NewProxy("not a url at all\x7f", e); err == nil {
-		t.Fatal("bad target accepted")
+func decodeEnvelope(t *testing.T, body []byte) campaign.ErrorBody {
+	t.Helper()
+	var env campaign.ErrorEnvelope
+	if err := json.Unmarshal(body, &env); err != nil {
+		t.Fatalf("error envelope %q: %v", body, err)
 	}
-	if _, err := NewProxy("/just/a/path", e); err == nil {
-		t.Fatal("target without host accepted")
+	return env.Error
+}
+
+func TestProxyForwardsAndInjects(t *testing.T) {
+	// A 5000-byte result stream with no NUL in it, so a corrupted byte
+	// is visible, and a short JSON echo of the path everywhere else.
+	payload := make([]byte, 5000)
+	for i := range payload {
+		payload[i] = 'a' + byte(i%26)
 	}
+	serve := func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		if strings.HasSuffix(r.URL.Path, "/results") {
+			_, _ = w.Write(payload)
+			return
+		}
+		_, _ = io.WriteString(w, `{"path":"`+r.URL.Path+`"}`)
+	}
+	const results = "/v1/jobs/j1/results"
+
+	t.Run("reset", func(t *testing.T) {
+		url, hits := proxied(t, serve, Rule{Fault: FaultReset, FirstN: 1})
+		resp, err := http.Get(url + "/v1/jobs")
+		if err == nil {
+			resp.Body.Close()
+			t.Fatalf("reset fault answered %d", resp.StatusCode)
+		}
+		if n := hits.Load(); n != 0 {
+			t.Fatalf("upstream saw %d requests, want 0", n)
+		}
+	})
+
+	t.Run("blackhole", func(t *testing.T) {
+		url, hits := proxied(t, serve, Rule{Fault: FaultBlackhole, FirstN: 1})
+		const deadline = 150 * time.Millisecond
+		ctx, cancel := context.WithTimeout(context.Background(), deadline)
+		defer cancel()
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/v1/jobs", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+			t.Fatalf("blackhole answered %d", resp.StatusCode)
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want the client's deadline", err)
+		}
+		if elapsed := time.Since(start); elapsed < deadline {
+			t.Fatalf("blackhole let go after %v, before the %v deadline", elapsed, deadline)
+		}
+		if n := hits.Load(); n != 0 {
+			t.Fatalf("upstream saw %d requests, want 0", n)
+		}
+	})
+
+	t.Run("latency", func(t *testing.T) {
+		const delay = 50 * time.Millisecond
+		url, _ := proxied(t, serve, Rule{Fault: FaultLatency, FirstN: 1, Latency: Duration(delay)})
+		start := time.Now()
+		resp, body, err := fetch(t, url+results)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if elapsed := time.Since(start); elapsed < delay {
+			t.Fatalf("reply after %v, before the %v latency", elapsed, delay)
+		}
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(body, payload) {
+			t.Fatalf("status %d, body intact %v", resp.StatusCode, bytes.Equal(body, payload))
+		}
+	})
+
+	t.Run("error", func(t *testing.T) {
+		url, hits := proxied(t, serve, Rule{Fault: FaultError5xx, FirstN: 1})
+		resp, body, err := fetch(t, url+"/v1/jobs")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("status = %d, want 503", resp.StatusCode)
+		}
+		if e := decodeEnvelope(t, body); e.Code != campaign.CodeInternal {
+			t.Fatalf("code = %q, want %q", e.Code, campaign.CodeInternal)
+		}
+		if n := hits.Load(); n != 0 {
+			t.Fatalf("upstream saw %d requests, want 0", n)
+		}
+	})
+
+	t.Run("truncate", func(t *testing.T) {
+		for _, after := range []int64{1, 100, 4096} {
+			t.Run(fmt.Sprintf("after=%d", after), func(t *testing.T) {
+				url, _ := proxied(t, serve, Rule{Fault: FaultTruncate, FirstN: 1, After: after})
+				_, body, err := fetch(t, url+results)
+				if !errors.Is(err, io.ErrUnexpectedEOF) {
+					t.Fatalf("read err = %v, want unexpected EOF", err)
+				}
+				if !bytes.Equal(body, payload[:after]) {
+					t.Fatalf("delivered %d bytes, want the first %d intact", len(body), after)
+				}
+			})
+		}
+	})
+
+	t.Run("corrupt", func(t *testing.T) {
+		const after = 100
+		url, _ := proxied(t, serve, Rule{Fault: FaultCorrupt, FirstN: 1, After: after})
+		_, body, err := fetch(t, url+results)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(body) != len(payload) {
+			t.Fatalf("corrupt changed length: %d != %d", len(body), len(payload))
+		}
+		for i, b := range body {
+			want := payload[i]
+			if i == after {
+				want = 0x00
+			}
+			if b != want {
+				t.Fatalf("byte %d = %#x, want %#x", i, b, want)
+			}
+		}
+	})
+
+	t.Run("passthrough", func(t *testing.T) {
+		url, hits := proxied(t, serve, Rule{Fault: FaultError5xx, FirstN: 1, Path: "/v1/jobs"})
+		// The first /v1/jobs request spends the rule.
+		if resp, _, err := fetch(t, url+"/v1/jobs"); err != nil || resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("first request: status %d, err %v; want 503", resp.StatusCode, err)
+		}
+		resp, body, err := fetch(t, url+"/v1/jobs")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(body) != `{"path":"/v1/jobs"}` {
+			t.Fatalf("forwarded body = %q", body)
+		}
+		if resp.Header.Get("Content-Type") != "application/json" {
+			t.Fatal("upstream headers not forwarded")
+		}
+		if _, body, err := fetch(t, url+results); err != nil || !bytes.Equal(body, payload) {
+			t.Fatalf("result stream: %d bytes, err %v; want %d intact", len(body), err, len(payload))
+		}
+		if n := hits.Load(); n != 2 {
+			t.Fatalf("upstream saw %d requests, want 2", n)
+		}
+	})
+
+	t.Run("unreachable", func(t *testing.T) {
+		dead := httptest.NewServer(http.NotFoundHandler())
+		dead.Close()
+		e, err := NewEngine(7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := NewProxy(dead.URL, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		front := httptest.NewServer(p)
+		defer front.Close()
+		resp, body, err := fetch(t, front.URL+"/v1/jobs")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadGateway {
+			t.Fatalf("status = %d, want 502", resp.StatusCode)
+		}
+		env := decodeEnvelope(t, body)
+		if env.Code != campaign.CodeInternal || !strings.HasPrefix(env.Message, "chaos: upstream unreachable: ") {
+			t.Fatalf("envelope = %+v", env)
+		}
+	})
+
+	t.Run("target", func(t *testing.T) {
+		e, err := NewEngine(7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewProxy("not a url at all\x7f", e); err == nil {
+			t.Fatal("bad target accepted")
+		}
+		if _, err := NewProxy("/just/a/path", e); err == nil {
+			t.Fatal("target without host accepted")
+		}
+	})
 }
