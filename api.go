@@ -255,7 +255,7 @@ func (c Config) campaignSpec(techniques []string, n int64, p int, runs int, poli
 }
 
 // procTiers holds one process-lifetime memory tier per cache directory,
-// so repeated campaigns within one process skip the disk and JSON reads
+// so repeated campaigns within one process skip disk reads and decoding
 // entirely. Tiers are scoped per directory (not shared) so that a
 // campaign run against a second directory still populates that
 // directory's on-disk store; each holds the campaign's per-run metrics

@@ -1,9 +1,9 @@
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation section, plus the ablations of DESIGN.md. Each figure
-// benchmark regenerates the series the paper reports (at a reduced run
-// count so `go test -bench=.` stays tractable; cmd/repro runs the full
-// 1000-run configuration) and prints the rows once, alongside the maximum
-// relative discrepancy against the pinned reference dataset.
+// evaluation section, plus ablations A1-A5 at the end of this file. Each
+// figure benchmark regenerates the series the paper reports (at a reduced
+// run count so `go test -bench=.` stays tractable; cmd/repro runs the
+// full 1000-run configuration) and prints the rows once, alongside the
+// maximum relative discrepancy against the pinned reference dataset.
 package repro_test
 
 import (
@@ -125,7 +125,7 @@ func benchHagerup(b *testing.B, figure int, n int64) {
 		}
 		text += fmt.Sprintf("  max |relative discrepancy| vs reference (FAC/2-PE excluded): %.1f%%\n", maxRel)
 		text += fmt.Sprintf("  (reduced %d-run sample — sampling noise dominates; the paper-faithful\n", spec.Runs)
-		text += "   1000-run values are in EXPERIMENTS.md and via 'go run ./cmd/repro hagerup')\n"
+		text += "   1000-run values come from 'go run ./cmd/repro hagerup')\n"
 		printSeries(fmt.Sprintf("hagerup%d", n), text)
 		b.ReportMetric(maxRel, "max_rel_discrepancy_%")
 	}
@@ -252,7 +252,7 @@ func BenchmarkTableIII_GridCell(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md A1-A5) ------------------------------------------
+// --- Ablations A1-A5 -------------------------------------------------------
 
 // BenchmarkAblationOverheadAccounting compares the paper's post-hoc h
 // accounting with charging h inside the master dynamics (A1).

@@ -590,14 +590,14 @@ func (c *Client) Live(ctx context.Context) error {
 
 // Health fetches the node's readiness document: GET /v1/health. A
 // draining node answers HTTP 503 but still serves the document, so the
-// call succeeds with Ready=false — the node is alive, just not a
-// placement target. Any other failure (transport error, non-health
-// response) is an error.
+// call succeeds with Ready=false — the node is alive, just refusing new
+// jobs. Any other failure (transport error, non-health response) is an
+// error.
 //
 // Health probes are deliberately exempt from the retry policy: exactly
-// one attempt per call, regardless of Options.Retry. Probes are cheap
-// and frequent, and retrying them would mask exactly the consecutive-
-// failure signal circuit breakers key on.
+// one attempt per call, regardless of Options.Retry. A probe reports the
+// node's state at one moment; retrying a failed probe after a backoff
+// would only delay that answer.
 func (c *Client) Health(ctx context.Context) (campaign.Health, error) {
 	resp, err := c.doOnce(ctx, http.MethodGet, "/v1/health", nil, nil, "application/json", true)
 	if err != nil {

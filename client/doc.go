@@ -11,7 +11,8 @@
 // Beyond the Runner methods (Submit, Wait, Stream, Cancel, Describe),
 // the client exposes the full v1 surface: job status and paginated
 // listing (Job, Jobs), raw result streams in either encoding (Results),
-// discovery (Techniques, Backends) and the liveness probe (Health).
+// discovery (Techniques, Backends), the liveness probe (Live) and the
+// readiness document (Health).
 //
 // Failures carry the service's structured error envelope as an
 // *APIError with the stable machine-readable code, and map onto the

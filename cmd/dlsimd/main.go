@@ -20,8 +20,10 @@
 // cache with zero backend runs), -auth FILE enables multi-tenant API
 // keys, -rate/-quota-queued/-quota-running bound each tenant's request
 // rate and job footprint, and -metrics exposes a Prometheus endpoint.
-// Every flag has a DLSIMD_* environment fallback so deployments can be
-// configured without editing unit files.
+// These hardening flags, -workers, -chunk and -drain-jobs have DLSIMD_*
+// environment fallbacks (flags win; API.md's flag table names each
+// variable), so deployments can be configured without editing unit
+// files. -addr, -cache, -queue, -jobs, -drain and -pprof are flags only.
 //
 // Quickstart:
 //
@@ -109,7 +111,7 @@ func run(ctx context.Context) error {
 	flag.Parse()
 
 	// A memory tier always fronts the store so repeated submissions are
-	// served without JSON decode + disk reads; -cache adds durability
+	// served without disk reads or entry decoding; -cache adds durability
 	// across daemon restarts.
 	var store cache.Store = cache.NewMemory()
 	if *cacheDir != "" {

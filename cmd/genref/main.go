@@ -1,9 +1,9 @@
 // Command genref regenerates the pinned Hagerup reference dataset
 // (internal/refdata/hagerup_data.go). The dataset stands in for the
 // original publication's Table I values, which are not available to this
-// reproduction (DESIGN.md §3.2); it is produced by the Hagerup-replica
-// simulator under refdata.Seed with the paper's full parameters (1000
-// runs, exponential µ = 1 s, h = 0.5 s).
+// reproduction (see the internal/refdata package doc); it is produced by
+// the Hagerup-replica simulator under refdata.Seed with the paper's full
+// parameters (1000 runs, exponential µ = 1 s, h = 0.5 s).
 //
 // Usage:
 //
@@ -53,7 +53,7 @@ func run(ctx context.Context) error {
 	fmt.Fprintln(w, "// Code generated by cmd/genref; DO NOT EDIT.")
 	fmt.Fprintln(w, "//")
 	fmt.Fprintf(w, "// Pinned Hagerup reference dataset: %d runs per cell, seed %#x.\n", spec.Runs, spec.Seed)
-	fmt.Fprintln(w, "// See DESIGN.md §3.2 for the substitution rationale.")
+	fmt.Fprintln(w, "// See the internal/refdata package doc for the substitution rationale.")
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "package refdata")
 	fmt.Fprintln(w)

@@ -1,5 +1,5 @@
 // Command repro regenerates every table and figure of the paper's
-// evaluation section (see DESIGN.md §4 for the experiment index):
+// evaluation section:
 //
 //	repro tss1                  Figure 3  (TSS publication, experiment 1)
 //	repro tss2                  Figure 4  (TSS publication, experiment 2)
@@ -88,7 +88,7 @@ func run(ctx context.Context) error {
 	fs.Parse(os.Args[2:])
 
 	if *seed == refdata.Seed {
-		return cliutil.Usagef("seed equals the pinned reference seed; choose another (DESIGN.md §3.2)")
+		return cliutil.Usagef("seed equals the pinned reference seed, so the runs would replay the reference dataset itself; choose another")
 	}
 
 	if *server != "" && *cacheDir != "" {

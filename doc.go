@@ -109,5 +109,6 @@
 // analysis; dlsimd -pprof exposes live /debug/pprof/ handlers.
 //
 // The benchmark harness regenerating every figure of the paper lives in
-// bench_test.go and cmd/repro; see DESIGN.md and EXPERIMENTS.md.
+// bench_test.go and cmd/repro; README.md's "Reproducing the paper" lists
+// the commands.
 package repro

@@ -1,6 +1,6 @@
 // Integration tests pinning the paper's findings: each test asserts the
 // qualitative result ("shape") of one evaluation artifact, per the
-// experiment index in DESIGN.md §4.
+// experiment index in cmd/repro's package doc.
 package repro_test
 
 import (

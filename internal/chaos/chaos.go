@@ -1,23 +1,20 @@
 // Package chaos injects faults into the dlsimd HTTP surface — the
 // harness that turns the fleet's failure handling from dead code into
-// tested behavior. It operates at two levels:
+// tested behavior. Injector makes every fault: connection resets,
+// added latency, 5xx error envelopes, truncated or corrupted result
+// streams, and blackholes. It runs in-process below the client SDK's
+// retry policy (client.WithDoer), and over TCP as the transport of
+// NewProxy, the reverse proxy cmd/chaosproxy puts in front of a real
+// daemon.
 //
-//   - Proxy is a fault-injecting reverse proxy that fronts a real
-//     daemon (or wraps the service mux in-process): connection resets,
-//     added latency, 5xx error envelopes, truncated or corrupted result
-//     streams, and blackholes, injected per the engine's rules.
-//   - Injector implements the client SDK's Doer seam, synthesizing the
-//     same fault vocabulary below the retry policy without any sockets
-//     — the unit-test entry point.
-//
-// Both share Engine: a deterministic, seedable rule engine. Each rule
-// matches requests by method and path substring and fires either on the
-// first N matches ("fail first N", exactly reproducible) or with a
-// fixed probability drawn from a seeded SplitMix64 stream. Given the
-// same seed and the same sequence of matching requests, the engine
-// makes the same decisions — a chaos profile is a reproducible
-// experiment, which is the whole point in a repository about
-// reproducibility under perturbation.
+// Engine decides which requests to damage: a deterministic, seedable
+// rule engine. Each rule matches requests by method and path substring
+// and fires either on the first N matches ("fail first N", exactly
+// reproducible) or with a fixed probability drawn from a seeded
+// SplitMix64 stream. Given the same seed and the same sequence of
+// matching requests, the engine makes the same decisions — a chaos
+// profile is a reproducible experiment, which is the whole point in a
+// repository about reproducibility under perturbation.
 //
 // Determinism caveat: the probability stream is consumed in request
 // arrival order, so concurrent clients racing each other can permute

@@ -273,85 +273,6 @@ func TestInjectorFaults(t *testing.T) {
 	})
 }
 
-func TestWrapHandlerFaults(t *testing.T) {
-	payload := strings.Repeat("y", 512)
-	backend := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain")
-		_, _ = io.WriteString(w, payload)
-	})
-
-	t.Run("error-envelope", func(t *testing.T) {
-		e, _ := NewEngine(1, Rule{Fault: FaultError5xx, FirstN: 1})
-		srv := httptest.NewServer(WrapHandler(backend, e))
-		defer srv.Close()
-		resp, err := http.Get(srv.URL + "/anything")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Fatalf("status = %d", resp.StatusCode)
-		}
-		// Second request passes through untouched.
-		resp2, err := http.Get(srv.URL + "/anything")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp2.Body.Close()
-		body, _ := io.ReadAll(resp2.Body)
-		if string(body) != payload {
-			t.Fatal("pass-through request damaged")
-		}
-	})
-
-	t.Run("reset", func(t *testing.T) {
-		e, _ := NewEngine(1, Rule{Fault: FaultReset, FirstN: 1})
-		srv := httptest.NewServer(WrapHandler(backend, e))
-		defer srv.Close()
-		resp, err := http.Get(srv.URL + "/anything")
-		if err == nil {
-			resp.Body.Close()
-			t.Fatal("reset fault produced a clean response")
-		}
-	})
-
-	t.Run("truncate", func(t *testing.T) {
-		e, _ := NewEngine(1, Rule{Fault: FaultTruncate, FirstN: 1, After: 100})
-		srv := httptest.NewServer(WrapHandler(backend, e))
-		defer srv.Close()
-		resp, err := http.Get(srv.URL + "/anything")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err == nil && len(body) == len(payload) {
-			t.Fatal("truncate fault delivered the full body cleanly")
-		}
-		if len(body) > 100 {
-			t.Fatalf("delivered %d bytes, want <= 100", len(body))
-		}
-	})
-
-	t.Run("corrupt", func(t *testing.T) {
-		e, _ := NewEngine(1, Rule{Fault: FaultCorrupt, FirstN: 1, After: 100})
-		srv := httptest.NewServer(WrapHandler(backend, e))
-		defer srv.Close()
-		resp, err := http.Get(srv.URL + "/anything")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(body) != len(payload) || body[100] != 0x00 {
-			t.Fatalf("corrupt: len=%d byte100=%#x", len(body), body[100])
-		}
-	})
-}
-
 // proxied starts upstream behind a NewProxy armed with rules and
 // returns the proxy's URL and the number of requests upstream has seen.
 func proxied(t *testing.T, upstream http.HandlerFunc, rules ...Rule) (string, *atomic.Int64) {

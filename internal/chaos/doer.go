@@ -1,14 +1,15 @@
-// Doer-level fault injection: the sockets-free entry point. Injector
-// sits between the client SDK and its HTTP transport (via
-// client.WithDoer), synthesizing the same failure modes the proxy
-// produces on the wire — so unit tests exercise retry, dedup, and
-// stream-integrity handling without binding a single port.
+// Injector is the one place faults are made. It sits between the client
+// SDK and its HTTP transport (via client.WithDoer), so unit tests
+// exercise retry, dedup, and stream-integrity handling without binding
+// a single port, and it is the upstream transport of NewProxy, which
+// puts the same faults on the wire.
 
 package chaos
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -24,6 +25,11 @@ import (
 type Doer interface {
 	Do(*http.Request) (*http.Response, error)
 }
+
+// errInjected marks the errors Injector.Do makes up, which NewProxy
+// turns into an aborted connection instead of a 502. Its text is the
+// prefix those errors already carried.
+var errInjected = errors.New("chaos")
 
 // Injector is a Doer that injects faults per its Engine before (or
 // into) the responses of the wrapped Doer. Plug it into the client SDK
@@ -48,11 +54,11 @@ func (in *Injector) Do(req *http.Request) (*http.Response, error) {
 	switch rule.Fault {
 	case FaultReset:
 		closeBody(req)
-		return nil, fmt.Errorf("chaos: injected reset: %s %s: %w", req.Method, req.URL.Path, syscall.ECONNRESET)
+		return nil, fmt.Errorf("%w: injected reset: %s %s: %w", errInjected, req.Method, req.URL.Path, syscall.ECONNRESET)
 	case FaultBlackhole:
 		closeBody(req)
 		<-req.Context().Done()
-		return nil, fmt.Errorf("chaos: blackholed: %s %s: %w", req.Method, req.URL.Path, req.Context().Err())
+		return nil, fmt.Errorf("%w: blackholed: %s %s: %w", errInjected, req.Method, req.URL.Path, req.Context().Err())
 	case FaultError5xx:
 		closeBody(req)
 		return syntheticError(req), nil
@@ -63,7 +69,7 @@ func (in *Injector) Do(req *http.Request) (*http.Response, error) {
 		case <-t.C:
 		case <-req.Context().Done():
 			closeBody(req)
-			return nil, fmt.Errorf("chaos: latency fault: %s %s: %w", req.Method, req.URL.Path, req.Context().Err())
+			return nil, fmt.Errorf("%w: latency fault: %s %s: %w", errInjected, req.Method, req.URL.Path, req.Context().Err())
 		}
 		return in.Next.Do(req)
 	case FaultTruncate, FaultCorrupt:
@@ -114,8 +120,10 @@ func (fr *faultReader) Read(p []byte) (int, error) {
 
 func (fr *faultReader) Close() error { return fr.rc.Close() }
 
-// syntheticError fabricates the 503-with-envelope response the proxy
-// would have written, attributed to the request for error reporting.
+// syntheticError fabricates a 503 with a well-formed error envelope,
+// the document a failing daemon would produce, attributed to the
+// request for error reporting. Code "internal" keeps it on the client's
+// retryable path.
 func syntheticError(req *http.Request) *http.Response {
 	body, _ := json.Marshal(campaign.ErrorEnvelope{Error: campaign.ErrorBody{
 		Code:    campaign.CodeInternal,

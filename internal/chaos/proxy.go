@@ -1,37 +1,29 @@
-// Fault injection at the HTTP boundary: a reverse proxy for fronting a
-// real daemon over TCP, and a handler wrapper for in-process tests.
-// Both consult the same Engine and speak the same fault vocabulary, so
-// a chaos profile behaves identically whether the fleet under test is
-// three OS processes or three httptest servers.
+// Fault injection over TCP: a reverse proxy in front of one real daemon
+// whose upstream transport is an Injector, so a chaos profile damages
+// traffic through the same code whether the fleet under test is three
+// OS processes or three in-process clients.
 
 package chaos
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
+	"net/http/httputil"
 	"net/url"
-	"strings"
-	"time"
 
 	"repro/campaign"
 )
 
-// Proxy is a fault-injecting reverse proxy in front of one dlsimd. The
-// proxy is deliberately hand-rolled rather than httputil-based: faults
-// like truncation need byte-level control over the response copy, and
-// resets need to abort the connection mid-body, which the stock proxy
-// does not expose.
-type Proxy struct {
-	target *url.URL
-	engine *Engine
-	rt     http.RoundTripper
-}
-
-// NewProxy builds a proxy forwarding to target (e.g.
-// "http://127.0.0.1:8080") with faults decided by engine.
-func NewProxy(target string, engine *Engine) (*Proxy, error) {
+// NewProxy returns a reverse proxy that forwards to target (e.g.
+// "http://127.0.0.1:8080") through an Injector armed with engine. A
+// fault the Injector makes up as an error (reset, blackhole, latency
+// cut short) aborts the client's connection without a response; a real
+// upstream failure answers 502 with an error envelope.
+func NewProxy(target string, engine *Engine) (http.Handler, error) {
 	u, err := url.Parse(target)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: bad target %q: %w", target, err)
@@ -39,228 +31,31 @@ func NewProxy(target string, engine *Engine) (*Proxy, error) {
 	if u.Scheme == "" || u.Host == "" {
 		return nil, fmt.Errorf("chaos: target %q needs scheme and host", target)
 	}
-	return &Proxy{target: u, engine: engine, rt: http.DefaultTransport}, nil
-}
-
-// ServeHTTP applies at most one fault to the request, then forwards it
-// upstream, streaming the response back (possibly damaged, for
-// truncate/corrupt faults).
-func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	rule, inject := p.engine.Decide(r.Method, r.URL.Path)
-	if inject {
-		switch rule.Fault {
-		case FaultReset:
-			// Abort the connection without writing a response: the
-			// client observes a reset / unexpected EOF, the
-			// transport-error retry path.
-			panic(http.ErrAbortHandler)
-		case FaultBlackhole:
-			// Hold the request open until the client gives up.
-			<-r.Context().Done()
-			panic(http.ErrAbortHandler)
-		case FaultError5xx:
-			writeInjectedError(w)
-			return
-		case FaultLatency:
-			if !sleepCtx(r, time.Duration(rule.Latency)) {
+	in := &Injector{Next: doFunc(http.DefaultTransport.RoundTrip), Engine: engine}
+	return &httputil.ReverseProxy{
+		Rewrite:   func(r *httputil.ProxyRequest) { r.SetURL(u) },
+		Transport: doFunc(in.Do),
+		// Copying a truncated body fails by design; the proxy aborts
+		// the connection then, and the failure is not worth a log line.
+		ErrorLog: log.New(io.Discard, "", 0),
+		ErrorHandler: func(w http.ResponseWriter, _ *http.Request, err error) {
+			if errors.Is(err, errInjected) {
 				panic(http.ErrAbortHandler)
 			}
-			// fall through to a normal forward
-		}
-	}
-
-	out := r.Clone(r.Context())
-	out.URL.Scheme = p.target.Scheme
-	out.URL.Host = p.target.Host
-	out.URL.Path = singleJoin(p.target.Path, r.URL.Path)
-	out.Host = p.target.Host
-	out.RequestURI = "" // client requests must not set it
-	resp, err := p.rt.RoundTrip(out)
-	if err != nil {
-		// Upstream genuinely unreachable — not an injected fault, but
-		// surface it in the shape clients already handle.
-		writeBadGateway(w, err)
-		return
-	}
-	defer resp.Body.Close()
-
-	copyHeader(w.Header(), resp.Header)
-	var dst io.Writer = w
-	if inject && (rule.Fault == FaultTruncate || rule.Fault == FaultCorrupt) {
-		// Damaging the stream invalidates the advertised length.
-		w.Header().Del("Content-Length")
-		dst = &faultWriter{w: w, fault: rule.Fault, after: rule.After}
-	}
-	w.WriteHeader(resp.StatusCode)
-	if _, err := io.Copy(dst, resp.Body); err != nil {
-		// Either the injected truncation or a real copy failure; both
-		// end the same way — a non-clean connection abort, with the
-		// delivered prefix flushed first so the client sees it.
-		if f, ok := w.(http.Flusher); ok {
-			f.Flush()
-		}
-		panic(http.ErrAbortHandler)
-	}
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusBadGateway)
+			_ = json.NewEncoder(w).Encode(campaign.ErrorEnvelope{Error: campaign.ErrorBody{
+				Code:    campaign.CodeInternal,
+				Message: fmt.Sprintf("chaos: upstream unreachable: %v", err),
+			}})
+		},
+	}, nil
 }
 
-// WrapHandler interposes the same fault behavior in front of an
-// in-process handler (e.g. the service mux under httptest) — no
-// sockets between proxy and backend, but the client-visible failure
-// modes are identical.
-func WrapHandler(h http.Handler, engine *Engine) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rule, inject := engine.Decide(r.Method, r.URL.Path)
-		if inject {
-			switch rule.Fault {
-			case FaultReset:
-				panic(http.ErrAbortHandler)
-			case FaultBlackhole:
-				<-r.Context().Done()
-				panic(http.ErrAbortHandler)
-			case FaultError5xx:
-				writeInjectedError(w)
-				return
-			case FaultLatency:
-				if !sleepCtx(r, time.Duration(rule.Latency)) {
-					panic(http.ErrAbortHandler)
-				}
-			case FaultTruncate, FaultCorrupt:
-				fw := &faultWriter{w: w, fault: rule.Fault, after: rule.After}
-				h.ServeHTTP(&faultResponseWriter{ResponseWriter: w, dst: fw}, r)
-				return
-			}
-		}
-		h.ServeHTTP(w, r)
-	})
-}
+// doFunc is both a Doer and an http.RoundTripper: the Injector runs
+// http.DefaultTransport as its Next, and the proxy runs the Injector as
+// its Transport.
+type doFunc func(*http.Request) (*http.Response, error)
 
-// faultWriter forwards bytes until `after` have passed, then either
-// aborts (truncate) or damages exactly one byte and continues
-// (corrupt). The corrupting byte is 0x00 — NUL is invalid anywhere in
-// JSON (strings, numbers, whitespace), so downstream decoders are
-// guaranteed to notice rather than silently accept a changed value.
-type faultWriter struct {
-	w       io.Writer
-	fault   Fault
-	after   int64
-	written int64
-	damaged bool
-}
-
-func (fw *faultWriter) Write(p []byte) (int, error) {
-	switch fw.fault {
-	case FaultTruncate:
-		remain := fw.after - fw.written
-		if remain <= 0 {
-			return 0, fmt.Errorf("chaos: stream truncated after %d bytes", fw.after)
-		}
-		if int64(len(p)) > remain {
-			n, err := fw.w.Write(p[:remain])
-			fw.written += int64(n)
-			if err != nil {
-				return n, err
-			}
-			return n, fmt.Errorf("chaos: stream truncated after %d bytes", fw.after)
-		}
-	case FaultCorrupt:
-		if !fw.damaged && fw.written+int64(len(p)) > fw.after {
-			i := fw.after - fw.written
-			q := make([]byte, len(p))
-			copy(q, p)
-			q[i] = 0x00
-			fw.damaged = true
-			p = q
-		}
-	}
-	n, err := fw.w.Write(p)
-	fw.written += int64(n)
-	return n, err
-}
-
-// faultResponseWriter routes body writes through a faultWriter while
-// leaving headers and status with the real ResponseWriter. Flush is
-// forwarded so streaming handlers behave; a truncation error from the
-// fault writer escalates to a connection abort, matching what a client
-// of a dying node would observe.
-type faultResponseWriter struct {
-	http.ResponseWriter
-	dst *faultWriter
-}
-
-func (w *faultResponseWriter) Write(p []byte) (int, error) {
-	n, err := w.dst.Write(p)
-	if err != nil {
-		// Push the delivered prefix onto the wire before aborting, so
-		// the client observes bytes-then-death, not a silent no-show.
-		w.Flush()
-		panic(http.ErrAbortHandler)
-	}
-	return n, err
-}
-
-func (w *faultResponseWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// writeInjectedError answers 503 with a well-formed error envelope, the
-// same document a failing daemon would produce. Code "internal" keeps
-// it on the client's retryable path.
-func writeInjectedError(w http.ResponseWriter) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusServiceUnavailable)
-	_ = json.NewEncoder(w).Encode(campaign.ErrorEnvelope{Error: campaign.ErrorBody{
-		Code:    campaign.CodeInternal,
-		Message: "chaos: injected server error",
-	}})
-}
-
-func writeBadGateway(w http.ResponseWriter, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusBadGateway)
-	_ = json.NewEncoder(w).Encode(campaign.ErrorEnvelope{Error: campaign.ErrorBody{
-		Code:    campaign.CodeInternal,
-		Message: fmt.Sprintf("chaos: upstream unreachable: %v", err),
-	}})
-}
-
-// sleepCtx sleeps for d or until the request dies, reporting whether
-// the full delay elapsed.
-func sleepCtx(r *http.Request, d time.Duration) bool {
-	if d <= 0 {
-		return true
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-r.Context().Done():
-		return false
-	}
-}
-
-func singleJoin(a, b string) string {
-	switch {
-	case a == "" || a == "/":
-		if b == "" {
-			return "/"
-		}
-		return b
-	case strings.HasSuffix(a, "/") && strings.HasPrefix(b, "/"):
-		return a + b[1:]
-	case !strings.HasSuffix(a, "/") && !strings.HasPrefix(b, "/") && b != "":
-		return a + "/" + b
-	default:
-		return a + b
-	}
-}
-
-func copyHeader(dst, src http.Header) {
-	for k, vv := range src {
-		for _, v := range vv {
-			dst.Add(k, v)
-		}
-	}
-}
+func (f doFunc) Do(r *http.Request) (*http.Response, error)        { return f(r) }
+func (f doFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }

@@ -14,9 +14,9 @@
 //     grid out over a bounded worker pool with deterministic per-run
 //     seed derivation and aggregates per-run metrics independently of
 //     completion order, so results are bit-reproducible for a given seed
-//     regardless of the degree of parallelism (DESIGN.md §6; the paper
-//     itself ran its 1000-replication campaigns "in parallel on the HPC
-//     cluster taurus", §V).
+//     regardless of the degree of parallelism (the paper itself ran its
+//     1000-replication campaigns "in parallel on the HPC cluster
+//     taurus", §V).
 package engine
 
 import (

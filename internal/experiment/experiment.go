@@ -7,7 +7,7 @@
 // (§V); this package parallelizes the independent runs of an experiment
 // over local CPU cores instead. Results are bit-reproducible for a given
 // seed regardless of the degree of parallelism, because every run draws
-// from an independently derived rand48 stream (DESIGN.md §6).
+// from an independently derived rand48 stream (rng.StreamFor).
 package experiment
 
 import (

@@ -29,9 +29,9 @@ type TzenSpec struct {
 	Ps       []int       // PE counts to sweep
 	Curves   []TzenCurve // lines of the figure
 
-	// System model for the BBN GP-1000 stand-in (DESIGN.md §3.4): message
-	// latency per master↔worker link and a fixed master service time per
-	// scheduling operation.
+	// System model for the BBN GP-1000 stand-in: message latency per
+	// master↔worker link and a fixed master service time per scheduling
+	// operation.
 	LinkLatency    float64
 	MasterOverhead float64
 

@@ -1,9 +1,8 @@
 // Package perturb models systemic variability: fluctuating PE speeds,
 // uneven start times and transient slowdowns. The paper's earlier-work
 // context investigated the robustness [2] and resilience [3] of DLS
-// techniques under exactly these perturbations; here they feed the
-// ablation benchmarks (DESIGN.md) through sim.Config.Perturb and
-// sim.Config.StartTimes.
+// techniques under exactly these perturbations; here they plug into
+// sim.Config.Perturb and sim.Config.StartTimes.
 //
 // All models are deterministic functions of their inputs (plus an
 // explicit rand48 stream where randomness is wanted), keeping perturbed

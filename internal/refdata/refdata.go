@@ -6,9 +6,8 @@
 // values from Table I of the BOLD publication, which this repository does
 // not possess. Instead, hagerup_data.go contains a pinned dataset
 // generated once by this repository's own Hagerup-replica simulator under
-// the documented seed below (see DESIGN.md §3.2 and cmd/genref). The
-// discrepancy methodology of the paper (Figures 5c–8d) runs unchanged
-// against it.
+// the documented seed below (see cmd/genref). The discrepancy
+// methodology of the paper (Figures 5c–8d) runs unchanged against it.
 //
 // Tzen–Ni reference (Figures 3a/4a): approximate digitizations of the
 // published speedup curves, encoded point by point in tzen.go with the

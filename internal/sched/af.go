@@ -23,7 +23,7 @@ import (
 // individual tasks, so σ_i² is estimated from the spread of per-task
 // chunk means m_c = T_c/K_c via Var(m_c) ≈ σ_i²/K_c, i.e. each chunk
 // contributes a sample (m_c − µ_i)²·K_c. This is the standard
-// chunk-granularity estimator and is documented in DESIGN.md.
+// chunk-granularity estimator.
 type AF struct {
 	base
 	// Per-PE estimate state.

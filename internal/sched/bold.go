@@ -11,10 +11,10 @@ import (
 // the number of scheduling operations and lets an overhead-aware floor
 // stop the chunk decay before per-operation overhead dominates.
 //
-// Reconstruction note (DESIGN.md §3.1): Hagerup's original pseudocode is
-// not reproduced in the paper under reproduction, so this implementation
-// reconstructs BOLD from its published design objective using three
-// documented ingredients:
+// Reconstruction note: Hagerup's original pseudocode is not reproduced
+// in the paper under reproduction, so this implementation reconstructs
+// BOLD from its published design objective using three documented
+// ingredients:
 //
 //  1. Unbatched first-batch factoring. Every allocation applies the FAC
 //     first-batch rule to the current remainder,

@@ -18,10 +18,11 @@
 // from the paper's setup on request:
 //
 //   - HInDynamics charges h inside the master loop, serializing
-//     concurrent requests the way a real master would (DESIGN.md A1).
+//     concurrent requests the way a real master would (ablation A1 in
+//     bench_test.go).
 //   - PerMessageCost adds a fixed network round-trip per scheduling
-//     operation (DESIGN.md A3), which is how the TSS-publication
-//     experiments are driven without the full MSG stack.
+//     operation (ablation A3 in bench_test.go), which is how the
+//     TSS-publication experiments are driven without the full MSG stack.
 //
 // The heavyweight alternative — the process-oriented SimGrid-MSG model
 // with explicit messages — lives in internal/msg and is cross-validated

@@ -14,9 +14,9 @@
 //     contiguous chunk [start, start+count). For deterministic workloads
 //     this is a closed form; for i.i.d. exponential tasks the sum is drawn
 //     in O(1) as a Gamma(count, mean) variate, which is distributionally
-//     identical to summing count exponentials (see DESIGN.md §6). Other
-//     random workloads sum task by task unless the caller opts into the
-//     Gaussian (CLT) approximation.
+//     identical to summing count exponentials. Other random workloads
+//     sum task by task unless the caller opts into the Gaussian (CLT)
+//     approximation.
 //
 // All times are in seconds of simulated time.
 package workload
