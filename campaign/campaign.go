@@ -160,15 +160,18 @@ func ParseSpec(data []byte) (Spec, error) { return engine.ParseSpec(data) }
 
 // DecodeEvent parses one line of a JSONL result stream back into an
 // Event, bit-exactly (the stream encodes floats in shortest round-trip
-// form). The reconstructed Spec carries the row's identifying
-// coordinates only (Technique, N, P).
+// form). It accepts and rejects exactly the lines encoding/json
+// accepts and rejects for the row schema, with the same values: keys
+// in any order, unknown fields ignored. The reconstructed Spec carries
+// the row's identifying coordinates only (Technique, N, P).
 func DecodeEvent(line []byte) (Event, error) { return engine.DecodeJSONLEvent(line) }
 
 // NewCSVSink returns a sink streaming one CSV row per run to w.
 func NewCSVSink(w io.Writer) Sink { return engine.NewCSVSink(w) }
 
 // NewJSONLSink returns a sink streaming one JSON object per run to w —
-// the encoding DecodeEvent reverses.
+// the encoding DecodeEvent reverses, byte for byte what encoding/json
+// writes for the row. Rows are buffered until Close.
 func NewJSONLSink(w io.Writer) Sink { return engine.NewJSONLSink(w) }
 
 // NewMemoryStore returns an in-process result store.

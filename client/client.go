@@ -524,7 +524,9 @@ func (c *Client) stream(ctx context.Context, id string, sinks []campaign.Sink) e
 	}
 	defer body.Close()
 	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
+	// The buffer starts at the Scanner's default size and grows only
+	// for a long line, up to the 1 MiB cap.
+	sc.Buffer(nil, 1<<20)
 	var events int64
 	for sc.Scan() {
 		line := sc.Bytes()

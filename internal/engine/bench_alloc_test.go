@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"io"
 	"math"
 	"runtime"
 	"testing"
@@ -146,8 +147,10 @@ func (discardSink) Close() error                         { return nil }
 
 // TestOrderedSinkAllocationBudget: attaching an ordered sink costs no
 // heap memory per run. Events are built at delivery time, one at a time
-// on the stack, so an Execute with one discarding ordered sink must
-// allocate within 8 bytes per run of the same campaign without it.
+// on the stack, so an Execute with one ordered sink — one that drops
+// every event, or a JSONL export encoding every row into a reused
+// buffer — must allocate within 8 bytes per run of the same campaign
+// without it.
 func TestOrderedSinkAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is slow under -short")
@@ -157,9 +160,10 @@ func TestOrderedSinkAllocationBudget(t *testing.T) {
 	}
 	spec := benchSpec(2500) // 2 points × 2500 reps = 5000 runs
 	const runs = 5000
-	bytesPerRun := func(sinks ...Sink) float64 {
+	bytesPerRun := func(newSinks func() []Sink) float64 {
 		best := math.Inf(1)
 		for i := 0; i < 2; i++ {
+			sinks := newSinks()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			if _, err := spec.Execute(context.Background(), ExecConfig{Workers: 1, Sinks: sinks}); err != nil {
@@ -170,10 +174,18 @@ func TestOrderedSinkAllocationBudget(t *testing.T) {
 		}
 		return best
 	}
-	bare := bytesPerRun()
-	ordered := bytesPerRun(discardSink{})
-	t.Logf("bytes per run: %.1f without sinks, %.1f with one ordered sink", bare, ordered)
-	if ordered > bare+8 {
-		t.Errorf("an ordered sink costs %.1f B/run over the bare campaign's %.1f; budget is 8", ordered-bare, bare)
+	bare := bytesPerRun(func() []Sink { return nil })
+	for _, c := range []struct {
+		name string
+		sink func() Sink
+	}{
+		{"discarding sink", func() Sink { return discardSink{} }},
+		{"JSONL sink", func() Sink { return NewJSONLSink(io.Discard) }},
+	} {
+		ordered := bytesPerRun(func() []Sink { return []Sink{c.sink()} })
+		t.Logf("bytes per run: %.1f without sinks, %.1f with one %s", bare, ordered, c.name)
+		if ordered > bare+8 {
+			t.Errorf("a %s costs %.1f B/run over the bare campaign's %.1f; budget is 8", c.name, ordered-bare, bare)
+		}
 	}
 }

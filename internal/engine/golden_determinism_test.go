@@ -36,7 +36,8 @@ func goldenRun(t *testing.T, spec CampaignSpec, workers, chunkSize int) ([]byte,
 
 // serialRun is the naive reference: one Backend.Run per replication (a
 // fresh, throwaway runner each time) in (point, replication) order, its
-// events fed to a JSONL sink and the spec's Aggregator.
+// events fed to a JSONL sink and the spec's Aggregator, both closed at
+// the end as the Sink contract requires.
 func serialRun(t *testing.T, spec CampaignSpec) ([]byte, *CampaignResult) {
 	t.Helper()
 	ctx := context.Background()
@@ -71,8 +72,10 @@ func serialRun(t *testing.T, spec CampaignSpec) ([]byte, *CampaignResult) {
 			}
 		}
 	}
-	if err := agg.Close(); err != nil {
-		t.Fatal(err)
+	for _, s := range sinks {
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return buf.Bytes(), agg.Result()
 }
