@@ -72,7 +72,7 @@ func TestExecuteFastAndGenericPathsAgree(t *testing.T) {
 func TestLocalRunnerLifecycle(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	ctx := context.Background()
-	r := campaign.NewLocal(campaign.LocalConfig{QueueDepth: 4})
+	r := campaign.NewLocal(campaign.LocalConfig{})
 	defer r.Close()
 
 	spec := testSpec(7, 5)

@@ -93,11 +93,10 @@ func TestRetryConnectionRefused(t *testing.T) {
 	// Close the listener's accept socket is not possible pre-start; the
 	// unstarted server holds the port but refuses HTTP until Start. A
 	// request before Start hangs in accept rather than being refused on
-	// some platforms, so bound each attempt with a short timeout — the
-	// timeout itself is a retryable transport failure.
-	c, err := New("http://"+addr, WithOptions(Options{
-		Timeout: 20 * time.Millisecond,
-		Retry:   RetryPolicy{MaxAttempts: 10, BaseDelay: 10 * time.Millisecond, MaxDelay: 20 * time.Millisecond},
+	// some platforms, so bound each attempt with a short timeout on the
+	// transport — the timeout itself is a retryable transport failure.
+	c, err := New("http://"+addr, WithDoer(&http.Client{Timeout: 20 * time.Millisecond}), WithOptions(Options{
+		Retry: RetryPolicy{MaxAttempts: 10, BaseDelay: 10 * time.Millisecond, MaxDelay: 20 * time.Millisecond},
 	}))
 	if err != nil {
 		t.Fatal(err)

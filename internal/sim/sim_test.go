@@ -309,6 +309,8 @@ func TestRunRejectsNaN(t *testing.T) {
 		mut  func(*Config)
 	}{
 		{"NaN speed", func(c *Config) { c.Speeds = []float64{1, nan, 1, 1} }},
+		{"zero speed", func(c *Config) { c.Speeds = []float64{1, 0, 1, 1} }},
+		{"negative speed", func(c *Config) { c.Speeds = []float64{1, -1, 1, 1} }},
 		{"NaN perturbation", func(c *Config) {
 			c.Perturb = func(w int, _ float64) float64 {
 				if w == 1 {
