@@ -11,7 +11,9 @@ import (
 )
 
 // LocalConfig parameterizes a LocalRunner. The zero value is usable:
-// no persistent store, all CPU cores, default queue depth.
+// no persistent store, all CPU cores. The job queue holds up to 64
+// waiting jobs and runs one campaign at a time, each with an auto-sized
+// replication chunk (engine.ExecConfig.ChunkSize).
 type LocalConfig struct {
 	// Store holds completed campaign results content-addressed by spec
 	// hash; repeated specs are then served with zero simulator runs.
@@ -22,20 +24,6 @@ type LocalConfig struct {
 	// Workers bounds concurrently executing runs per campaign; 0 selects
 	// GOMAXPROCS. Results are identical for any worker count.
 	Workers int
-
-	// ChunkSize is the number of consecutive replications executed per
-	// work item inside a campaign; 0 auto-sizes (see
-	// engine.ExecConfig.ChunkSize). Like Workers it changes scheduling,
-	// never results.
-	ChunkSize int
-
-	// QueueDepth bounds jobs waiting to run; submissions beyond it fail
-	// with ErrQueueFull. 0 selects 64.
-	QueueDepth int
-
-	// Concurrency is the number of campaigns executing at once; 0
-	// selects 1 (each campaign already fans out over Workers).
-	Concurrency int
 }
 
 // LocalRunner executes campaigns in-process through the engine's worker
@@ -73,13 +61,7 @@ func (r *LocalRunner) manager() (*jobs.Manager, error) {
 		return nil, ErrClosed
 	}
 	if r.mgr == nil {
-		r.mgr = jobs.NewManager(jobs.Config{
-			Store:       r.cfg.Store,
-			QueueDepth:  r.cfg.QueueDepth,
-			Concurrency: r.cfg.Concurrency,
-			Workers:     r.cfg.Workers,
-			ChunkSize:   r.cfg.ChunkSize,
-		})
+		r.mgr = jobs.NewManager(jobs.Config{Store: r.cfg.Store, Workers: r.cfg.Workers})
 	}
 	return r.mgr, nil
 }
@@ -89,7 +71,6 @@ func (r *LocalRunner) manager() (*jobs.Manager, error) {
 func (r *LocalRunner) Execute(ctx context.Context, spec Spec, opts ExecOptions) (*Result, error) {
 	return spec.Execute(ctx, engine.ExecConfig{
 		Workers:    r.cfg.Workers,
-		ChunkSize:  r.cfg.ChunkSize,
 		KeepPerRun: opts.KeepPerRun,
 		Cache:      r.cfg.Store,
 		Sinks:      opts.Sinks,
@@ -152,14 +133,14 @@ func (r *LocalRunner) Cancel(_ context.Context, id string) error {
 
 // Describe implements Runner. The description's Execution block
 // reports this runner's effective configuration: the host CPU count,
-// the worker pool Workers resolves to, and the chunk-size knob.
+// the worker pool Workers resolves to, an auto-sized chunk (0) and one
+// campaign at a time.
 func (r *LocalRunner) Describe(context.Context) (Description, error) {
 	d := LocalDescription()
 	d.Execution = &Execution{
 		CPUs:        runtime.NumCPU(),
 		Workers:     effectiveWorkers(r.cfg.Workers),
-		ChunkSize:   r.cfg.ChunkSize,
-		Concurrency: effectiveConcurrency(r.cfg.Concurrency),
+		Concurrency: 1,
 	}
 	return d, nil
 }
@@ -171,15 +152,6 @@ func effectiveWorkers(w int) int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return w
-}
-
-// effectiveConcurrency resolves the Concurrency knob's zero default the
-// same way the job manager does (jobs.Config.Concurrency).
-func effectiveConcurrency(c int) int {
-	if c <= 0 {
-		return 1
-	}
-	return c
 }
 
 // Close shuts the runner down: submissions start failing with

@@ -22,20 +22,17 @@ import (
 // implements campaign.Runner — the remote counterpart of
 // campaign.LocalRunner.
 type Client struct {
-	base     string // normalized base URL, no trailing slash
-	hc       *http.Client
-	doer     Doer // transport seam; defaults to hc
-	ua       string
-	apiKey   string
-	opts     Options
-	customHC bool // WithHTTPClient was given; don't tune the transport
+	base   string // normalized base URL, no trailing slash
+	doer   Doer   // transport seam; defaults to a plain *http.Client
+	apiKey string
+	opts   Options
 }
 
-// Doer issues one HTTP request — the client's transport seam.
-// *http.Client implements it; tests and the fault-injection harness
-// (internal/chaos.Injector) substitute their own to exercise failure
-// paths without sockets. The client's retry policy operates above the
-// Doer: each retry is one more Do call.
+// Doer issues one HTTP request — the client's only transport seam,
+// installed with WithDoer. *http.Client implements it; tests and the
+// fault-injection harness (internal/chaos.Injector) substitute their
+// own to exercise failure paths without sockets. The client's retry
+// policy operates above the Doer: each retry is one more Do call.
 type Doer interface {
 	Do(*http.Request) (*http.Response, error)
 }
@@ -82,59 +79,37 @@ type RetryPolicy struct {
 // up to 4 attempts, 50ms base delay doubling to a 2s cap, half-jittered.
 var DefaultRetry = RetryPolicy{MaxAttempts: 4, BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second, Jitter: 0.5}
 
-// Options bundles the client's reliability and connection tuning knobs.
-// The zero value preserves the historical behaviour: no per-request
-// timeout, no retries, default transport.
+// Options holds the client's retry policy. The zero value issues every
+// request exactly once.
 type Options struct {
-	// Timeout bounds each unary request (Submit, Job, Jobs, Cancel,
-	// Describe, Techniques, Backends, Health) from dial to fully read
-	// body. It does NOT apply to Wait or to result streaming — those
-	// legitimately block for as long as a campaign runs; bound them per
-	// call through the context.
-	Timeout time.Duration
 	// Retry enables transparent retry of transient failures: transport
-	// errors (connection refused, reset, per-request timeout) and any
-	// 5xx response — which covers campaign.ErrQueueFull and
+	// errors (connection refused, reset, a Doer's timeout) and any 5xx
+	// response — which covers campaign.ErrQueueFull and
 	// campaign.ErrClosed, both mapped to HTTP 503 by the service.
 	// Non-5xx API errors (validation, not-found) never retry, and a
 	// cancelled caller context stops retrying immediately.
 	Retry RetryPolicy
-	// MaxIdleConnsPerHost tunes keep-alive connection reuse against a
-	// single node; useful when a coordinator multiplexes many in-flight
-	// shards over one client. 0 keeps the transport default (2).
-	// Ignored when WithHTTPClient supplies a custom client.
-	MaxIdleConnsPerHost int
 }
 
 // Option customizes a Client.
 type Option func(*Client)
 
-// WithHTTPClient installs the http.Client used for every request (e.g.
-// to add timeouts, TLS configuration or instrumentation). The default
-// client has no timeout — Wait and Stream legitimately block for as
-// long as a campaign runs; bound them per call through the context.
-// Overrides Options.MaxIdleConnsPerHost.
-func WithHTTPClient(hc *http.Client) Option {
-	return func(c *Client) { c.hc = hc; c.customHC = true }
-}
-
 // WithDoer installs the transport used for every request, below the
-// retry policy: fault injectors, instrumentation, or any wrapper around
-// a real *http.Client. Takes precedence over WithHTTPClient for issuing
-// requests.
+// retry policy: an *http.Client with a timeout, TLS configuration or a
+// tuned Transport, a fault injector, or any instrumenting wrapper
+// around one. The default is an *http.Client with no timeout, since
+// Wait and Stream legitimately block for as long as a campaign runs;
+// bound a call through its context instead. An *http.Client's Timeout
+// covers every request, long polls included.
 func WithDoer(d Doer) Option {
 	return func(c *Client) { c.doer = d }
 }
-
-// WithUserAgent sets the User-Agent header sent with every request.
-func WithUserAgent(ua string) Option { return func(c *Client) { c.ua = ua } }
 
 // WithAPIKey sends the key as "Authorization: Bearer <key>" on every
 // request — the credential for services running with -auth.
 func WithAPIKey(key string) Option { return func(c *Client) { c.apiKey = key } }
 
-// WithOptions installs the client's timeout, retry and connection
-// tuning knobs.
+// WithOptions installs the client's retry policy.
 func WithOptions(o Options) Option { return func(c *Client) { c.opts = o } }
 
 // New returns a client for the service at baseURL (e.g.
@@ -152,22 +127,10 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 	}
 	c := &Client{
 		base: strings.TrimRight(u.String(), "/"),
-		hc:   &http.Client{},
-		ua:   "repro-client/" + campaign.APIVersion,
+		doer: &http.Client{},
 	}
 	for _, o := range opts {
 		o(c)
-	}
-	if c.opts.MaxIdleConnsPerHost > 0 && !c.customHC {
-		tr := http.DefaultTransport.(*http.Transport).Clone()
-		tr.MaxIdleConnsPerHost = c.opts.MaxIdleConnsPerHost
-		if tr.MaxIdleConns < c.opts.MaxIdleConnsPerHost {
-			tr.MaxIdleConns = c.opts.MaxIdleConnsPerHost
-		}
-		c.hc = &http.Client{Transport: tr}
-	}
-	if c.doer == nil {
-		c.doer = c.hc
 	}
 	return c, nil
 }
@@ -220,15 +183,11 @@ func (e *APIError) Unwrap() error {
 	return nil
 }
 
-// do issues one request with the client's timeout and retry policy
-// applied and, on a non-2xx status, drains the body into an *APIError.
-// On success the response is returned with its body open; the caller
-// owns closing it. unary marks bounded request/response calls: only
-// those get Options.Timeout, and their bodies are buffered before
-// return so a retried attempt can never interleave with a half-read
-// predecessor. Long-lived calls (Wait, Results) pass unary=false —
-// they still retry failures that occur before the response starts.
-func (c *Client) do(ctx context.Context, method, path string, query url.Values, body []byte, accept string, unary bool) (*http.Response, error) {
+// do issues one request with the client's retry policy applied and, on
+// a non-2xx status, drains the body into an *APIError. On success the
+// response is returned with its body open; the caller owns closing it.
+// Only failures that occur before the response starts are retried.
+func (c *Client) do(ctx context.Context, method, path string, query url.Values, body []byte, accept string) (*http.Response, error) {
 	attempts := c.opts.Retry.MaxAttempts
 	if attempts < 1 {
 		attempts = 1
@@ -248,7 +207,7 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 				return nil, last
 			}
 		}
-		resp, err := c.doOnce(ctx, method, path, query, body, accept, unary)
+		resp, err := c.doOnce(ctx, method, path, query, body, accept)
 		if err == nil {
 			return resp, nil
 		}
@@ -313,12 +272,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-func (c *Client) doOnce(ctx context.Context, method, path string, query url.Values, body []byte, accept string, unary bool) (*http.Response, error) {
-	if unary && c.opts.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.opts.Timeout)
-		defer cancel()
-	}
+func (c *Client) doOnce(ctx context.Context, method, path string, query url.Values, body []byte, accept string) (*http.Response, error) {
 	u := c.base + path
 	if len(query) > 0 {
 		u += "?" + query.Encode()
@@ -331,7 +285,7 @@ func (c *Client) doOnce(ctx context.Context, method, path string, query url.Valu
 	if err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}
-	req.Header.Set("User-Agent", c.ua)
+	req.Header.Set("User-Agent", "repro-client/"+campaign.APIVersion)
 	if c.apiKey != "" {
 		req.Header.Set("Authorization", "Bearer "+c.apiKey)
 	}
@@ -346,17 +300,6 @@ func (c *Client) doOnce(ctx context.Context, method, path string, query url.Valu
 		return nil, fmt.Errorf("client: %s %s: %w", method, path, err)
 	}
 	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
-		if unary && c.opts.Timeout > 0 {
-			// The attempt's timeout context dies when doOnce returns, which
-			// would abort a body still being read — so read it here, inside
-			// the timeout, and hand back a drained replacement.
-			raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-			resp.Body.Close()
-			if err != nil {
-				return nil, fmt.Errorf("client: %s %s: read response: %w", method, path, err)
-			}
-			resp.Body = io.NopCloser(bytes.NewReader(raw))
-		}
 		return resp, nil
 	}
 	defer resp.Body.Close()
@@ -382,11 +325,9 @@ func (c *Client) doOnce(ctx context.Context, method, path string, query url.Valu
 	return nil, apiErr
 }
 
-// getJSON issues a GET and decodes the JSON response into out. unary
-// follows do's meaning: bounded calls get Options.Timeout, long polls
-// (Wait) do not.
-func (c *Client) getJSON(ctx context.Context, path string, query url.Values, out any, unary bool) error {
-	resp, err := c.do(ctx, http.MethodGet, path, query, nil, "application/json", unary)
+// getJSON issues a GET and decodes the JSON response into out.
+func (c *Client) getJSON(ctx context.Context, path string, query url.Values, out any) error {
+	resp, err := c.do(ctx, http.MethodGet, path, query, nil, "application/json")
 	if err != nil {
 		return err
 	}
@@ -403,7 +344,7 @@ func (c *Client) Submit(ctx context.Context, spec campaign.Spec) (campaign.Job, 
 	if err != nil {
 		return campaign.Job{}, fmt.Errorf("client: encode spec: %w", err)
 	}
-	resp, err := c.do(ctx, http.MethodPost, "/v1/jobs", nil, body, "application/json", true)
+	resp, err := c.do(ctx, http.MethodPost, "/v1/jobs", nil, body, "application/json")
 	if err != nil {
 		return campaign.Job{}, err
 	}
@@ -421,7 +362,7 @@ func (c *Client) Submit(ctx context.Context, spec campaign.Spec) (campaign.Job, 
 // Job returns one job's current status: GET /v1/jobs/{id}.
 func (c *Client) Job(ctx context.Context, id string) (campaign.Snapshot, error) {
 	var snap campaign.Snapshot
-	err := c.getJSON(ctx, "/v1/jobs/"+url.PathEscape(id), nil, &snap, true)
+	err := c.getJSON(ctx, "/v1/jobs/"+url.PathEscape(id), nil, &snap)
 	return snap, err
 }
 
@@ -429,7 +370,7 @@ func (c *Client) Job(ctx context.Context, id string) (campaign.Snapshot, error) 
 // server-side until the job is terminal or ctx is cancelled.
 func (c *Client) Wait(ctx context.Context, id string) (campaign.Snapshot, error) {
 	var snap campaign.Snapshot
-	err := c.getJSON(ctx, "/v1/jobs/"+url.PathEscape(id), url.Values{"wait": {"1"}}, &snap, false)
+	err := c.getJSON(ctx, "/v1/jobs/"+url.PathEscape(id), url.Values{"wait": {"1"}}, &snap)
 	return snap, err
 }
 
@@ -459,13 +400,13 @@ func (c *Client) Jobs(ctx context.Context, opts ListOptions) (JobList, error) {
 		q.Set("after", opts.After)
 	}
 	var page JobList
-	err := c.getJSON(ctx, "/v1/jobs", q, &page, true)
+	err := c.getJSON(ctx, "/v1/jobs", q, &page)
 	return page, err
 }
 
 // Cancel implements campaign.Runner: DELETE /v1/jobs/{id}.
 func (c *Client) Cancel(ctx context.Context, id string) error {
-	resp, err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+url.PathEscape(id), nil, nil, "application/json", true)
+	resp, err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+url.PathEscape(id), nil, nil, "application/json")
 	if err != nil {
 		return err
 	}
@@ -489,7 +430,7 @@ func (c *Client) Results(ctx context.Context, id, format string) (io.ReadCloser,
 	if format != "" {
 		q.Set("format", format)
 	}
-	resp, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id)+"/results", q, nil, "", false)
+	resp, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id)+"/results", q, nil, "")
 	if err != nil {
 		return nil, err
 	}
@@ -556,7 +497,7 @@ func (c *Client) stream(ctx context.Context, id string, sinks []campaign.Sink) e
 // Describe implements campaign.Runner: GET /v1.
 func (c *Client) Describe(ctx context.Context) (campaign.Description, error) {
 	var d campaign.Description
-	err := c.getJSON(ctx, "/v1", nil, &d, true)
+	err := c.getJSON(ctx, "/v1", nil, &d)
 	return d, err
 }
 
@@ -566,7 +507,7 @@ func (c *Client) Techniques(ctx context.Context) ([]string, error) {
 	var out struct {
 		Techniques []string `json:"techniques"`
 	}
-	err := c.getJSON(ctx, "/v1/techniques", nil, &out, true)
+	err := c.getJSON(ctx, "/v1/techniques", nil, &out)
 	return out.Techniques, err
 }
 
@@ -575,15 +516,15 @@ func (c *Client) Backends(ctx context.Context) ([]string, error) {
 	var out struct {
 		Backends []string `json:"backends"`
 	}
-	err := c.getJSON(ctx, "/v1/backends", nil, &out, true)
+	err := c.getJSON(ctx, "/v1/backends", nil, &out)
 	return out.Backends, err
 }
 
 // Live checks the liveness probe: GET /healthz. It answers "is the
 // process up" only — a draining node is still live. Goes through the
-// client's normal timeout and retry policy.
+// client's retry policy.
 func (c *Client) Live(ctx context.Context) error {
-	resp, err := c.do(ctx, http.MethodGet, "/healthz", nil, nil, "application/json", true)
+	resp, err := c.do(ctx, http.MethodGet, "/healthz", nil, nil, "application/json")
 	if err != nil {
 		return err
 	}
@@ -601,7 +542,7 @@ func (c *Client) Live(ctx context.Context) error {
 // node's state at one moment; retrying a failed probe after a backoff
 // would only delay that answer.
 func (c *Client) Health(ctx context.Context) (campaign.Health, error) {
-	resp, err := c.doOnce(ctx, http.MethodGet, "/v1/health", nil, nil, "application/json", true)
+	resp, err := c.doOnce(ctx, http.MethodGet, "/v1/health", nil, nil, "application/json")
 	if err != nil {
 		// A draining node's 503 carries the health document in the error
 		// body doOnce could not fit into the envelope; re-fetch semantics

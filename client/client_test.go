@@ -232,7 +232,7 @@ func TestErrorEnvelopes(t *testing.T) {
 	})
 	t.Run("bad limit", func(t *testing.T) {
 		var out JobList
-		err := c.getJSON(ctx, "/v1/jobs", map[string][]string{"limit": {"-3"}}, &out, true)
+		err := c.getJSON(ctx, "/v1/jobs", map[string][]string{"limit": {"-3"}}, &out)
 		assertAPIError(t, err, http.StatusBadRequest, campaign.CodeInvalidArgument)
 	})
 
@@ -271,7 +271,7 @@ func TestErrorEnvelopes(t *testing.T) {
 	})
 	t.Run("bad wait parameter", func(t *testing.T) {
 		var snap campaign.Snapshot
-		err := c.getJSON(ctx, "/v1/jobs/"+job.ID, map[string][]string{"wait": {"maybe"}}, &snap, true)
+		err := c.getJSON(ctx, "/v1/jobs/"+job.ID, map[string][]string{"wait": {"maybe"}}, &snap)
 		assertAPIError(t, err, http.StatusBadRequest, campaign.CodeInvalidArgument)
 	})
 	t.Run("unknown format", func(t *testing.T) {

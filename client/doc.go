@@ -14,6 +14,12 @@
 // discovery (Techniques, Backends), the liveness probe (Live) and the
 // readiness document (Health).
 //
+// Three options configure a client. WithDoer is the one transport
+// seam: pass an *http.Client carrying a timeout, TLS configuration or a
+// tuned Transport, or any wrapper around one. WithOptions installs the
+// retry policy (DefaultRetry suits coordinators). WithAPIKey sets the
+// bearer credential. Per-call deadlines come from the caller's context.
+//
 // Failures carry the service's structured error envelope as an
 // *APIError with the stable machine-readable code, and map onto the
 // campaign package's sentinel errors (ErrQueueFull, ErrNotFound,

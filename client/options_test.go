@@ -183,38 +183,6 @@ func TestRetryStopsOnCancel(t *testing.T) {
 	}
 }
 
-// TestUnaryTimeoutSparesWait: Options.Timeout bounds unary calls but
-// must not clamp the long-poll Wait, whose whole point is blocking for
-// the duration of a campaign.
-func TestUnaryTimeoutSparesWait(t *testing.T) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/techniques", func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(150 * time.Millisecond)
-		w.Write([]byte(`{"techniques":["STATIC"]}`))
-	})
-	mux.HandleFunc("/v1/jobs/slow", func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(150 * time.Millisecond)
-		json.NewEncoder(w).Encode(campaign.Snapshot{ID: "slow", State: "done"})
-	})
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-
-	c, err := New(srv.URL, WithOptions(Options{Timeout: 40 * time.Millisecond}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Techniques(context.Background()); err == nil {
-		t.Fatal("Techniques beat a 40ms timeout against a 150ms handler")
-	}
-	snap, err := c.Wait(context.Background(), "slow")
-	if err != nil {
-		t.Fatalf("Wait hit the unary timeout: %v", err)
-	}
-	if snap.ID != "slow" {
-		t.Fatalf("Wait snapshot = %+v", snap)
-	}
-}
-
 // TestRetryPolicyDelay pins the backoff shape: exponential growth from
 // BaseDelay, capped at MaxDelay, and jitter only ever shrinking the
 // delay within its fraction.
@@ -233,26 +201,5 @@ func TestRetryPolicyDelay(t *testing.T) {
 		if d < 10*time.Millisecond || d > 20*time.Millisecond {
 			t.Fatalf("jittered delay %v outside [10ms, 20ms]", d)
 		}
-	}
-}
-
-// TestMaxIdleConnsPerHost: the tuned transport is installed only when
-// the caller has not supplied an http.Client of their own.
-func TestMaxIdleConnsPerHost(t *testing.T) {
-	c, err := New("http://localhost:1", WithOptions(Options{MaxIdleConnsPerHost: 64}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, okT := c.hc.Transport.(*http.Transport)
-	if !okT || tr.MaxIdleConnsPerHost != 64 {
-		t.Fatalf("transport not tuned: %#v", c.hc.Transport)
-	}
-	custom := &http.Client{}
-	c2, err := New("http://localhost:1", WithHTTPClient(custom), WithOptions(Options{MaxIdleConnsPerHost: 64}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2.hc != custom {
-		t.Fatal("WithHTTPClient was overridden by Options.MaxIdleConnsPerHost")
 	}
 }

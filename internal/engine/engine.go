@@ -22,12 +22,12 @@ package engine
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 
 	"repro/internal/rng"
 	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -77,33 +77,8 @@ func (s RunSpec) Validate() error {
 	if s.Work == nil {
 		return fmt.Errorf("engine: RunSpec.Work is nil")
 	}
-	if err := checkPEVectors(s.Speeds, s.StartTimes, s.P); err != nil {
+	if err := sim.CheckPEVectors(s.Speeds, s.StartTimes, s.P); err != nil {
 		return fmt.Errorf("engine: %w", err)
-	}
-	return nil
-}
-
-// checkPEVectors checks per-PE speeds and start times against p workers:
-// one entry per worker, every speed finite and positive, every start
-// time finite. A nil slice means the default for every worker. A NaN
-// would otherwise pass every comparison the simulators make and
-// silently corrupt the run.
-func checkPEVectors(speeds, starts []float64, p int) error {
-	if speeds != nil && len(speeds) != p {
-		return fmt.Errorf("got %d speeds for %d workers", len(speeds), p)
-	}
-	if starts != nil && len(starts) != p {
-		return fmt.Errorf("got %d start times for %d workers", len(starts), p)
-	}
-	for w, v := range speeds {
-		if !(v > 0) || math.IsInf(v, 1) {
-			return fmt.Errorf("speed %v of worker %d is not finite and positive", v, w)
-		}
-	}
-	for w, v := range starts {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("start time %v of worker %d is not finite", v, w)
-		}
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/rng"
 	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -155,7 +156,7 @@ func (s CampaignSpec) Validate() error {
 		if p <= 0 {
 			return fmt.Errorf("engine: campaign spec: p must be positive, got %d", p)
 		}
-		if err := checkPEVectors(s.Speeds, s.StartTimes, p); err != nil {
+		if err := sim.CheckPEVectors(s.Speeds, s.StartTimes, p); err != nil {
 			return fmt.Errorf("engine: campaign spec: %w", err)
 		}
 	}

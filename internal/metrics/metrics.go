@@ -204,18 +204,6 @@ func CoV(vals []float64) float64 {
 	return s.Std / s.Mean
 }
 
-// MaxAbs returns the element of vals with the greatest absolute value
-// (0 for an empty slice). Used for "maximum absolute discrepancy" rows.
-func MaxAbs(vals []float64) float64 {
-	var m float64
-	for _, v := range vals {
-		if math.Abs(v) > math.Abs(m) {
-			m = v
-		}
-	}
-	return m
-}
-
 // String renders a Summary compactly for logs and tables.
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g std=%.4g min=%.4g med=%.4g max=%.4g",

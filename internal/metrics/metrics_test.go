@@ -163,15 +163,6 @@ func TestCoV(t *testing.T) {
 	}
 }
 
-func TestMaxAbs(t *testing.T) {
-	if m := MaxAbs([]float64{1, -7, 3}); m != -7 {
-		t.Fatalf("MaxAbs = %v", m)
-	}
-	if m := MaxAbs(nil); m != 0 {
-		t.Fatalf("MaxAbs(nil) = %v", m)
-	}
-}
-
 func TestMeanEmpty(t *testing.T) {
 	if m := Mean(nil); m != 0 {
 		t.Fatalf("Mean(nil) = %v", m)

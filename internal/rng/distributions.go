@@ -79,18 +79,6 @@ func Gamma(r *Rand48, shape, scale float64) float64 {
 	}
 }
 
-// Lognormal returns a sample whose logarithm is N(mu, sigma^2).
-func Lognormal(r *Rand48, mu, sigma float64) float64 {
-	return math.Exp(Normal(r, mu, sigma))
-}
-
-// Weibull returns a sample from the Weibull distribution with the given
-// shape k and scale lambda.
-func Weibull(r *Rand48, shape, scale float64) float64 {
-	u := 1 - r.Erand48() // in (0,1]
-	return scale * math.Pow(-math.Log(u), 1/shape)
-}
-
 // ErlangSum returns the sum of k independent exponential samples of the
 // given mean, drawn one by one. It is the exact (slow) counterpart of
 // Gamma(k, mean) and exists for cross-validation of the fast path.

@@ -119,26 +119,6 @@ func TestGammaMatchesErlangSum(t *testing.T) {
 	}
 }
 
-func TestLognormalMoments(t *testing.T) {
-	r := New(12)
-	mu, sigma := 0.0, 0.25
-	wantMean := math.Exp(mu + sigma*sigma/2)
-	mean, _ := moments(200000, func() float64 { return Lognormal(r, mu, sigma) })
-	if math.Abs(mean-wantMean) > 0.02 {
-		t.Errorf("lognormal mean = %v, want ~%v", mean, wantMean)
-	}
-}
-
-func TestWeibullMoments(t *testing.T) {
-	r := New(13)
-	shape, scale := 2.0, 1.0
-	wantMean := scale * math.Gamma(1+1/shape)
-	mean, _ := moments(200000, func() float64 { return Weibull(r, shape, scale) })
-	if math.Abs(mean-wantMean) > 0.02 {
-		t.Errorf("weibull mean = %v, want ~%v", mean, wantMean)
-	}
-}
-
 func TestErlangSumZeroTasks(t *testing.T) {
 	if v := ErlangSum(New(1), 0, 1); v != 0 {
 		t.Fatalf("ErlangSum(0) = %v, want 0", v)

@@ -78,13 +78,6 @@ func (r *Rand48) Nrand48() int32 {
 	return int32(r.next() >> 17)
 }
 
-// Mrand48 returns the next value as a signed 32-bit integer, matching the
-// C library mrand48/jrand48 (the high 32 of the 48 state bits,
-// reinterpreted as signed).
-func (r *Rand48) Mrand48() int32 {
-	return int32(uint32(r.next() >> 16))
-}
-
 // Uint64 returns 64 pseudo-random bits assembled from two LCG steps
 // (32 high-quality high bits from each). It exists so the generator can
 // drive generic algorithms expecting a 64-bit source.

@@ -19,7 +19,6 @@ func TestFastLoopEligibility(t *testing.T) {
 		mut  func(*Config)
 	}{
 		{"speeds", func(c *Config) { c.Speeds = []float64{1, 1, 1, 1} }},
-		{"perturb", func(c *Config) { c.Perturb = func(int, float64) float64 { return 1 } }},
 		{"observe", func(c *Config) { c.Observe = func(int, int64, int64, float64, float64) {} }},
 		{"h-in-dynamics", func(c *Config) { c.HInDynamics = true }},
 		{"per-message-cost", func(c *Config) { c.PerMessageCost = 0.001 }},

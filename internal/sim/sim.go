@@ -45,6 +45,7 @@ type Config struct {
 	Work  workload.Workload // per-task execution times
 	RNG   *rng.Rand48       // randomness source; may be nil for deterministic workloads
 
+	// RunInto checks both with CheckPEVectors before the run starts.
 	Speeds     []float64 // relative PE speeds; nil means all 1.0
 	StartTimes []float64 // per-PE start times (uneven starts); nil means all 0
 
@@ -59,11 +60,6 @@ type Config struct {
 	HInDynamics bool
 
 	PerMessageCost float64 // fixed request+reply network cost per scheduling operation
-
-	// Perturb, when non-nil, returns a speed multiplier for worker w
-	// starting a chunk at time now. It models systemic variability
-	// (earlier-work context; see internal/perturb).
-	Perturb func(w int, now float64) float64
 
 	// Observe, when non-nil, is called once per scheduling operation with
 	// the worker, the assigned task range [start, start+count), the
@@ -149,17 +145,8 @@ func RunInto(cfg Config, a *Arena) (*Result, error) {
 	if cfg.Work == nil {
 		return nil, fmt.Errorf("sim: Config.Work is nil")
 	}
-	if cfg.Speeds != nil && len(cfg.Speeds) != cfg.P {
-		return nil, fmt.Errorf("sim: got %d speeds for %d workers", len(cfg.Speeds), cfg.P)
-	}
-	if cfg.StartTimes != nil && len(cfg.StartTimes) != cfg.P {
-		return nil, fmt.Errorf("sim: got %d start times for %d workers", len(cfg.StartTimes), cfg.P)
-	}
-	for w, t := range cfg.StartTimes {
-		// The event queue orders times; NaN has no place in that order.
-		if math.IsNaN(t) || math.IsInf(t, 0) {
-			return nil, fmt.Errorf("sim: start time %v of worker %d is not finite", t, w)
-		}
+	if err := CheckPEVectors(cfg.Speeds, cfg.StartTimes, cfg.P); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
 	if !cfg.Work.Deterministic() && cfg.RNG == nil {
 		return nil, fmt.Errorf("sim: random workload %q requires Config.RNG", cfg.Work.Name())
@@ -171,33 +158,56 @@ func RunInto(cfg Config, a *Arena) (*Result, error) {
 
 	if fastLoopEligible(cfg) {
 		runLoopFast(cfg, res, q)
-		return res, nil
-	}
-	if err := runLoopGeneric(cfg, res, q); err != nil {
-		return nil, err
+	} else {
+		runLoopGeneric(cfg, res, q)
 	}
 	return res, nil
+}
+
+// CheckPEVectors checks per-PE speeds and start times against p workers:
+// one entry per worker, every speed finite and positive, every start
+// time finite. A nil slice means the default for every worker. A NaN
+// would otherwise pass every comparison the simulators make and
+// silently corrupt the run, and an infinite speed would hand its worker
+// nearly every chunk at zero cost. RunInto and the engine's spec
+// validation share it.
+func CheckPEVectors(speeds, starts []float64, p int) error {
+	if speeds != nil && len(speeds) != p {
+		return fmt.Errorf("got %d speeds for %d workers", len(speeds), p)
+	}
+	if starts != nil && len(starts) != p {
+		return fmt.Errorf("got %d start times for %d workers", len(starts), p)
+	}
+	for w, v := range speeds {
+		if !(v > 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("speed %v of worker %d is not finite and positive", v, w)
+		}
+	}
+	for w, v := range starts {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("start time %v of worker %d is not finite", v, w)
+		}
+	}
+	return nil
 }
 
 // fastLoopEligible reports whether the configuration exercises none of
 // the optional dynamics, so the specialized inner loop applies. Uneven
 // StartTimes are fine: they only shape the initial events, not the loop.
 func fastLoopEligible(cfg Config) bool {
-	return cfg.Speeds == nil && cfg.Perturb == nil && cfg.Observe == nil &&
+	return cfg.Speeds == nil && cfg.Observe == nil &&
 		!cfg.HInDynamics && cfg.PerMessageCost == 0
 }
 
 // runLoopFast is the inner loop specialized for the paper-faithful
-// configuration (no per-PE speeds, no perturbation, no observer, h
-// outside the dynamics, free communication). With every optional feature
-// known absent, the per-operation work collapses to: take the queue's
-// winner, ask the scheduler, charge the chunk, give the winner its next
-// time — no speed division (division by the
-// implicit 1.0 is a bit-exact identity, so skipping it cannot change
-// output), no master serialization, no comm-cost accounting and none of
-// the five per-op branches the generic loop re-tests millions of times
-// per campaign. The golden tests prove it bit-identical to the generic
-// loop on the shared configuration subspace.
+// configuration (no per-PE speeds, no observer, h outside the dynamics,
+// free communication). With every optional feature known absent, the
+// per-operation work collapses to: take the queue's winner, ask the
+// scheduler, charge the chunk, give the winner its next time — no speed
+// division, no master serialization, no comm-cost accounting and none
+// of the three per-op branches the generic loop re-tests millions of
+// times per campaign. The golden tests prove it bit-identical to the
+// generic loop on the shared configuration subspace.
 func runLoopFast(cfg Config, res *Result, q *eventQueue) {
 	var nextTask int64 // global index of the next unassigned task
 
@@ -235,17 +245,15 @@ func runLoopFast(cfg Config, res *Result, q *eventQueue) {
 }
 
 // runLoopGeneric is the fully featured inner loop, handling every
-// optional dynamic. The only error it can produce is an effective
-// speed that is not positive (a Perturb contract violation); the arena's
-// result is partially filled in that case and must be discarded.
-func runLoopGeneric(cfg Config, res *Result, q *eventQueue) error {
+// optional dynamic. RunInto has checked the speeds, so it cannot fail.
+func runLoopGeneric(cfg Config, res *Result, q *eventQueue) {
 	var nextTask int64 // global index of the next unassigned task
 	var masterFree float64
 
 	for {
 		w, t, ok := q.top()
 		if !ok {
-			return nil
+			return
 		}
 
 		serviceEnd := t
@@ -272,17 +280,11 @@ func runLoopGeneric(cfg Config, res *Result, q *eventQueue) error {
 		chunkStart := nextTask
 		exec := cfg.Work.ChunkTime(nextTask, chunk, cfg.RNG)
 		nextTask += chunk
-		s := 1.0
 		if cfg.Speeds != nil {
-			s = cfg.Speeds[w]
+			// Without Speeds every PE runs at 1.0, and dividing by 1.0
+			// is exact, so skipping the division changes no bit.
+			exec /= cfg.Speeds[w]
 		}
-		if cfg.Perturb != nil {
-			s *= cfg.Perturb(w, serviceEnd)
-		}
-		if !(s > 0) {
-			return fmt.Errorf("sim: speed %v for worker %d is not positive", s, w)
-		}
-		exec /= s
 
 		done := serviceEnd + cfg.PerMessageCost + exec
 		res.CommTime += cfg.PerMessageCost

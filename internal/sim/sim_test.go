@@ -257,51 +257,11 @@ func TestPerMessageCost(t *testing.T) {
 	}
 }
 
-// TestPerturbationSlowdown: halving a worker's speed through the Perturb
-// hook must increase the makespan of a static schedule.
-func TestPerturbationSlowdown(t *testing.T) {
-	base := func(perturb func(int, float64) float64) float64 {
-		s := mustSched(t, "STAT", sched.Params{N: 1000, P: 4})
-		res, err := Run(Config{
-			P:       4,
-			Sched:   s,
-			Work:    workload.NewConstant(0.01),
-			Perturb: perturb,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Makespan
-	}
-	normal := base(nil)
-	slowed := base(func(w int, _ float64) float64 {
-		if w == 0 {
-			return 0.5
-		}
-		return 1
-	})
-	if slowed <= normal {
-		t.Fatalf("perturbed makespan %v <= unperturbed %v", slowed, normal)
-	}
-}
-
-func TestPerturbationRejectsZeroSpeed(t *testing.T) {
-	s := mustSched(t, "STAT", sched.Params{N: 10, P: 2})
-	_, err := Run(Config{
-		P:       2,
-		Sched:   s,
-		Work:    workload.NewConstant(1),
-		Perturb: func(int, float64) float64 { return 0 },
-	})
-	if err == nil {
-		t.Fatal("zero perturbed speed accepted")
-	}
-}
-
-// TestRunRejectsNaN: a NaN speed, perturbation or start time fails every
-// comparison, so unchecked it would hand one worker half the chunks and
-// drop it from the makespan, or leave workers idle. Each is an error, as
-// is an infinite start time.
+// TestRunRejectsNaN: a NaN speed or start time fails every comparison,
+// so unchecked it would hand one worker half the chunks and drop it from
+// the makespan, or leave workers idle; an infinite speed would hand one
+// worker nearly every chunk at zero cost. Each is an error, as are a
+// speed that is not positive and an infinite start time.
 func TestRunRejectsNaN(t *testing.T) {
 	nan := math.NaN()
 	cases := []struct {
@@ -311,14 +271,7 @@ func TestRunRejectsNaN(t *testing.T) {
 		{"NaN speed", func(c *Config) { c.Speeds = []float64{1, nan, 1, 1} }},
 		{"zero speed", func(c *Config) { c.Speeds = []float64{1, 0, 1, 1} }},
 		{"negative speed", func(c *Config) { c.Speeds = []float64{1, -1, 1, 1} }},
-		{"NaN perturbation", func(c *Config) {
-			c.Perturb = func(w int, _ float64) float64 {
-				if w == 1 {
-					return nan
-				}
-				return 1
-			}
-		}},
+		{"infinite speed", func(c *Config) { c.Speeds = []float64{1, math.Inf(1), 1, 1} }},
 		{"NaN start time", func(c *Config) { c.StartTimes = []float64{0, nan, 0, 0} }},
 		{"infinite start time", func(c *Config) { c.StartTimes = []float64{0, math.Inf(1), 0, 0} }},
 	}

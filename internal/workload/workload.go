@@ -4,7 +4,7 @@
 // decreasing and increasing workloads from the TSS publication (Tzen & Ni,
 // 1993) and exponential task times from the BOLD publication (Hagerup,
 // 1997) — plus the additional distributions earlier DLS work studied
-// (normal, gamma, lognormal, weibull, bimodal).
+// (normal, gamma, bimodal).
 //
 // A Workload answers two questions:
 //
