@@ -257,6 +257,23 @@ func TestPerMessageCost(t *testing.T) {
 	}
 }
 
+// TestPerturbationRejectsZeroSpeed: a PE perturbed down to zero speed
+// would never finish its chunk, so both Run and RunInto reject it.
+func TestPerturbationRejectsZeroSpeed(t *testing.T) {
+	cfg := Config{
+		P:      2,
+		Sched:  mustSched(t, "STAT", sched.Params{N: 10, P: 2}),
+		Work:   workload.NewConstant(1),
+		Speeds: []float64{1, 0},
+	}
+	if _, err := Run(cfg); err == nil {
+		t.Error("Run: zero perturbed speed accepted")
+	}
+	if _, err := RunInto(cfg, new(Arena)); err == nil {
+		t.Error("RunInto: zero perturbed speed accepted")
+	}
+}
+
 // TestRunRejectsNaN: a NaN speed or start time fails every comparison,
 // so unchecked it would hand one worker half the chunks and drop it from
 // the makespan, or leave workers idle; an infinite speed would hand one
