@@ -28,15 +28,11 @@ func testSpec(seed uint64, reps int) campaign.Spec {
 	}
 }
 
-// runnerOnly hides the LocalRunner's Executor fast path, forcing
-// Execute through the generic submit/wait/stream path.
-type runnerOnly struct{ campaign.Runner }
-
 // TestExecuteFastAndGenericPathsAgree runs the same spec through the
-// LocalRunner's synchronous fast path and through the generic
-// Runner-interface path (submit → wait → stream → client-side
-// aggregation) and requires bit-identical aggregates — the property
-// that makes local and remote execution interchangeable.
+// LocalRunner's synchronous Execute and through its asynchronous job
+// API (submit, then stream into a client-side Aggregator) and requires
+// bit-identical aggregates — the property that makes local and remote
+// execution interchangeable.
 func TestExecuteFastAndGenericPathsAgree(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	ctx := context.Background()
@@ -48,10 +44,18 @@ func TestExecuteFastAndGenericPathsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	generic, err := campaign.Run(ctx, runnerOnly{local}, spec)
+	job, err := local.Submit(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	agg, err := spec.NewAggregator(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := local.Stream(ctx, job.ID, agg); err != nil {
+		t.Fatal(err)
+	}
+	generic := agg.Result()
 	if len(fast.Aggregates) != len(generic.Aggregates) {
 		t.Fatalf("aggregate counts differ: %d vs %d", len(fast.Aggregates), len(generic.Aggregates))
 	}
