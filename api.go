@@ -312,7 +312,7 @@ func (c Config) resultCache() (cache.Store, error) {
 
 // runCampaign executes a declarative campaign through a LocalRunner
 // configured from the facade options — the facade is a thin convenience
-// layer over the unified Runner API, so the same spec run here, through
+// layer over campaign.Executor, so the same spec run here, through
 // campaign.NewLocal directly, or through a remote client.Client yields
 // bit-identical results.
 func (c Config) runCampaign(ctx context.Context, spec campaign.Spec) (*campaign.Result, error) {
@@ -322,7 +322,7 @@ func (c Config) runCampaign(ctx context.Context, spec campaign.Spec) (*campaign.
 	}
 	local := campaign.NewLocal(campaign.LocalConfig{Store: store, Workers: c.workers})
 	defer local.Close()
-	return campaign.Execute(ctx, local, spec, campaign.ExecOptions{})
+	return local.Execute(ctx, spec, campaign.ExecOptions{})
 }
 
 // spec maps the facade configuration onto the engine's backend-neutral

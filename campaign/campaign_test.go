@@ -177,7 +177,7 @@ func TestAggregatorRejectsTruncatedStream(t *testing.T) {
 	defer local.Close()
 
 	var buf bytes.Buffer
-	if _, err := campaign.Execute(ctx, local, spec, campaign.ExecOptions{
+	if _, err := local.Execute(ctx, spec, campaign.ExecOptions{
 		Sinks: []campaign.Sink{campaign.NewJSONLSink(&buf)},
 	}); err != nil {
 		t.Fatal(err)

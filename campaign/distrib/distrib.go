@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/campaign"
@@ -64,9 +63,9 @@ const (
 // Coordinator fans one campaign out across a fleet of runners — dlsimd
 // nodes reached through client.Client, in-process LocalRunners, or a
 // mix — and merges the result streams bit-identically to a single-node
-// run. It implements campaign.Runner (so a coordinator composes
-// anywhere a node does) and campaign.Executor (the synchronous
-// fan-out + merge fast path campaign.Execute prefers).
+// run. It is a campaign.Executor: Execute places every shard and
+// merges their streams on a rolling frontier, so campaign.Run drives a
+// fleet exactly as it drives one node.
 type Coordinator struct {
 	nodes []campaign.Runner
 	opts  Options
@@ -79,16 +78,10 @@ type Coordinator struct {
 	mTransitions                  *telemetry.CounterVec
 
 	mu      sync.Mutex
-	lastErr []string        // per node: most recent attempt failure, for *Incomplete
-	jobs    map[string]*job // by ID
-	byHash  map[string]*job // non-terminal, non-cancelled jobs, for submit dedup
-	nextID  int
+	lastErr []string // per node: most recent attempt failure, for *Incomplete
 }
 
-var (
-	_ campaign.Runner   = (*Coordinator)(nil)
-	_ campaign.Executor = (*Coordinator)(nil)
-)
+var _ campaign.Executor = (*Coordinator)(nil)
 
 // New returns a coordinator over the given fleet. The node list is
 // scheduling-only: any fleet produces bit-identical results for a
@@ -107,8 +100,6 @@ func New(nodes []campaign.Runner, opts Options) (*Coordinator, error) {
 		sems:    make([]chan struct{}, len(nodes)),
 		brs:     make([]*breaker, len(nodes)),
 		lastErr: make([]string, len(nodes)),
-		jobs:    make(map[string]*job),
-		byHash:  make(map[string]*job),
 	}
 	reg := opts.Registry
 	if reg == nil {
@@ -507,10 +498,8 @@ type fanout struct {
 	wg   sync.WaitGroup
 }
 
-// fanOut starts placing every piece under ctx. settled, if non-nil, is
-// called from each piece's goroutine as the piece settles, before its
-// done channel closes.
-func (c *Coordinator) fanOut(ctx context.Context, pieces []piece, settled func(i int, err error)) *fanout {
+// fanOut starts placing every piece under ctx.
+func (c *Coordinator) fanOut(ctx context.Context, pieces []piece) *fanout {
 	f := &fanout{
 		pls:  make([]placement, len(pieces)),
 		errs: make([]error, len(pieces)),
@@ -523,9 +512,6 @@ func (c *Coordinator) fanOut(ctx context.Context, pieces []piece, settled func(i
 			defer f.wg.Done()
 			defer close(f.done[i])
 			f.pls[i], f.errs[i] = c.place(ctx, pieces[i], pieces[i].index)
-			if settled != nil {
-				settled(i, f.errs[i])
-			}
 		}(i)
 	}
 	return f
@@ -539,7 +525,7 @@ func (c *Coordinator) run(ctx context.Context, spec campaign.Spec, sinks []campa
 		return err
 	}
 	fctx, cancel := context.WithCancel(ctx)
-	f := c.fanOut(fctx, pieces, nil)
+	f := c.fanOut(fctx, pieces)
 	defer f.wg.Wait() // leak-free: runs after cancel, so dispatchers drain
 	defer cancel()
 	// Merge in plan order: piece i streams as soon as it and every
@@ -578,6 +564,7 @@ func (c *Coordinator) run(ctx context.Context, spec campaign.Spec, sinks []campa
 // merge. The aggregation reuses engine.Aggregator over the parent
 // spec, so the returned Result is the same fold, over the same metrics,
 // in the same order as a local execution — bit-identical aggregates.
+// Every sink in opts is closed exactly once.
 func (c *Coordinator) Execute(ctx context.Context, spec campaign.Spec, opts campaign.ExecOptions) (*campaign.Result, error) {
 	agg, err := spec.NewAggregator(opts.KeepPerRun)
 	if err != nil {
@@ -590,221 +577,14 @@ func (c *Coordinator) Execute(ctx context.Context, spec campaign.Spec, opts camp
 		// Degraded mode: flush the caller's sinks so the completed
 		// prefix they hold survives, but skip the aggregator — its
 		// Close validates completeness, and an incomplete campaign has
-		// no validated Result. The *Incomplete travels as the error.
-		_ = campaign.CloseSinks(nil, opts.Sinks...)
-		return nil, runErr
+		// no validated Result. The *Incomplete travels as the error,
+		// joined with any sink close error: a prefix whose flush failed
+		// is not in the caller's output, and must not read as if it
+		// were.
+		return nil, errors.Join(runErr, campaign.CloseSinks(nil, opts.Sinks...))
 	}
 	if err := campaign.CloseSinks(runErr, sinks...); err != nil {
 		return nil, err
 	}
 	return agg.Result(), nil
-}
-
-// job is one asynchronously submitted campaign's coordinator-side
-// state.
-type job struct {
-	id, hash string
-	spec     campaign.Spec
-	pieces   []piece
-	pls      []placement // set when the fan-out ends; valid where the piece succeeded
-
-	completed atomic.Int64
-
-	cancel context.CancelFunc
-	done   chan struct{} // closed on terminal state
-
-	mu          sync.Mutex
-	state       campaign.State
-	err         error
-	submissions int
-}
-
-func (j *job) snapshot() campaign.Snapshot {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	s := campaign.Snapshot{
-		ID:          j.id,
-		Hash:        j.hash,
-		State:       j.state,
-		Total:       int64(j.spec.GridPoints() * j.spec.Replications),
-		Completed:   j.completed.Load(),
-		Submissions: j.submissions,
-	}
-	if j.err != nil {
-		s.Error = j.err.Error()
-	}
-	return s
-}
-
-// Submit implements campaign.Runner: it plans the shards and launches
-// the fan-out in the background. Submissions deduplicate on the spec
-// hash exactly like a node's queue: a spec matching a live job joins
-// it.
-func (c *Coordinator) Submit(ctx context.Context, spec campaign.Spec) (campaign.Job, error) {
-	pieces, err := plan(spec, c.opts.Shards)
-	if err != nil {
-		return campaign.Job{}, err
-	}
-	hash, err := spec.Hash()
-	if err != nil {
-		return campaign.Job{}, err
-	}
-	c.mu.Lock()
-	if j, ok := c.byHash[hash]; ok {
-		j.mu.Lock()
-		j.submissions++
-		j.mu.Unlock()
-		c.mu.Unlock()
-		return campaign.Job{ID: j.id, Hash: hash, Deduped: true}, nil
-	}
-	c.nextID++
-	jctx, cancel := context.WithCancel(context.Background())
-	j := &job{
-		id:          "d" + strconv.Itoa(c.nextID),
-		hash:        hash,
-		spec:        spec,
-		pieces:      pieces,
-		cancel:      cancel,
-		done:        make(chan struct{}),
-		state:       campaign.StateRunning,
-		submissions: 1,
-	}
-	c.jobs[j.id] = j
-	c.byHash[hash] = j
-	c.mu.Unlock()
-	go c.runJob(jctx, j)
-	return campaign.Job{ID: j.id, Hash: hash}, nil
-}
-
-// runJob executes a submitted job's fan-out: every piece is dispatched
-// (with the usual retry/reassignment), but nothing is streamed — the
-// results stay on the nodes, content-addressed, until a Stream call
-// merges them on demand. The first piece error while jctx is live
-// fails the job and cancels the rest; an error after that is the echo
-// of this cancel or of Cancel, so a cancelled job ends cancelled.
-func (c *Coordinator) runJob(jctx context.Context, j *job) {
-	var failed atomic.Pointer[error]
-	f := c.fanOut(jctx, j.pieces, func(i int, err error) {
-		switch {
-		case err == nil:
-			j.completed.Add(int64(j.pieces[i].reps))
-		case jctx.Err() == nil:
-			failed.CompareAndSwap(nil, &err)
-			j.cancel()
-		}
-	})
-	f.wg.Wait()
-	j.mu.Lock()
-	j.pls = f.pls
-	switch {
-	case failed.Load() != nil:
-		j.state, j.err = campaign.StateFailed, *failed.Load()
-	case jctx.Err() != nil:
-		j.state, j.err = campaign.StateCancelled, errors.New("distrib: cancelled")
-	default:
-		j.state = campaign.StateDone
-	}
-	j.mu.Unlock()
-	c.retire(j)
-	j.cancel() // release the context either way
-	close(j.done)
-}
-
-// retire drops j from submit dedup, unless an identical submission has
-// already replaced it.
-func (c *Coordinator) retire(j *job) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.byHash[j.hash] == j {
-		delete(c.byHash, j.hash)
-	}
-}
-
-func (c *Coordinator) get(id string) (*job, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	if !ok {
-		return nil, fmt.Errorf("distrib: job %q: %w", id, campaign.ErrNotFound)
-	}
-	return j, nil
-}
-
-// Wait implements campaign.Runner.
-func (c *Coordinator) Wait(ctx context.Context, id string) (campaign.Snapshot, error) {
-	j, err := c.get(id)
-	if err != nil {
-		return campaign.Snapshot{}, err
-	}
-	select {
-	case <-j.done:
-		return j.snapshot(), nil
-	case <-ctx.Done():
-		return campaign.Snapshot{}, ctx.Err()
-	}
-}
-
-// Stream implements campaign.Runner: it waits for the fan-out to
-// complete, then merges the shard result streams from the nodes in the
-// parent's deterministic order. The nodes serve the streams from their
-// content-addressed results, so streaming (even repeatedly, by several
-// consumers) costs zero backend runs.
-func (c *Coordinator) Stream(ctx context.Context, id string, sinks ...campaign.Sink) error {
-	return campaign.CloseSinks(c.stream(ctx, id, sinks), sinks...)
-}
-
-func (c *Coordinator) stream(ctx context.Context, id string, sinks []campaign.Sink) error {
-	j, err := c.get(id)
-	if err != nil {
-		return err
-	}
-	select {
-	case <-j.done:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	j.mu.Lock()
-	state, jerr := j.state, j.err
-	j.mu.Unlock()
-	if state != campaign.StateDone {
-		return fmt.Errorf("distrib: job %s is %s: %w", id, state, jerr)
-	}
-	for i := range j.pieces {
-		if err := c.streamPiece(ctx, j.pieces[i], j.pls[i], sinks); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Cancel implements campaign.Runner. Cancelling a running job aborts
-// every in-flight shard on the nodes (each dispatcher reaps its remote
-// job on the way out) and ends the job cancelled; a terminal job is
-// left untouched. As on a node, the spec hash is retired first, so an
-// identical Submit right after Cancel starts a fresh job.
-func (c *Coordinator) Cancel(ctx context.Context, id string) error {
-	j, err := c.get(id)
-	if err != nil {
-		return err
-	}
-	c.retire(j)
-	j.cancel()
-	return nil
-}
-
-// Describe implements campaign.Runner: the fleet's capabilities are
-// the first reachable node's, under the coordinator's own service
-// name.
-func (c *Coordinator) Describe(ctx context.Context) (campaign.Description, error) {
-	var last error
-	for _, node := range c.nodes {
-		d, err := node.Describe(ctx)
-		if err == nil {
-			d.Service = "distrib"
-			d.Execution = nil
-			return d, nil
-		}
-		last = err
-	}
-	return campaign.Description{}, fmt.Errorf("distrib: no node reachable: %w", last)
 }

@@ -3,10 +3,8 @@ package distrib
 import (
 	"bytes"
 	"context"
-	"errors"
 	"net/http/httptest"
 	"reflect"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -25,16 +23,12 @@ var (
 	gateKill   = testutil.NewGateBackend("distrib-gate-kill")
 	gateWarm   = testutil.NewGateBackend("distrib-gate-warm")
 	gateCancel = testutil.NewGateBackend("distrib-gate-cancel")
-	gateAsync  = testutil.NewGateBackend("distrib-gate-async")
-	gateRedo   = testutil.NewGateBackend("distrib-gate-redo")
 )
 
 func init() {
 	engine.Register(gateKill)
 	engine.Register(gateWarm)
 	engine.Register(gateCancel)
-	engine.Register(gateAsync)
-	engine.Register(gateRedo)
 }
 
 // node is one in-process dlsimd: a jobs manager behind the real /v1
@@ -91,7 +85,7 @@ func goldenSpec(policy string, reps int) campaign.Spec {
 func localReference(t *testing.T, spec campaign.Spec) ([]byte, *campaign.Result) {
 	t.Helper()
 	var buf bytes.Buffer
-	res, err := campaign.Execute(context.Background(), campaign.NewLocal(campaign.LocalConfig{}), spec,
+	res, err := campaign.NewLocal(campaign.LocalConfig{}).Execute(context.Background(), spec,
 		campaign.ExecOptions{KeepPerRun: true, Sinks: []campaign.Sink{campaign.NewJSONLSink(&buf)}})
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +110,7 @@ func TestDistributedMergeGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			res, err := campaign.Execute(context.Background(), coord, spec,
+			res, err := coord.Execute(context.Background(), spec,
 				campaign.ExecOptions{KeepPerRun: true, Sinks: []campaign.Sink{campaign.NewJSONLSink(&buf)}})
 			if err != nil {
 				t.Fatalf("%s/%d shards: %v", policy, shards, err)
@@ -146,7 +140,7 @@ func TestSinglePointSpecGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		res, err := campaign.Execute(context.Background(), coord, spec,
+		res, err := coord.Execute(context.Background(), spec,
 			campaign.ExecOptions{KeepPerRun: true, Sinks: []campaign.Sink{campaign.NewJSONLSink(&buf)}})
 		if err != nil {
 			t.Fatalf("%d shards: %v", shards, err)
@@ -252,7 +246,7 @@ func TestNodeFailureReassignment(t *testing.T) {
 	res := make(chan outcome, 1)
 	go func() {
 		var buf bytes.Buffer
-		_, err := campaign.Execute(context.Background(), coord, spec,
+		_, err := coord.Execute(context.Background(), spec,
 			campaign.ExecOptions{Sinks: []campaign.Sink{campaign.NewJSONLSink(&buf)}})
 		res <- outcome{buf.Bytes(), err}
 	}()
@@ -292,7 +286,7 @@ func TestWarmStoreResubmit(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cold bytes.Buffer
-	if _, err := campaign.Execute(context.Background(), coord, spec,
+	if _, err := coord.Execute(context.Background(), spec,
 		campaign.ExecOptions{Sinks: []campaign.Sink{campaign.NewJSONLSink(&cold)}}); err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +296,7 @@ func TestWarmStoreResubmit(t *testing.T) {
 	}
 
 	var warm bytes.Buffer
-	if _, err := campaign.Execute(context.Background(), coord, spec,
+	if _, err := coord.Execute(context.Background(), spec,
 		campaign.ExecOptions{Sinks: []campaign.Sink{campaign.NewJSONLSink(&warm)}}); err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +336,7 @@ func TestCancelDrainsRemoteJobs(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	res := make(chan error, 1)
 	go func() {
-		_, err := campaign.Execute(ctx, coord, spec, campaign.ExecOptions{})
+		_, err := coord.Execute(ctx, spec, campaign.ExecOptions{})
 		res <- err
 	}()
 	deadline := time.Now().Add(5 * time.Second)
@@ -384,139 +378,6 @@ func TestCancelDrainsRemoteJobs(t *testing.T) {
 	}
 	gateCancel.Release() // hygiene; nothing should be waiting
 	check()
-}
-
-// TestCoordinatorRunnerSurface exercises the asynchronous Runner face:
-// submit dedup on the spec hash, Wait snapshots, on-demand Stream
-// (twice, zero extra backend runs), Cancel of unknown IDs, Describe.
-func TestCoordinatorRunnerSurface(t *testing.T) {
-	spec := goldenSpec(campaign.SeedFacade, 5)
-	spec.Backend = gateAsync.Name()
-	store := cache.NewMemory()
-	nodes, _ := newFleet(t, 2, store)
-	coord, err := New(nodes, Options{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-
-	jb1, err := coord.Submit(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jb2, err := coord.Submit(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !jb2.Deduped || jb2.ID != jb1.ID || jb2.Hash != jb1.Hash {
-		t.Fatalf("concurrent resubmission not deduped: %+v vs %+v", jb1, jb2)
-	}
-	gateAsync.Release()
-
-	snap, err := coord.Wait(ctx, jb1.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := int64(spec.GridPoints() * spec.Replications)
-	if snap.State != campaign.StateDone || snap.Total != total || snap.Completed != total || snap.Submissions != 2 {
-		t.Fatalf("final snapshot %+v, want done %d/%d with 2 submissions", snap, total, total)
-	}
-
-	wantJSONL, _ := localReference(t, spec)
-	ranBefore := gateAsync.Runs.Load()
-	for i := 0; i < 2; i++ {
-		var buf bytes.Buffer
-		if err := coord.Stream(ctx, jb1.ID, campaign.NewJSONLSink(&buf)); err != nil {
-			t.Fatalf("stream %d: %v", i, err)
-		}
-		if !bytes.Equal(buf.Bytes(), wantJSONL) {
-			t.Errorf("stream %d bytes differ from single-node run", i)
-		}
-	}
-	if extra := gateAsync.Runs.Load() - ranBefore; extra != 0 {
-		t.Errorf("streaming a done job performed %d backend runs, want 0", extra)
-	}
-
-	if err := coord.Cancel(ctx, "nope"); !errors.Is(err, campaign.ErrNotFound) {
-		t.Errorf("Cancel(unknown) = %v, want ErrNotFound", err)
-	}
-	if _, err := coord.Wait(ctx, "nope"); !errors.Is(err, campaign.ErrNotFound) {
-		t.Errorf("Wait(unknown) = %v, want ErrNotFound", err)
-	}
-	d, err := coord.Describe(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Service != "distrib" || d.APIVersion != campaign.APIVersion || len(d.Techniques) == 0 {
-		t.Errorf("Describe = %+v", d)
-	}
-	if !strings.Contains(strings.Join(d.SeedPolicies, ","), campaign.SeedFacade) {
-		t.Errorf("Describe seed policies %v missing %s", d.SeedPolicies, campaign.SeedFacade)
-	}
-}
-
-// TestCancelRunningJobThenResubmit holds the coordinator to the
-// campaign.Runner contract jobs.Manager honours: cancelling a running
-// job ends it cancelled, not failed by the echo of its own
-// cancellation, and an identical Submit right after Cancel starts a
-// fresh job instead of joining the cancelled one. The fresh job
-// completes with the local reference bytes.
-func TestCancelRunningJobThenResubmit(t *testing.T) {
-	spec := goldenSpec(campaign.SeedPerCell, 5)
-	spec.Backend = gateRedo.Name()
-	nodes, _ := newFleet(t, 2, cache.NewMemory())
-	coord, err := New(nodes, Options{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	ctx := context.Background()
-
-	jb1, err := coord.Submit(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for gateRedo.Started.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no run entered the gate")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := coord.Cancel(ctx, jb1.ID); err != nil {
-		t.Fatal(err)
-	}
-	jb2, err := coord.Submit(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jb2.Deduped || jb2.ID == jb1.ID {
-		t.Errorf("resubmission after Cancel joined the cancelled job: %+v vs %+v", jb2, jb1)
-	}
-	snap1, err := coord.Wait(ctx, jb1.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap1.State != campaign.StateCancelled {
-		t.Errorf("cancelled job ended %s (%s), want %s", snap1.State, snap1.Error, campaign.StateCancelled)
-	}
-
-	gateRedo.Release()
-	snap2, err := coord.Wait(ctx, jb2.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap2.State != campaign.StateDone {
-		t.Fatalf("resubmitted job ended %s (%s), want %s", snap2.State, snap2.Error, campaign.StateDone)
-	}
-	var buf bytes.Buffer
-	if err := coord.Stream(ctx, jb2.ID, campaign.NewJSONLSink(&buf)); err != nil {
-		t.Fatal(err)
-	}
-	wantJSONL, _ := localReference(t, spec)
-	if !bytes.Equal(buf.Bytes(), wantJSONL) {
-		t.Error("resubmitted job's bytes differ from the local reference")
-	}
 }
 
 // rlErr mimics the SDK's rate-limited error: it unwraps to
@@ -568,7 +429,7 @@ func TestRateLimitedShardStaysOnNode(t *testing.T) {
 
 	start := time.Now()
 	var buf bytes.Buffer
-	if _, err := campaign.Execute(context.Background(), coord, spec,
+	if _, err := coord.Execute(context.Background(), spec,
 		campaign.ExecOptions{Sinks: []campaign.Sink{campaign.NewJSONLSink(&buf)}}); err != nil {
 		t.Fatalf("campaign failed across rate limiting: %v", err)
 	}

@@ -1,6 +1,13 @@
 // Package distrib shards one campaign across a fleet of runners and
 // merges the results bit-identically to a single-node run.
 //
+// A Coordinator is a campaign.Executor, so campaign.Run drives a fleet
+// as it drives one node. Its nodes are campaign.Runners — dlsimd
+// daemons through client.Client, or in-process LocalRunners — and each
+// shard is one job in a node's job API. Execute places every shard and
+// merges the shard streams in plan order as they complete; it is the
+// coordinator's one way to run a campaign.
+//
 // # Sharding model
 //
 // A campaign's runs form one global sequence: grid points in the

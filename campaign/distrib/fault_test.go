@@ -80,7 +80,7 @@ func TestChaosGoldenByteIdentical(t *testing.T) {
 	defer coord.Close()
 
 	var buf bytes.Buffer
-	res, err := campaign.Execute(context.Background(), coord, spec,
+	res, err := coord.Execute(context.Background(), spec,
 		campaign.ExecOptions{KeepPerRun: true, Sinks: []campaign.Sink{campaign.NewJSONLSink(&buf)}})
 	if err != nil {
 		t.Fatalf("campaign failed under chaos: %v", err)
@@ -245,7 +245,7 @@ func TestPartialResultsPrefix(t *testing.T) {
 	defer coord.Close()
 
 	var buf bytes.Buffer
-	res, err := campaign.Execute(context.Background(), coord, spec,
+	res, err := coord.Execute(context.Background(), spec,
 		campaign.ExecOptions{Sinks: []campaign.Sink{campaign.NewJSONLSink(&buf)}})
 	if err == nil || res != nil {
 		t.Fatalf("degraded run returned (%v, %v), want typed error and nil result", res, err)
@@ -277,6 +277,42 @@ func TestPartialResultsPrefix(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), prefix) {
 		t.Errorf("sink holds %d bytes, want the byte-identical 5-run prefix (%d bytes)", buf.Len(), len(prefix))
+	}
+}
+
+// failWriter refuses every write.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("injected: write refused") }
+
+// TestPartialResultsReportsSinkCloseError: a JSONL sink writes the
+// completed prefix only when Close flushes it, so in degraded mode a
+// failed flush must reach the caller next to the *Incomplete report —
+// otherwise the report vouches for a prefix the output does not hold.
+func TestPartialResultsReportsSinkCloseError(t *testing.T) {
+	spec := goldenSpec(campaign.SeedPerCell, 10)
+	spec.Techniques = []string{"FAC2"}
+	spec.Ns = []int64{128}
+
+	runners, _ := newFleet(t, 2, cache.NewMemory())
+	nodes := []campaign.Runner{&vetoNode{runners[0]}, &vetoNode{runners[1]}}
+	coord, err := New(nodes, Options{Shards: 2, PartialResults: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+
+	_, err = coord.Execute(context.Background(), spec,
+		campaign.ExecOptions{Sinks: []campaign.Sink{campaign.NewJSONLSink(failWriter{})}})
+	var inc *Incomplete
+	if !errors.As(err, &inc) {
+		t.Fatalf("error %v does not carry *Incomplete", err)
+	}
+	if inc.CompletedRuns != 5 {
+		t.Errorf("completed %d runs, want 5", inc.CompletedRuns)
+	}
+	if !contains(err.Error(), "injected: write refused") {
+		t.Errorf("error %q does not report the failed sink flush", err)
 	}
 }
 
@@ -315,7 +351,7 @@ func TestHedgedShardWins(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if _, err := campaign.Execute(context.Background(), coord, spec,
+	if _, err := coord.Execute(context.Background(), spec,
 		campaign.ExecOptions{Sinks: []campaign.Sink{campaign.NewJSONLSink(&buf)}}); err != nil {
 		t.Fatalf("hedged campaign failed: %v", err)
 	}
@@ -369,7 +405,7 @@ func TestHealthPoolRoutesAroundDrain(t *testing.T) {
 	defer coord.Close()
 
 	var buf bytes.Buffer
-	if _, err := campaign.Execute(context.Background(), coord, spec,
+	if _, err := coord.Execute(context.Background(), spec,
 		campaign.ExecOptions{Sinks: []campaign.Sink{campaign.NewJSONLSink(&buf)}}); err != nil {
 		t.Fatalf("campaign failed on the surviving node: %v", err)
 	}
@@ -406,7 +442,7 @@ func TestHealthProbeOpensDeadNodeBreaker(t *testing.T) {
 	defer coord.Close()
 
 	var buf bytes.Buffer
-	if _, err := campaign.Execute(context.Background(), coord, spec,
+	if _, err := coord.Execute(context.Background(), spec,
 		campaign.ExecOptions{Sinks: []campaign.Sink{campaign.NewJSONLSink(&buf)}}); err != nil {
 		t.Fatalf("campaign failed on the survivors: %v", err)
 	}

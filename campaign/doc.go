@@ -1,7 +1,7 @@
 // Package campaign is the public vocabulary of the simulator's
 // execution layer: declarative campaign specifications, per-run event
-// streaming, result aggregation, and the Runner interface that makes
-// local and remote execution interchangeable.
+// streaming, result aggregation, and the Executor and Runner interfaces
+// that make local, remote and distributed execution interchangeable.
 //
 // A campaign is the unit of every experiment in the reproduced paper: a
 // (technique × n × p) grid of independent simulated loop executions,
@@ -10,32 +10,34 @@
 // serializes to JSON, round-trips losslessly, and has a canonical hash
 // under which results are content-addressed. Execution is
 // bit-deterministic in the spec: two executions of the same spec, on
-// any worker count, on any Runner, produce identical per-run metrics,
+// any worker count, on any Executor, produce identical per-run metrics,
 // identical result streams and identical aggregates.
 //
-// # Runners
+// # Executors and Runners
 //
-// A Runner executes campaigns asynchronously: Submit enqueues a spec
-// and returns a job handle, Wait blocks for the terminal state, Stream
-// delivers the deterministic per-run Event sequence to Sinks, Cancel
-// aborts, and Describe reports the runner's capabilities (techniques,
-// backends, seed policies). Two implementations exist:
+// An Executor runs a campaign from submission to aggregated result,
+// and Run drives any Executor. Three implementations exist:
 //
-//   - LocalRunner (this package) executes in-process through the
-//     engine's worker pool, content-addressed result store and
-//     context-aware cancellation plumbing.
+//   - LocalRunner (this package) calls straight into the engine's
+//     worker pool, content-addressed result store and context-aware
+//     cancellation plumbing.
 //   - client.Client (package repro/client) speaks the dlsimd daemon's
-//     /v1 HTTP API, so the same campaign runs on a remote service.
+//     /v1 HTTP API: it submits the spec and folds the streamed events
+//     through an Aggregator. Aggregation is a deterministic fold over
+//     the event stream, so a remote execution aggregated client-side is
+//     bit-identical to a local one.
 //   - distrib.Coordinator (package repro/campaign/distrib) shards one
-//     campaign across a fleet of Runners — replication windows become
-//     ordinary sub-specs via Spec.RepOffset — and merges the streams
-//     bit-identically to a single-node run, retrying failed or
+//     campaign across a fleet of nodes — replication windows become
+//     ordinary sub-specs via Spec.RepOffset — and merges the shard
+//     streams bit-identically to a single-node run, retrying failed or
 //     straggling shards on surviving nodes.
 //
-// The Execute and Run helpers drive any Runner end-to-end and return
-// aggregated results; because aggregation is a deterministic fold over
-// the event stream (Aggregator), a remote execution aggregated
-// client-side is bit-identical to a local one.
+// A Runner is a node's asynchronous job API: Submit enqueues a spec
+// and returns a job handle, Wait blocks for the terminal state, Stream
+// delivers the deterministic per-run Event sequence to Sinks, Cancel
+// aborts, and Describe reports the node's capabilities (techniques,
+// backends, seed policies). LocalRunner and client.Client implement
+// it, and the coordinator places its shards on nodes through it.
 //
 // # Sinks: one delivery rule per sink
 //

@@ -27,9 +27,11 @@ type LocalConfig struct {
 }
 
 // LocalRunner executes campaigns in-process through the engine's worker
-// pool, cache and context plumbing. It implements Runner (asynchronous
+// pool, cache and context plumbing. It implements Executor (calling
+// straight into the engine) and Runner (asynchronous
 // submit/wait/stream/cancel over a bounded job queue with singleflight
-// deduplication) and Executor (the synchronous fast path). The job
+// deduplication — the node API a fleet coordinator places shards
+// through). The job
 // queue's goroutines start lazily on first Submit, so purely synchronous
 // users pay nothing for the asynchronous machinery.
 //

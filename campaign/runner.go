@@ -19,12 +19,12 @@ type Job struct {
 	Deduped bool `json:"deduped"`
 }
 
-// Runner is the one execution interface of the system: everything that
-// can run a campaign — the in-process engine (LocalRunner) or a dlsimd
-// daemon reached over HTTP (client.Client) — implements it, so callers
-// choose where a campaign executes without changing how they execute
-// it. Results are bit-identical across implementations for a given
-// spec.
+// Runner is the asynchronous job API of a node that executes
+// campaigns: the in-process engine (LocalRunner) or a dlsimd daemon
+// reached over HTTP (client.Client). A fleet coordinator places its
+// shards through it. Callers that want a campaign's result run it
+// through an Executor instead; both nodes are Executors too. Results
+// are bit-identical across implementations for a given spec.
 type Runner interface {
 	// Submit validates the spec and enqueues it, returning a job handle.
 	// Submitting a spec whose hash matches a queued or running job joins
@@ -65,17 +65,21 @@ type ExecOptions struct {
 	Sinks []Sink
 }
 
-// Executor is the optional synchronous fast path of a Runner. The
-// LocalRunner implements it by calling straight into the engine,
-// skipping the submit/wait/stream round trip; Execute uses it when
-// available.
+// Executor is the one interface a campaign is run through, to its
+// aggregated result. LocalRunner calls straight into the engine;
+// client.Client submits to its daemon and folds the streamed events
+// through an Aggregator; distrib.Coordinator shards the spec across a
+// fleet and merges the shard streams. Aggregation is a deterministic
+// fold, so all three return bit-identical results for a given spec.
+// Sinks in opts observe the ordered per-run event stream and are
+// closed exactly once on every path.
 type Executor interface {
 	Execute(ctx context.Context, spec Spec, opts ExecOptions) (*Result, error)
 }
 
 // CloseSinks closes every sink exactly once, preserving first (or the
 // first close error when first is nil) — the shared tail of the Sink
-// contract every Runner implementation must honor on success and error
+// contract every Runner and Executor must honor on success and error
 // paths alike.
 func CloseSinks(first error, sinks ...Sink) error {
 	for _, s := range sinks {
@@ -86,37 +90,9 @@ func CloseSinks(first error, sinks ...Sink) error {
 	return first
 }
 
-// Execute runs one campaign through the runner from submission to
-// aggregated result. On a plain Runner it submits, waits, and feeds the
-// streamed events through an Aggregator — a deterministic fold, so the
-// returned aggregates are bit-identical to the ones a local execution
-// computes. Runners implementing Executor (LocalRunner) short-circuit
-// to their in-process path. Sinks in opts observe the event stream
-// either way and are closed exactly once on every path.
-func Execute(ctx context.Context, r Runner, spec Spec, opts ExecOptions) (*Result, error) {
-	if d, ok := r.(Executor); ok {
-		return d.Execute(ctx, spec, opts)
-	}
-	agg, err := spec.NewAggregator(opts.KeepPerRun)
-	if err != nil {
-		return nil, CloseSinks(err, opts.Sinks...)
-	}
-	job, err := r.Submit(ctx, spec)
-	if err != nil {
-		return nil, CloseSinks(err, opts.Sinks...)
-	}
-	// Stream waits for completion itself, surfaces failed/cancelled
-	// terminal states as errors, and closes every sink (including the
-	// aggregator, whose Close validates the stream was complete).
-	if err := r.Stream(ctx, job.ID, append([]Sink{agg}, opts.Sinks...)...); err != nil {
-		return nil, err
-	}
-	return agg.Result(), nil
-}
-
-// Run is Execute with default options: Run(ctx, r, spec, sinks...)
-// executes the campaign and returns its aggregates while the sinks
-// observe the per-run stream.
-func Run(ctx context.Context, r Runner, spec Spec, sinks ...Sink) (*Result, error) {
-	return Execute(ctx, r, spec, ExecOptions{Sinks: sinks})
+// Run drives any Executor with default options: Run(ctx, e, spec,
+// sinks...) executes the campaign and returns its aggregates while the
+// sinks observe the per-run stream.
+func Run(ctx context.Context, e Executor, spec Spec, sinks ...Sink) (*Result, error) {
+	return e.Execute(ctx, spec, ExecOptions{Sinks: sinks})
 }

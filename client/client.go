@@ -19,8 +19,8 @@ import (
 )
 
 // Client speaks the dlsimd /v1 API. It is safe for concurrent use and
-// implements campaign.Runner — the remote counterpart of
-// campaign.LocalRunner.
+// implements campaign.Runner and campaign.Executor — the remote
+// counterpart of campaign.LocalRunner.
 type Client struct {
 	base   string // normalized base URL, no trailing slash
 	doer   Doer   // transport seam; defaults to a plain *http.Client
@@ -37,7 +37,10 @@ type Doer interface {
 	Do(*http.Request) (*http.Response, error)
 }
 
-var _ campaign.Runner = (*Client)(nil)
+var (
+	_ campaign.Runner   = (*Client)(nil)
+	_ campaign.Executor = (*Client)(nil)
+)
 
 // Sentinel errors surfaced from the service's auth, rate-limit and
 // quota middleware, re-exported from campaign so callers importing only
@@ -492,6 +495,29 @@ func (c *Client) stream(ctx context.Context, id string, sinks []campaign.Sink) e
 		return fmt.Errorf("client: job %s result stream truncated: got %d of %d events", id, events, snap.Total)
 	}
 	return nil
+}
+
+// Execute implements campaign.Executor: it submits the spec, then
+// streams the job's events into an Aggregator and the sinks in opts.
+// Aggregation is a deterministic fold over the stream, so the returned
+// aggregates are bit-identical to the ones a local execution computes.
+// Every sink is closed exactly once.
+func (c *Client) Execute(ctx context.Context, spec campaign.Spec, opts campaign.ExecOptions) (*campaign.Result, error) {
+	agg, err := spec.NewAggregator(opts.KeepPerRun)
+	if err != nil {
+		return nil, campaign.CloseSinks(err, opts.Sinks...)
+	}
+	job, err := c.Submit(ctx, spec)
+	if err != nil {
+		return nil, campaign.CloseSinks(err, opts.Sinks...)
+	}
+	// Stream waits for completion itself, surfaces failed/cancelled
+	// terminal states as errors, and closes every sink (including the
+	// aggregator, whose Close validates the stream was complete).
+	if err := c.Stream(ctx, job.ID, append([]campaign.Sink{agg}, opts.Sinks...)...); err != nil {
+		return nil, err
+	}
+	return agg.Result(), nil
 }
 
 // Describe implements campaign.Runner: GET /v1.

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -116,6 +117,24 @@ func TestContractLocalRemoteEquivalence(t *testing.T) {
 	}
 	if localRes.Overall != remoteRes.Overall {
 		t.Fatalf("overall roll-up differs: %+v vs %+v", localRes.Overall, remoteRes.Overall)
+	}
+
+	// With KeepPerRun, the client's fold keeps every run's metrics as
+	// decoded off the wire: the same values as the local engine's.
+	keep := campaign.ExecOptions{KeepPerRun: true}
+	localKeep, err := local.Execute(ctx, spec, keep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remoteKeep, err := remote.Execute(ctx, spec, keep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, l := range localKeep.Aggregates {
+		r := remoteKeep.Aggregates[i]
+		if len(l.PerRun) != spec.Replications || !slices.Equal(l.PerRun, r.PerRun) {
+			t.Fatalf("aggregate %d per-run metrics differ:\nlocal:  %+v\nremote: %+v", i, l.PerRun, r.PerRun)
+		}
 	}
 
 	// The legacy facade computes the same numbers: the spec above uses

@@ -1,6 +1,6 @@
 // Package client is the typed Go SDK for the dlsimd campaign service's
-// /v1 HTTP API. A Client implements campaign.Runner, so code written
-// against the Runner interface executes campaigns on a remote daemon
+// /v1 HTTP API. A Client implements campaign.Executor, so code that runs
+// campaigns through campaign.Run executes them on a remote daemon
 // exactly as it would in-process — same specs, same deterministic
 // per-run event streams, bit-identical aggregates:
 //
@@ -8,11 +8,14 @@
 //	if err != nil { ... }
 //	res, err := campaign.Run(ctx, c, spec) // identical to a LocalRunner run
 //
-// Beyond the Runner methods (Submit, Wait, Stream, Cancel, Describe),
-// the client exposes the full v1 surface: job status and paginated
-// listing (Job, Jobs), raw result streams in either encoding (Results),
-// discovery (Techniques, Backends), the liveness probe (Live) and the
-// readiness document (Health).
+// Execute submits the spec, then folds the streamed events through an
+// Aggregator client-side. A Client also implements campaign.Runner, the
+// node job API (Submit, Wait, Stream, Cancel, Describe) a fleet
+// coordinator places shards through. Beyond both, the client exposes
+// the full v1 surface: job status and paginated listing (Job, Jobs),
+// raw result streams in either encoding (Results), discovery
+// (Techniques, Backends), the liveness probe (Live) and the readiness
+// document (Health).
 //
 // Three options configure a client. WithDoer is the one transport
 // seam: pass an *http.Client carrying a timeout, TLS configuration or a

@@ -122,7 +122,7 @@ func run(ctx context.Context) error {
 		return err
 	}
 	var (
-		runner      campaign.Runner
+		runner      campaign.Executor
 		closeRunner func()
 	)
 	if *servers != "" {
@@ -232,8 +232,8 @@ func run(ctx context.Context) error {
 	if declarable {
 		// The flag-driven single point compiles to a declarative campaign
 		// spec, which makes it hashable (therefore cacheable) and — being
-		// plain data — executable by any campaign.Runner, local or remote
-		// (-server).
+		// plain data — executable by any campaign.Executor: local, remote
+		// (-server) or a fleet (-servers).
 		cspec := engine.CampaignSpec{
 			Backend:    *backend,
 			Techniques: []string{*tech},

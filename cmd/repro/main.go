@@ -235,7 +235,7 @@ func runVerify(ctx context.Context, runs int, seed uint64) error {
 // runExtension executes the paper's §VI future work: the TAP/WF/AWF*/AF
 // techniques on the Hagerup grid, plus the TSS publication's GSS(k) and
 // CSS(k) parameter sweeps.
-func runExtension(ctx context.Context, runs int, seed uint64, backend string, runner campaign.Runner) error {
+func runExtension(ctx context.Context, runs int, seed uint64, backend string, runner campaign.Executor) error {
 	fmt.Println("\n=== Extension: future-work techniques (paper §VI) on the Hagerup grid ===")
 	spec := experiment.FutureWorkSpec(seed)
 	spec.Ns = []int64{8192}
@@ -369,7 +369,7 @@ func tzenVerdict(exp int, res *experiment.TzenResult) string {
 
 // runHagerup reproduces one of Figures 5–8: panels (a) reference values,
 // (b) simulation values, (c) discrepancy, (d) relative discrepancy.
-func runHagerup(ctx context.Context, n int64, runs int, seed uint64, keepPerRun bool, backend string, runner campaign.Runner, sinks []engine.Sink) (*experiment.HagerupResult, error) {
+func runHagerup(ctx context.Context, n int64, runs int, seed uint64, keepPerRun bool, backend string, runner campaign.Executor, sinks []engine.Sink) (*experiment.HagerupResult, error) {
 	figure := map[int64]int{1024: 5, 8192: 6, 65536: 7, 524288: 8}[n]
 	if figure == 0 {
 		return nil, cliutil.Usagef("hagerup: n must be one of 1024, 8192, 65536, 524288 (Table III); got %d", n)
@@ -462,7 +462,7 @@ func printWastedTable(ps []int, value func(tech string, p int) float64) {
 // runFig9 reproduces Figure 9: the average wasted time of each run of
 // FAC with 2 workers and 524,288 tasks, plus the outlier analysis of
 // §IV-B4.
-func runFig9(ctx context.Context, runs int, seed uint64, backend string, runner campaign.Runner, sinks []engine.Sink) error {
+func runFig9(ctx context.Context, runs int, seed uint64, backend string, runner campaign.Executor, sinks []engine.Sink) error {
 	log.Printf("Figure 9: FAC, 2 PEs, 524288 tasks, %d runs...", runs)
 	spec := experiment.HagerupGrid(seed)
 	spec.Techniques = []string{"FAC"}
@@ -548,7 +548,7 @@ func printTables() error {
 }
 
 // exportCSV writes the raw data of all experiments (paper §V).
-func exportCSV(ctx context.Context, dir string, runs int, seed uint64, backend string, runner campaign.Runner) error {
+func exportCSV(ctx context.Context, dir string, runs int, seed uint64, backend string, runner campaign.Executor) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}

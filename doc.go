@@ -9,18 +9,21 @@
 // publication (Tzen & Ni 1993) and the BOLD publication (Hagerup 1997).
 //
 // The package itself is a thin, stable facade over the full system —
-// since the unified Runner API it is a convenience layer over a
-// campaign.LocalRunner:
+// a convenience layer over a campaign.LocalRunner:
 //
 //   - campaign — the public execution API: declarative Spec (grid ×
 //     replications × seed policy as hashable plain data), per-run Event
-//     streaming into Sinks, client-side Aggregator, and the Runner
-//     interface (Submit, Wait, Stream, Cancel, Describe) that makes
-//     local and remote execution interchangeable
+//     streaming into Sinks, client-side Aggregator, the Executor
+//     interface every campaign runs through (campaign.Run), and the
+//     Runner interface (Submit, Wait, Stream, Cancel, Describe) of a
+//     node's asynchronous job API
 //   - client — the typed Go SDK for the dlsimd /v1 HTTP API; a
-//     client.Client implements campaign.Runner, and the same Spec run
-//     locally or remotely yields bit-identical streams and aggregates
-//     (API.md documents the wire contract)
+//     client.Client is both an Executor and a Runner, and the same Spec
+//     run locally or remotely yields bit-identical streams and
+//     aggregates (API.md documents the wire contract)
+//   - campaign/distrib — the fleet coordinator, an Executor that shards
+//     one campaign across dlsimd nodes and merges their streams
+//     bit-identically to a single-node run
 //   - internal/sched — the 15 DLS chunk calculators (STAT, SS, CSS, FSC,
 //     GSS, TSS, FAC, FAC2, BOLD, TAP, WF, AWF, AWF-B, AWF-C, AF)
 //   - internal/engine — the unified simulation layer: pluggable Backend

@@ -141,13 +141,13 @@ func OpenOut(path string) ([]engine.Sink, func() error, error) {
 	return []engine.Sink{sink}, closeOut, nil
 }
 
-// NewRunner builds the campaign runner the -server flag selects: a
+// NewRunner builds the campaign executor the -server flag selects: a
 // remote client.Client speaking the dlsimd /v1 API when server names a
 // base URL, otherwise an in-process LocalRunner over the given store
 // and worker bound. The cleanup function releases the local runner's
 // resources (it is a no-op for the remote client) and is safe to defer.
 // A malformed server URL is a usage error.
-func NewRunner(server string, store cache.Store, workers int) (campaign.Runner, func(), error) {
+func NewRunner(server string, store cache.Store, workers int) (campaign.Executor, func(), error) {
 	if server == "" {
 		local := campaign.NewLocal(campaign.LocalConfig{Store: store, Workers: workers})
 		return local, local.Close, nil
@@ -170,7 +170,7 @@ func NewRunner(server string, store cache.Store, workers int) (campaign.Runner, 
 // (breaker states and transitions, hedges, retries) are written there
 // in Prometheus text format when the runner is cleaned up — scrapeable
 // offline with cmd/metricscheck. A malformed URL list is a usage error.
-func NewFleetRunner(servers string, opts distrib.Options, metricsFile string) (campaign.Runner, func(), error) {
+func NewFleetRunner(servers string, opts distrib.Options, metricsFile string) (campaign.Executor, func(), error) {
 	var nodes []campaign.Runner
 	for _, raw := range strings.Split(servers, ",") {
 		u := strings.TrimSpace(raw)
@@ -249,11 +249,11 @@ func ReportIncomplete(err error) bool {
 }
 
 // RunSpecFile executes the declarative campaign spec in the given JSON
-// file through the runner — in-process or a remote dlsimd — and prints
-// one aggregate row per grid point. An unreadable or invalid spec file
-// is a usage error; cancelling ctx aborts the campaign with a
+// file through the executor — in-process, a remote dlsimd or a fleet —
+// and prints one aggregate row per grid point. An unreadable or invalid
+// spec file is a usage error; cancelling ctx aborts the campaign with a
 // cancellation error.
-func RunSpecFile(ctx context.Context, path string, r campaign.Runner, sinks []engine.Sink) error {
+func RunSpecFile(ctx context.Context, path string, r campaign.Executor, sinks []engine.Sink) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Usagef("spec: %v", err)

@@ -105,7 +105,6 @@ func (r *desRunner) Run(ctx context.Context, spec RunSpec) (*RunResult, error) {
 	k := des.New()
 	var nextTask int64
 	var masterFree float64
-	var runErr error
 	for w := 0; w < spec.P; w++ {
 		w := w
 		start := 0.0
@@ -136,12 +135,6 @@ func (r *desRunner) Run(ctx context.Context, spec RunSpec) (*RunResult, error) {
 				chunkStart := nextTask
 				exec := spec.Work.ChunkTime(nextTask, chunk, &r.rng)
 				nextTask += chunk
-				if !(speed > 0) {
-					if runErr == nil {
-						runErr = fmt.Errorf("engine: des: speed %v for worker %d is not positive", speed, w)
-					}
-					return
-				}
 				exec /= speed
 				done := serviceEnd + spec.PerMessageCost + exec
 				res.CommTime += spec.PerMessageCost
@@ -162,9 +155,6 @@ func (r *desRunner) Run(ctx context.Context, spec RunSpec) (*RunResult, error) {
 	}
 	if err := k.Run(); err != nil {
 		return nil, fmt.Errorf("engine: des backend: %w", err)
-	}
-	if runErr != nil {
-		return nil, runErr
 	}
 	return res, nil
 }

@@ -283,8 +283,8 @@ var pathDigests = map[string][2]string{
 // chunk sizes auto, 1 and 7 (more than the three replications), a cache
 // replay through a JSONL sink, an aggregate-only snapshot hit, a
 // client-side Aggregator fed the decoded JSONL rows, and a sharded
-// fleet's rolling and asynchronous merges (checkFleetPaths). No path is
-// the oracle of another.
+// fleet's rolling merge (checkFleetPaths). No path is the oracle of
+// another.
 func TestEnginePathDigests(t *testing.T) {
 	ctx := context.Background()
 	for _, backend := range []string{"sim", "des", "msg"} {
@@ -370,9 +370,8 @@ func TestEnginePathDigests(t *testing.T) {
 // checkFleetPaths runs spec through a distrib.Coordinator over three
 // in-process LocalRunner nodes (one worker each, one shared memory
 // store) at shard counts 1, 2, 3, 7 and 15; at 15 every run of
-// digestSpec is its own shard. Each count checks two merges against the
-// key's digests: campaign.Execute (the rolling merge) and Submit, then
-// Stream into an Aggregator and a JSONL sink (the asynchronous merge).
+// digestSpec is its own shard. Each count checks the coordinator's
+// Execute (the rolling merge) against the key's digests.
 func checkFleetPaths(t *testing.T, spec engine.CampaignSpec, check func(string, []byte, *engine.CampaignResult)) {
 	t.Helper()
 	ctx := context.Background()
@@ -389,26 +388,12 @@ func checkFleetPaths(t *testing.T, spec engine.CampaignSpec, check func(string, 
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		res, err := campaign.Execute(ctx, coord, spec,
+		res, err := coord.Execute(ctx, spec,
 			campaign.ExecOptions{Sinks: []campaign.Sink{campaign.NewJSONLSink(&buf)}})
 		if err != nil {
 			t.Fatalf("fleet execute shards=%d: %v", shards, err)
 		}
 		check(fmt.Sprintf("fleet execute shards=%d", shards), buf.Bytes(), res)
-
-		jb, err := coord.Submit(ctx, spec)
-		if err != nil {
-			t.Fatalf("fleet submit shards=%d: %v", shards, err)
-		}
-		agg, err := spec.NewAggregator(false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf.Reset()
-		if err := coord.Stream(ctx, jb.ID, agg, campaign.NewJSONLSink(&buf)); err != nil {
-			t.Fatalf("fleet stream shards=%d: %v", shards, err)
-		}
-		check(fmt.Sprintf("fleet submit+stream shards=%d", shards), buf.Bytes(), agg.Result())
 		if err := coord.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -16,7 +16,6 @@ import (
 	"sort"
 
 	"repro/campaign"
-	"repro/internal/cache"
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/rng"
@@ -37,25 +36,19 @@ type HagerupSpec struct {
 	Mu         float64  // exponential mean task time (paper: 1 s)
 	H          float64  // scheduling overhead per operation (paper: 0.5 s)
 	Seed       uint64   // base seed; all run streams derive from it
-	Workers    int      // concurrent runs; 0 selects GOMAXPROCS
 	KeepPerRun bool     // retain per-run wasted times (needed for Figure 9)
 	Backend    string   // engine backend executing the runs; "" = "sim"
-
-	// Cache, when non-nil, serves repeated grids content-addressed by
-	// the campaign spec hash without re-simulation.
-	Cache cache.Store
 
 	// Sinks additionally observe every run's metrics as a deterministic
 	// stream (e.g. engine.NewCSVSink for raw-data export).
 	Sinks []engine.Sink
 
-	// Runner, when non-nil, executes the grid through the unified
-	// campaign Runner API instead of calling the engine directly — e.g.
-	// a client.Client running the experiment on a remote dlsimd (the
-	// repro CLI's -server flag). Cache and Workers then only apply to
-	// local runners, which carry their own; results are bit-identical
-	// either way.
-	Runner campaign.Runner
+	// Runner executes the grid: a LocalRunner carrying its own result
+	// store and worker bound, or a client.Client running the experiment
+	// on a remote dlsimd (the repro CLI's -server flag). Nil selects
+	// campaign.NewLocal(campaign.LocalConfig{}): no store, all CPU
+	// cores. Results are bit-identical on every executor.
+	Runner campaign.Executor
 }
 
 // Validate checks the spec for usability.
@@ -177,31 +170,22 @@ func (s HagerupSpec) CampaignSpec() engine.CampaignSpec {
 	}
 }
 
-// RunHagerup executes the full grid as one engine campaign, streaming
-// the independent runs through the results pipeline (and, when
-// configured, the content-addressed cache). Cancelling ctx aborts the
-// grid with an error wrapping ctx.Err().
+// RunHagerup executes the full grid as one campaign through
+// spec.Runner, streaming the independent runs through the results
+// pipeline. Cancelling ctx aborts the grid with an error wrapping
+// ctx.Err().
 func RunHagerup(ctx context.Context, spec HagerupSpec) (*HagerupResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	var (
-		res *engine.CampaignResult
-		err error
-	)
-	if spec.Runner != nil {
-		res, err = campaign.Execute(ctx, spec.Runner, spec.CampaignSpec(), campaign.ExecOptions{
-			KeepPerRun: spec.KeepPerRun,
-			Sinks:      spec.Sinks,
-		})
-	} else {
-		res, err = spec.CampaignSpec().Execute(ctx, engine.ExecConfig{
-			Workers:    spec.Workers,
-			KeepPerRun: spec.KeepPerRun,
-			Cache:      spec.Cache,
-			Sinks:      spec.Sinks,
-		})
+	runner := spec.Runner
+	if runner == nil {
+		runner = campaign.NewLocal(campaign.LocalConfig{})
 	}
+	res, err := runner.Execute(ctx, spec.CampaignSpec(), campaign.ExecOptions{
+		KeepPerRun: spec.KeepPerRun,
+		Sinks:      spec.Sinks,
+	})
 	if err != nil {
 		return nil, err
 	}

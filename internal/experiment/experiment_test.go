@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/campaign"
 	"repro/internal/rng"
 )
 
@@ -94,9 +95,9 @@ func TestRunHagerupSmall(t *testing.T) {
 // identical means whether runs execute on 1 or many workers.
 func TestDeterministicAcrossParallelism(t *testing.T) {
 	s1 := smallSpec()
-	s1.Workers = 1
+	s1.Runner = campaign.NewLocal(campaign.LocalConfig{Workers: 1})
 	sN := smallSpec()
-	sN.Workers = 8
+	sN.Runner = campaign.NewLocal(campaign.LocalConfig{Workers: 8})
 	r1, err := RunHagerup(context.Background(), s1)
 	if err != nil {
 		t.Fatal(err)
