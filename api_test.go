@@ -2,13 +2,16 @@ package repro
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/rng"
+	"repro/internal/testutil"
 	"repro/internal/workload"
 )
 
@@ -449,5 +452,65 @@ func TestProcTierLRUBound(t *testing.T) {
 	// campaigns only lose the memory layer on eviction.
 	if m1 := memTierFor(first); m1 == m0 {
 		t.Fatal("evicted tier instance resurrected; want a fresh memory layer")
+	}
+}
+
+// facadeGate counts the backend runs the facade performs; it is
+// released at registration, so its runs complete at once on the sim
+// backend.
+var facadeGate = testutil.NewGateBackend("facade-gate")
+
+func init() {
+	engine.Register(facadeGate)
+	facadeGate.Release()
+}
+
+// TestWithCacheRepeatRunsNothing: a MeanWastedTime or Compare repeated
+// against the same WithCache directory performs zero backend runs and
+// returns the first call's values.
+func TestWithCacheRepeatRunsNothing(t *testing.T) {
+	dir := t.TempDir()
+	opts := []Option{WithBackend(facadeGate.Name()), WithSeed(11), WithCache(dir)}
+
+	mean := func() float64 {
+		t.Helper()
+		v, err := MeanWastedTime("FAC2", 512, 4, 6, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	before := facadeGate.Runs.Load()
+	live := mean()
+	if runs := facadeGate.Runs.Load() - before; runs != 6 {
+		t.Fatalf("first MeanWastedTime performed %d backend runs, want 6", runs)
+	}
+	before = facadeGate.Runs.Load()
+	if cached := mean(); cached != live {
+		t.Fatalf("cached mean %v != live mean %v", cached, live)
+	}
+	if runs := facadeGate.Runs.Load() - before; runs != 0 {
+		t.Fatalf("repeated MeanWastedTime performed %d backend runs, want 0", runs)
+	}
+
+	compare := func() map[string]float64 {
+		t.Helper()
+		m, err := Compare([]string{"FAC2", "GSS", "SS"}, 512, 4, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	before = facadeGate.Runs.Load()
+	cmpLive := compare()
+	if runs := facadeGate.Runs.Load() - before; runs != 3 {
+		t.Fatalf("first Compare performed %d backend runs, want 3", runs)
+	}
+	before = facadeGate.Runs.Load()
+	if cmpCached := compare(); !maps.Equal(cmpCached, cmpLive) {
+		t.Fatalf("cached Compare %v != live %v", cmpCached, cmpLive)
+	}
+	if runs := facadeGate.Runs.Load() - before; runs != 0 {
+		t.Fatalf("repeated Compare performed %d backend runs, want 0", runs)
 	}
 }
