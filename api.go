@@ -3,8 +3,6 @@ package repro
 import (
 	"context"
 	"fmt"
-	"path/filepath"
-	"sync"
 
 	"repro/campaign"
 	"repro/internal/cache"
@@ -254,51 +252,8 @@ func (c Config) campaignSpec(techniques []string, n int64, p int, runs int, poli
 	}, true
 }
 
-// procTiers holds one process-lifetime memory tier per cache directory,
-// so repeated campaigns within one process skip disk reads and decoding
-// entirely. Tiers are scoped per directory (not shared) so that a
-// campaign run against a second directory still populates that
-// directory's on-disk store; each holds the campaign's per-run metrics
-// blobs. The map is LRU-bounded at procTierCap directories so a process
-// cycling through many cache directories cannot grow it without bound —
-// an evicted directory only loses its memory layer, the on-disk store
-// stays authoritative.
-const procTierCap = 16
-
-var (
-	procMu    sync.Mutex
-	procTiers = make(map[string]*cache.Memory)
-	procOrder []string // LRU order: least recently used first
-)
-
-func memTierFor(dir string) *cache.Memory {
-	if abs, err := filepath.Abs(dir); err == nil {
-		dir = abs
-	}
-	procMu.Lock()
-	defer procMu.Unlock()
-	if m, ok := procTiers[dir]; ok {
-		for i, d := range procOrder {
-			if d == dir {
-				procOrder = append(append(procOrder[:i:i], procOrder[i+1:]...), dir)
-				break
-			}
-		}
-		return m
-	}
-	if len(procTiers) >= procTierCap {
-		evict := procOrder[0]
-		procOrder = procOrder[1:]
-		delete(procTiers, evict)
-	}
-	m := cache.NewMemory()
-	procTiers[dir] = m
-	procOrder = append(procOrder, dir)
-	return m
-}
-
-// resultCache opens the configured content-addressed store, if any: the
-// directory's in-process memory layer over its on-disk store.
+// resultCache opens the configured on-disk content-addressed store, if
+// any.
 func (c Config) resultCache() (cache.Store, error) {
 	if c.cacheDir == "" {
 		return nil, nil
@@ -307,7 +262,7 @@ func (c Config) resultCache() (cache.Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("repro: %w", err)
 	}
-	return cache.NewTiered(memTierFor(c.cacheDir), disk), nil
+	return disk, nil
 }
 
 // runCampaign executes a declarative campaign through a LocalRunner

@@ -1,11 +1,9 @@
 package repro
 
 import (
-	"fmt"
 	"maps"
 	"math"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -318,8 +316,8 @@ func TestWithIncreasingHonorsOwnTaskCount(t *testing.T) {
 }
 
 // TestWithCacheServesRepeatedCampaigns: a repeated MeanWastedTime and
-// Compare with WithCache must return the exact live-run values (served
-// through the in-process memory tier and the on-disk store).
+// Compare with WithCache must return the exact live-run values, served
+// from the on-disk store.
 func TestWithCacheServesRepeatedCampaigns(t *testing.T) {
 	dir := t.TempDir()
 	live, err := MeanWastedTime("FAC2", 1024, 8, 10, WithSeed(5), WithCache(dir))
@@ -379,9 +377,9 @@ func TestDegenerateWorkloadFallsBackToDirectPath(t *testing.T) {
 	}
 }
 
-// TestWithCachePopulatesEverySeparateDirectory: the in-process memory
-// tier is scoped per directory, so a campaign repeated against a second
-// directory must still write that directory's on-disk store.
+// TestWithCachePopulatesEverySeparateDirectory: each WithCache directory
+// is its own store, so a campaign repeated against a second directory
+// must still write that directory.
 func TestWithCachePopulatesEverySeparateDirectory(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
 	if _, err := MeanWastedTime("FAC2", 512, 4, 5, WithSeed(8), WithCache(dirA)); err != nil {
@@ -413,45 +411,6 @@ func TestCompareRejectsDuplicateTechniques(t *testing.T) {
 		WithWorkload(workload.NewConstant(1))); err == nil ||
 		!strings.Contains(err.Error(), "duplicate technique") {
 		t.Fatalf("non-declarative Compare = %v, want duplicate technique error", err)
-	}
-}
-
-// TestProcTierLRUBound: the process-lifetime memory tier map must not
-// grow without bound when one process cycles through many cache
-// directories; eviction only drops the memory layer, never disk data.
-func TestProcTierLRUBound(t *testing.T) {
-	base := t.TempDir()
-	first := filepath.Join(base, "dir0")
-	m0 := memTierFor(first)
-	for i := 1; i < procTierCap+8; i++ {
-		memTierFor(filepath.Join(base, fmt.Sprintf("dir%d", i)))
-	}
-	procMu.Lock()
-	size := len(procTiers)
-	_, firstAlive := procTiers[first]
-	procMu.Unlock()
-	if size > procTierCap {
-		t.Fatalf("procTiers holds %d tiers, cap is %d", size, procTierCap)
-	}
-	if firstAlive {
-		t.Fatal("least-recently-used tier survived past the cap")
-	}
-	// A re-touched directory is most recently used and must survive.
-	touched := filepath.Join(base, fmt.Sprintf("dir%d", procTierCap))
-	memTierFor(touched)
-	for i := 0; i < procTierCap-1; i++ {
-		memTierFor(filepath.Join(base, fmt.Sprintf("fresh%d", i)))
-	}
-	procMu.Lock()
-	_, touchedAlive := procTiers[touched]
-	procMu.Unlock()
-	if !touchedAlive {
-		t.Fatal("most-recently-used tier evicted before older ones")
-	}
-	// A fresh tier for a reused directory still serves the disk store:
-	// campaigns only lose the memory layer on eviction.
-	if m1 := memTierFor(first); m1 == m0 {
-		t.Fatal("evicted tier instance resurrected; want a fresh memory layer")
 	}
 }
 

@@ -181,10 +181,6 @@ func NewMemoryStore() Store { return cache.NewMemory() }
 // if needed), with atomic writes.
 func NewDiskStore(dir string) (Store, error) { return cache.NewDisk(dir) }
 
-// NewTieredStore layers stores fastest-first: reads fill faster layers
-// from slower ones, writes go through to all.
-func NewTieredStore(layers ...Store) Store { return cache.NewTiered(layers...) }
-
 // Description reports an execution surface's capabilities — what the
 // Describe method of every Runner returns and the GET /v1 discovery
 // endpoint serves.

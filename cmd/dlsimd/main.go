@@ -91,7 +91,7 @@ func main() {
 func run(ctx context.Context) error {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
-		cacheDir  = flag.String("cache", "", "content-addressed result store directory (default: in-memory only)")
+		cacheDir  = flag.String("cache", "", "content-addressed result store directory, the daemon's only store (default: an in-memory store that never evicts)")
 		queue     = flag.Int("queue", 64, "bounded submission queue depth")
 		jobsN     = flag.Int("jobs", 1, "campaigns executing concurrently")
 		workers   = flag.Int("workers", envInt("DLSIMD_WORKERS", 0), "concurrent runs per campaign (0 = all CPU cores; env DLSIMD_WORKERS)")
@@ -110,18 +110,18 @@ func run(ctx context.Context) error {
 	)
 	flag.Parse()
 
-	// A memory tier always fronts the store so repeated submissions are
-	// served without disk reads or entry decoding; -cache adds durability
-	// across daemon restarts.
-	var store cache.Store = cache.NewMemory()
+	// One store per process: the disk store with -cache, which survives
+	// daemon restarts, or else a memory store, which never evicts.
+	var store cache.Store
 	if *cacheDir != "" {
 		disk, err := cache.NewDisk(*cacheDir)
 		if err != nil {
 			return err
 		}
-		store = cache.NewTiered(store, disk)
-		log.Printf("result store: memory over disk at %s", disk.Dir())
+		store = disk
+		log.Printf("result store: disk at %s", disk.Dir())
 	} else {
+		store = cache.NewMemory()
 		log.Print("result store: in-memory (pass -cache DIR for durability)")
 	}
 	// The counting wrapper feeds the cache hit/miss/put gauges; it is

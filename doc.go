@@ -104,7 +104,7 @@
 // output bit: fixed SHA-256 digests pin the JSONL output and the
 // aggregates of all three backends under every seed policy, whether
 // they come from live runs at any worker count and chunk size, a cache
-// replay, a snapshot hit or client-side aggregation, and CI pins
+// replay, an aggregate-only hit or client-side aggregation, and CI pins
 // sim.Run at 0 steady-state allocs/op up to p = 1024 and gates
 // multi-core scaling (>= 1.5x at 4 workers). cmd/benchtraj records
 // absolute throughput, allocs/run and the worker-scaling curve

@@ -4,10 +4,11 @@
 // bit-deterministic for a given spec, equal keys imply equal results and
 // a hit can be served without re-simulation.
 //
-// Two layers are provided — a process-local Memory store and an on-disk
-// Disk store with atomic writes — plus a Tiered combinator that
-// read-through-fills faster layers from slower ones. All stores are safe
-// for concurrent use.
+// Two stores are provided — a process-local Memory store, which never
+// evicts, and an on-disk Disk store with atomic writes — plus a Counting
+// wrapper for hit/miss/put counters. A process opens exactly one store;
+// nothing layers one over another. All stores are safe for concurrent
+// use.
 package cache
 
 import (
@@ -31,8 +32,8 @@ type Store interface {
 	Put(ctx context.Context, key string, data []byte) error
 }
 
-// validKey reports whether key is usable as a content address across all
-// layers: non-empty hex-like names that cannot escape a directory.
+// validKey reports whether key is usable as a content address by every
+// store: non-empty hex-like names that cannot escape a directory.
 func validKey(key string) error {
 	if key == "" {
 		return fmt.Errorf("cache: empty key")
@@ -200,49 +201,4 @@ func (s *Counting) Put(ctx context.Context, key string, data []byte) error {
 // Stats returns the counters' current values.
 func (s *Counting) Stats() (hits, misses, puts int64) {
 	return s.hits.Load(), s.misses.Load(), s.puts.Load()
-}
-
-// Tiered layers stores fastest-first: Get consults each layer in order
-// and back-fills every faster layer on a hit; Put writes through to all
-// layers. Layer errors on Get are treated as misses for that layer so a
-// corrupt fast layer cannot mask a healthy slow one.
-type Tiered struct {
-	layers []Store
-}
-
-// NewTiered combines the given layers, fastest first.
-func NewTiered(layers ...Store) *Tiered { return &Tiered{layers: layers} }
-
-// Get implements Store. A cancelled context stops the layer walk.
-func (s *Tiered) Get(ctx context.Context, key string) ([]byte, bool, error) {
-	if err := validKey(key); err != nil {
-		return nil, false, err
-	}
-	for i, layer := range s.layers {
-		if err := ctx.Err(); err != nil {
-			return nil, false, fmt.Errorf("cache: %w", err)
-		}
-		data, ok, err := layer.Get(ctx, key)
-		if err != nil || !ok {
-			continue
-		}
-		for j := 0; j < i; j++ {
-			// Best effort: a failed back-fill only costs future speed.
-			_ = s.layers[j].Put(ctx, key, data)
-		}
-		return data, true, nil
-	}
-	return nil, false, nil
-}
-
-// Put implements Store. The first layer error is returned, but all
-// layers are attempted.
-func (s *Tiered) Put(ctx context.Context, key string, data []byte) error {
-	var firstErr error
-	for _, layer := range s.layers {
-		if err := layer.Put(ctx, key, data); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
 }

@@ -61,7 +61,7 @@ func TestMemoryIsolatesCallers(t *testing.T) {
 }
 
 func TestInvalidKeysRejected(t *testing.T) {
-	stores := map[string]Store{"memory": NewMemory(), "tiered": NewTiered(NewMemory())}
+	stores := map[string]Store{"memory": NewMemory()}
 	disk, err := NewDisk(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -165,71 +165,13 @@ func TestDiskConcurrentSameKey(t *testing.T) {
 	}
 }
 
-func TestTieredBackfill(t *testing.T) {
-	fast, slow := NewMemory(), NewMemory()
-	tiered := NewTiered(fast, slow)
-
-	if err := slow.Put(ctx, key, []byte("cold")); err != nil {
-		t.Fatal(err)
-	}
-	if fast.Len() != 0 {
-		t.Fatal("fast layer pre-populated")
-	}
-	data, ok, err := tiered.Get(ctx, key)
-	if err != nil || !ok || string(data) != "cold" {
-		t.Fatalf("tiered Get = %q ok=%v err=%v", data, ok, err)
-	}
-	// The hit must have back-filled the fast layer.
-	if got, ok, _ := fast.Get(ctx, key); !ok || string(got) != "cold" {
-		t.Fatalf("fast layer not back-filled: %q ok=%v", got, ok)
-	}
-}
-
-func TestTieredPutWritesThrough(t *testing.T) {
-	fast, slow := NewMemory(), NewMemory()
-	if err := NewTiered(fast, slow).Put(ctx, key, []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	for name, layer := range map[string]*Memory{"fast": fast, "slow": slow} {
-		if _, ok, _ := layer.Get(ctx, key); !ok {
-			t.Errorf("%s layer missing after write-through Put", name)
-		}
-	}
-}
-
-// failingStore errors on every operation — the corrupt-fast-layer case.
+// failingStore errors on every operation.
 type failingStore struct{}
 
 func (failingStore) Get(context.Context, string) ([]byte, bool, error) {
 	return nil, false, fmt.Errorf("broken")
 }
 func (failingStore) Put(context.Context, string, []byte) error { return fmt.Errorf("broken") }
-
-func TestTieredFailingLayerIsMiss(t *testing.T) {
-	healthy := NewMemory()
-	if err := healthy.Put(ctx, key, []byte("ok")); err != nil {
-		t.Fatal(err)
-	}
-	tiered := NewTiered(failingStore{}, healthy)
-	data, ok, err := tiered.Get(ctx, key)
-	if err != nil || !ok || string(data) != "ok" {
-		t.Fatalf("Get through broken layer = %q ok=%v err=%v", data, ok, err)
-	}
-	// Put reports the layer error but still writes the healthy layers.
-	other := "fedcba9876543210fedcba9876543210fedcba9876543210fedcba9876543210"
-	if err := tiered.Put(ctx, other, []byte("x")); err == nil {
-		t.Fatal("failing layer error not reported")
-	}
-	if _, ok, _ := healthy.Get(ctx, other); !ok {
-		t.Fatal("healthy layer skipped after failing layer")
-	}
-}
-
-func TestTieredEmptyIsAlwaysMiss(t *testing.T) {
-	if _, ok, err := NewTiered().Get(ctx, key); err != nil || ok {
-		t.Fatalf("empty tiered Get = ok=%v err=%v", ok, err)
-	}
-}
 
 func TestCountingStats(t *testing.T) {
 	counted := NewCounting(NewMemory())

@@ -1,20 +1,23 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/cache"
-	"repro/internal/metrics"
 )
 
-// randomEntry builds a (perRun, result) pair with adversarial float
-// content: ordinary values mixed with -0, ±Inf and NaN payloads, all of
-// which the binary codec must round-trip bit-exactly.
-func randomEntry(r *rand.Rand, points, reps int) ([][]RunMetrics, *CampaignResult) {
+// randomEntry builds per-run metrics with adversarial float content:
+// ordinary values mixed with -0, ±Inf and NaN payloads, all of which the
+// binary codec must round-trip bit-exactly.
+func randomEntry(r *rand.Rand, points, reps int) [][]RunMetrics {
 	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 1e-308, -1e308}
 	f := func() float64 {
 		if r.Intn(4) == 0 {
@@ -29,17 +32,7 @@ func randomEntry(r *rand.Rand, points, reps int) ([][]RunMetrics, *CampaignResul
 			perRun[pi][rep] = RunMetrics{Wasted: f(), Makespan: f(), Speedup: f(), SchedOps: r.Int63()}
 		}
 	}
-	sum := func() metrics.Summary {
-		return metrics.Summary{N: reps, Mean: f(), Std: f(), Min: f(), Max: f(), Median: f()}
-	}
-	res := &CampaignResult{
-		Aggregates: make([]Aggregate, points),
-		Overall:    metrics.Accumulator{Count: int64(points * reps), Sum: f(), MeanV: f(), M2: f(), MinV: f(), MaxV: f()},
-	}
-	for pi := range res.Aggregates {
-		res.Aggregates[pi] = Aggregate{Wasted: sum(), Makespan: sum(), Speedup: sum(), MeanOps: f()}
-	}
-	return perRun, res
+	return perRun
 }
 
 // sameBits compares float64s by bit pattern, so NaN == NaN and -0 != +0.
@@ -54,53 +47,26 @@ func sameMetricsBits(a, b RunMetrics) bool {
 
 // TestCacheCodecRoundTrip is the codec's property test: across many
 // random grids — including degenerate shapes and adversarial float
-// values — encode → decode reproduces every per-run record and every
-// snapshot field bit-exactly.
+// values — encode → decode reproduces every per-run record bit-exactly.
 func TestCacheCodecRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(20170601))
 	shapes := [][2]int{{1, 1}, {1, 7}, {5, 1}, {3, 4}, {8, 16}, {2, 100}}
 	for iter := 0; iter < 50; iter++ {
 		shape := shapes[iter%len(shapes)]
 		points, reps := shape[0], shape[1]
-		perRun, res := randomEntry(r, points, reps)
+		perRun := randomEntry(r, points, reps)
 		key := "spec-hash-" + string(rune('a'+iter%26))
 
-		data := encodeCacheEntry(key, perRun, res)
-		ent, ok := decodeCacheEntry(data, key, points, reps)
+		data := encodeCacheEntry(key, perRun)
+		got, ok := decodeCacheEntry(data, key, points, reps)
 		if !ok {
 			t.Fatalf("iter %d: freshly encoded entry does not decode", iter)
 		}
-		if ent.snap == nil {
-			t.Fatalf("iter %d: snapshot section missing", iter)
-		}
-
-		got := ent.perRunMetrics()
 		for pi := range perRun {
 			for rep := range perRun[pi] {
 				if !sameMetricsBits(got[pi][rep], perRun[pi][rep]) {
 					t.Fatalf("iter %d: point %d rep %d: %+v != %+v", iter, pi, rep, got[pi][rep], perRun[pi][rep])
 				}
-			}
-		}
-
-		specs := make([]RunSpec, points)
-		back := ent.snap.result(specs)
-		if o, w := back.Overall, res.Overall; o.Count != w.Count || !sameBits(o.Sum, w.Sum) ||
-			!sameBits(o.MeanV, w.MeanV) || !sameBits(o.M2, w.M2) ||
-			!sameBits(o.MinV, w.MinV) || !sameBits(o.MaxV, w.MaxV) {
-			t.Fatalf("iter %d: overall accumulator did not round-trip", iter)
-		}
-		for pi := range res.Aggregates {
-			w, g := res.Aggregates[pi], back.Aggregates[pi]
-			for _, pair := range [][2]metrics.Summary{{w.Wasted, g.Wasted}, {w.Makespan, g.Makespan}, {w.Speedup, g.Speedup}} {
-				a, b := pair[0], pair[1]
-				if a.N != b.N || !sameBits(a.Mean, b.Mean) || !sameBits(a.Std, b.Std) ||
-					!sameBits(a.Min, b.Min) || !sameBits(a.Max, b.Max) || !sameBits(a.Median, b.Median) {
-					t.Fatalf("iter %d point %d: summary did not round-trip: %+v != %+v", iter, pi, b, a)
-				}
-			}
-			if !sameBits(w.MeanOps, g.MeanOps) {
-				t.Fatalf("iter %d point %d: MeanOps did not round-trip", iter, pi)
 			}
 		}
 	}
@@ -111,8 +77,7 @@ func TestCacheCodecRoundTrip(t *testing.T) {
 // demote the entry to a miss, never decode to plausible-but-wrong data.
 func TestCacheCodecRejectsTampering(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	perRun, res := randomEntry(r, 2, 3)
-	data := encodeCacheEntry("the-key", perRun, res)
+	data := encodeCacheEntry("the-key", randomEntry(r, 2, 3))
 
 	if _, ok := decodeCacheEntry(data, "other-key", 2, 3); ok {
 		t.Error("entry decoded under a different spec hash")
@@ -129,7 +94,7 @@ func TestCacheCodecRejectsTampering(t *testing.T) {
 		}
 	}
 	// Flip one bit at a spread of offsets, including magic, header,
-	// snapshot, records and the checksum itself.
+	// records and the checksum itself.
 	for off := 0; off < len(data); off += 11 {
 		tampered := append([]byte(nil), data...)
 		tampered[off] ^= 0x10
@@ -141,14 +106,14 @@ func TestCacheCodecRejectsTampering(t *testing.T) {
 
 // TestCacheBinaryCorruptionFallsBackToLiveRun is the end-to-end recovery
 // test for the binary format: a campaign facing a truncated or bit-flipped
-// version-2 entry re-runs live and overwrites the damage.
+// entry re-runs live and overwrites the damage.
 func TestCacheBinaryCorruptionFallsBackToLiveRun(t *testing.T) {
 	spec := countingSpec()
 	hash, err := spec.Hash()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Produce a genuine version-2 entry to damage.
+	// Produce a genuine entry to damage.
 	seed := cache.NewMemory()
 	if _, err := spec.Execute(context.Background(), ExecConfig{Cache: seed}); err != nil {
 		t.Fatal(err)
@@ -203,9 +168,9 @@ func TestCacheBinaryCorruptionFallsBackToLiveRun(t *testing.T) {
 	}
 }
 
-// TestCacheSnapshotServesAggregateOnlyHitWithoutRecordDecode: an
-// aggregate-only hit (no sinks, no KeepPerRun) is served from the
-// snapshot section and must be bit-identical to the live result.
+// TestCacheSnapshotServesAggregateOnlyHit: an aggregate-only hit (no
+// sinks, no KeepPerRun) replays the stored per-run records like any
+// other hit and must be bit-identical to the live result.
 func TestCacheSnapshotServesAggregateOnlyHit(t *testing.T) {
 	spec := countingSpec()
 	store := cache.NewMemory()
@@ -219,10 +184,74 @@ func TestCacheSnapshotServesAggregateOnlyHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	if counting.calls.Load() != before {
-		t.Fatal("snapshot hit performed backend runs")
+		t.Fatal("aggregate-only hit performed backend runs")
 	}
 	if !reflect.DeepEqual(hit.Aggregates, live.Aggregates) || hit.Overall != live.Overall {
-		t.Fatal("snapshot-served result differs from live result")
+		t.Fatal("aggregate-only hit differs from live result")
+	}
+}
+
+// TestCacheV2EntryIsUpgradedByLiveRun: a version-2 entry written by an
+// earlier build (testdata/counting-v2.dlsb, countingSpec's entry with
+// its aggregate snapshot section) is a miss. One live run replaces it in
+// place with a version-3 entry under the same file name, and the next
+// Execute is a hit with zero backend runs.
+func TestCacheV2EntryIsUpgradedByLiveRun(t *testing.T) {
+	spec := countingSpec()
+	hash, err := spec.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, err := os.ReadFile(filepath.Join("testdata", "counting-v2.dlsb"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if [4]byte(v2[:4]) != cacheMagic || binary.LittleEndian.Uint16(v2[4:6]) != 2 || !bytes.Contains(v2, []byte(hash)) {
+		t.Fatal("fixture is not a version-2 entry for countingSpec")
+	}
+	ctx := context.Background()
+	dir := t.TempDir()
+	store, err := cache.NewDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put(ctx, hash, v2); err != nil {
+		t.Fatal(err)
+	}
+
+	before := counting.calls.Load()
+	live, err := spec.Execute(ctx, ExecConfig{Cache: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs, want := counting.calls.Load()-before, int64(len(spec.Techniques)*len(spec.Ps)*spec.Replications); runs != want {
+		t.Fatalf("version-2 entry: %d backend runs, want a full live run of %d", runs, want)
+	}
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 1 || files[0].Name() != hash+".json" {
+		t.Fatalf("store holds %v, want the one entry %s.json", files, hash)
+	}
+	v3, ok, err := store.Get(ctx, hash)
+	if err != nil || !ok {
+		t.Fatalf("no entry after the live run (ok=%v err=%v)", ok, err)
+	}
+	if got := binary.LittleEndian.Uint16(v3[4:6]); got != cacheBinaryVersion {
+		t.Fatalf("live run wrote format version %d, want %d", got, cacheBinaryVersion)
+	}
+
+	before = counting.calls.Load()
+	hit, err := spec.Execute(ctx, ExecConfig{Cache: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs := counting.calls.Load() - before; runs != 0 {
+		t.Fatalf("upgraded entry: %d backend runs, want 0", runs)
+	}
+	if !reflect.DeepEqual(hit.Aggregates, live.Aggregates) || hit.Overall != live.Overall {
+		t.Fatal("upgraded entry's hit differs from the live result")
 	}
 }
 
@@ -230,8 +259,7 @@ func TestCacheSnapshotServesAggregateOnlyHit(t *testing.T) {
 // they either decode (only for a well-formed entry) or report a miss.
 func FuzzDecodeCacheEntry(f *testing.F) {
 	r := rand.New(rand.NewSource(42))
-	perRun, res := randomEntry(r, 2, 3)
-	good := encodeCacheEntry("fuzz-key", perRun, res)
+	good := encodeCacheEntry("fuzz-key", randomEntry(r, 2, 3))
 	f.Add(good, "fuzz-key", 2, 3)
 	f.Add(good[:len(good)-1], "fuzz-key", 2, 3)
 	f.Add([]byte("DLSB"), "fuzz-key", 1, 1)
@@ -241,13 +269,11 @@ func FuzzDecodeCacheEntry(f *testing.F) {
 		if points < 0 || reps < 0 || points > 1<<12 || reps > 1<<12 {
 			return
 		}
-		ent, ok := decodeCacheEntry(data, key, points, reps)
+		got, ok := decodeCacheEntry(data, key, points, reps)
 		if !ok {
 			return
 		}
-		// A decoded entry must be internally consistent: perRunMetrics
-		// must not panic and must match the declared shape.
-		got := ent.perRunMetrics()
+		// A decoded entry must match the declared shape.
 		if len(got) != points {
 			t.Fatalf("decoded %d points, want %d", len(got), points)
 		}

@@ -62,17 +62,8 @@ func (s CampaignSpec) Execute(ctx context.Context, cfg ExecConfig) (*CampaignRes
 		if data, ok, err := cfg.Cache.Get(ctx, key); err != nil {
 			return nil, closeSinks(cfg.Sinks, err)
 		} else if ok {
-			if ent, ok := decodeCacheEntry(data, key, len(points), s.Replications); ok {
-				// Aggregate-only request against an entry carrying a
-				// snapshot: serve the stored aggregates directly — the
-				// per-run records are never touched, let alone decoded.
-				if ent.snap != nil && len(cfg.Sinks) == 0 && !cfg.KeepPerRun {
-					if err := ctx.Err(); err != nil {
-						return nil, fmt.Errorf("engine: campaign: %w", err)
-					}
-					return ent.snap.result(points), nil
-				}
-				return s.replay(ctx, points, ent.perRunMetrics(), cfg)
+			if perRun, ok := decodeCacheEntry(data, key, len(points), s.Replications); ok {
+				return s.replay(ctx, points, perRun, cfg)
 			}
 			// Undecodable, corrupt or mismatched entry: fall through to
 			// a live run, which overwrites it.
@@ -96,15 +87,11 @@ func (s CampaignSpec) Execute(ctx context.Context, cfg ExecConfig) (*CampaignRes
 	if err := c.Stream(ctx, append([]Sink{agg}, cfg.Sinks...)...); err != nil {
 		return nil, err
 	}
-	res := &CampaignResult{Aggregates: agg.Aggregates(), Overall: agg.Overall()}
 	if cfg.Cache != nil {
-		// Version-2 binary entry: per-run records plus the snapshot of
-		// the final aggregates, so a future aggregate-only hit replays
-		// without decoding a single run. Best effort: a failed Put never
-		// fails the campaign.
-		_ = cfg.Cache.Put(ctx, key, encodeCacheEntry(key, agg.perRun, res))
+		// Best effort: a failed Put never fails the campaign.
+		_ = cfg.Cache.Put(ctx, key, encodeCacheEntry(key, agg.perRun))
 	}
-	return res, nil
+	return &CampaignResult{Aggregates: agg.Aggregates(), Overall: agg.Overall()}, nil
 }
 
 // replay reconstructs the campaign result from a validated cache entry,

@@ -281,7 +281,7 @@ var pathDigests = map[string][2]string{
 // TestEnginePathDigests holds every way the engine produces a result to
 // the same fixed digests: live execution at one and four workers and
 // chunk sizes auto, 1 and 7 (more than the three replications), a cache
-// replay through a JSONL sink, an aggregate-only snapshot hit, a
+// replay through a JSONL sink, an aggregate-only hit, a
 // client-side Aggregator fed the decoded JSONL rows, and a sharded
 // fleet's rolling merge (checkFleetPaths). No path is the oracle of
 // another.
@@ -338,7 +338,7 @@ func TestEnginePathDigests(t *testing.T) {
 				if res, err = spec.Execute(ctx, engine.ExecConfig{Cache: store}); err != nil {
 					t.Fatal(err)
 				}
-				checkAgg("snapshot hit", res)
+				checkAgg("aggregate-only hit", res)
 
 				agg, err := spec.NewAggregator(false)
 				if err != nil {
