@@ -247,7 +247,7 @@ func run(ctx context.Context) error {
 			Seed:         *seed,
 			SeedPolicy:   engine.SeedFlat,
 		}
-		res, err := campaign.Run(ctx, runner, cspec, sinks...)
+		res, err := cliutil.RunCampaign(ctx, runner, cspec, sinks)
 		if err != nil {
 			return err
 		}

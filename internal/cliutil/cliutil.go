@@ -223,14 +223,26 @@ func writeMetricsFile(path string, reg *telemetry.Registry) error {
 	return f.Close()
 }
 
-// ReportIncomplete renders a degraded-mode fleet report (distrib
-// PartialResults) for the terminal: what completed, which shard
-// windows are missing and why, and each node's condition. Returns
-// false when err carries no *distrib.Incomplete.
-func ReportIncomplete(err error) bool {
+// RunCampaign executes spec through the executor — in-process, a remote
+// dlsimd or a fleet — with sinks observing the per-run stream. When a
+// degraded-mode fleet run (distrib PartialResults) fails, it still
+// delivered a usable prefix: the report of what completed, which shard
+// windows are missing and why, and each node's condition goes to stderr
+// before the error is returned to decide the exit code.
+func RunCampaign(ctx context.Context, r campaign.Executor, spec campaign.Spec, sinks []engine.Sink) (*campaign.Result, error) {
+	res, err := campaign.Run(ctx, r, spec, sinks...)
+	if err != nil {
+		reportIncomplete(err)
+	}
+	return res, err
+}
+
+// reportIncomplete renders the *distrib.Incomplete that err carries, if
+// any, for the terminal.
+func reportIncomplete(err error) {
 	var inc *distrib.Incomplete
 	if !errors.As(err, &inc) {
-		return false
+		return
 	}
 	fmt.Fprintf(os.Stderr, "\npartial results: %d/%d runs completed; streamed output holds the completed prefix\n",
 		inc.CompletedRuns, inc.TotalRuns)
@@ -245,7 +257,6 @@ func ReportIncomplete(err error) bool {
 		}
 		fmt.Fprintln(os.Stderr)
 	}
-	return true
 }
 
 // RunSpecFile executes the declarative campaign spec in the given JSON
@@ -266,12 +277,8 @@ func RunSpecFile(ctx context.Context, path string, r campaign.Executor, sinks []
 	if err != nil {
 		return err
 	}
-	res, err := campaign.Run(ctx, r, spec, sinks...)
+	res, err := RunCampaign(ctx, r, spec, sinks)
 	if err != nil {
-		// A degraded-mode fleet run still delivered a usable prefix —
-		// say exactly what is missing before the error decides the exit
-		// code.
-		ReportIncomplete(err)
 		return err
 	}
 	fmt.Printf("campaign %s: %d points × %d replications (backend %s)\n\n",
