@@ -40,6 +40,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -359,7 +360,7 @@ func tzenVerdict(exp int, res *experiment.TzenResult) string {
 		simV := res.Curves[label][last].Speedup
 		rd := metrics.RelativeDiscrepancy(simV, ref[last])
 		status := "MATCHES"
-		if rd > 25 || rd < -25 {
+		if math.Abs(rd) > core.TzenTolerancePct {
 			status = "DIVERGES (as in the paper for SS/GSS)"
 		}
 		verdict += fmt.Sprintf("  %-8s sim %6.1f vs ref %6.1f  (%+6.1f%%)  %s\n", label, simV, ref[last], rd, status)
@@ -427,14 +428,8 @@ func runHagerup(ctx context.Context, n int64, runs int, seed uint64, keepPerRun 
 		ref, _ := refdata.Wasted(tech, n, p)
 		rd := metrics.RelativeDiscrepancy(c.Wasted.Mean, ref)
 		// Track the maximum excluding the FAC/2-PE outlier, as §IV-B4.
-		if !(tech == "FAC" && p == 2) {
-			if rd < 0 {
-				if -rd > maxRel {
-					maxRel = -rd
-				}
-			} else if rd > maxRel {
-				maxRel = rd
-			}
+		if a := math.Abs(rd); !core.ExcludeFACOutlier(tech, p) && a > maxRel {
+			maxRel = a
 		}
 		return rd
 	})
