@@ -12,8 +12,8 @@ import (
 // msgBackend adapts the full SimGrid-MSG-style model (internal/msg): a
 // master process owning the chunk calculator exchanges explicit
 // request/assignment messages with one worker process per PE over a star
-// platform. It is the verification-grade backend — about 13 times the
-// cost per scheduling operation of "sim" (2.5 µs against 0.19 µs in the
+// platform. It is the verification-grade backend — about 20 times the
+// cost per scheduling operation of "sim" (2.5 µs against 0.12 µs in the
 // benchmark's traced runs), but with real message dynamics.
 //
 // Mapping of the backend-independent knobs:
