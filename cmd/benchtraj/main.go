@@ -318,8 +318,7 @@ func run() error {
 		}
 	}
 	// Cache hits: populate the store once live, then replay it twice —
-	// with a sink consuming every stored record, and aggregate-only. The
-	// second row keeps the name it had when the cache stored aggregates.
+	// with a sink consuming every stored record, and aggregate-only.
 	store := cache.NewMemory()
 	if _, err := spec.Execute(ctx, engine.ExecConfig{Cache: store, ChunkSize: *chunk}); err != nil {
 		return err
