@@ -1,22 +1,35 @@
+//go:build go1.23
+
+// iter.Pull needs Go 1.23. The build line above raises this file's
+// language version to 1.23 while go.mod stays at go 1.22, the version
+// the benchmark module (which builds this package through a replace
+// directive) pins. Move both go.mod files to 1.23 and drop the line
+// together.
+
 // Package des is a deterministic, process-oriented discrete-event
 // simulation kernel — the core this repository's SimGrid-MSG equivalent
 // (internal/msg) is built on.
 //
-// Simulated processes are goroutines, but exactly one of them executes at
-// any moment. There is no kernel goroutine: control passes like a baton.
-// A process that blocks (Hold, Suspend, SuspendTimeout, or returning from
-// its body) runs the dispatch loop itself. It pops events in (time,
-// sequence) order and runs callback events inline. When the next
-// activation is its own — a Hold that nothing else precedes — it carries
-// on without touching a channel; otherwise it hands control straight to
-// the activated process with one channel send and parks until its own
-// turn comes. Run only starts the chain and waits for the baton to come
-// back when the queue is empty. A process switch therefore costs one
-// goroutine hand-off, not the two of a kernel round trip, and scheduling
-// an event allocates nothing: events are plain values in an inline heap.
-// On a 2-CPU x86-64 host a Hold that continues without a hand-off takes
-// about 45 ns and a hand-off about 350–430 ns (BenchmarkHoldLoop,
-// BenchmarkHandOff).
+// Simulated processes are coroutines (iter.Pull), and exactly one of
+// them executes at any moment. Run is the scheduler loop: it resumes
+// whichever process the dispatch loop returns. A process that blocks
+// (Hold, Suspend, SuspendTimeout, or returning from its body) runs the
+// dispatch loop itself. It pops events in (time, sequence) order and
+// runs callback events inline. When the next activation is its own — a
+// Hold that nothing else precedes — it carries on without a switch;
+// otherwise it records the next process and yields to Run, which
+// resumes that one. A process switch is therefore two coroutine
+// switches and never goes through the Go scheduler, and scheduling an
+// event allocates nothing: events are plain values in an inline heap.
+// On a 2-CPU x86-64 host a Hold that continues without a switch takes
+// about 40 ns (BenchmarkHoldLoop) and a switch 210–240 ns, down from
+// 350–370 ns when processes were goroutines handing a channel baton to
+// each other (BenchmarkHandOff).
+//
+// A panic in a process body surfaces on Run's goroutine, where the
+// caller can recover it. When Run returns an error or panics, it stops
+// every process still alive, so their bodies unwind (deferred calls
+// run) and nothing outlives the run.
 //
 // Because events fire in (time, sequence) order, two runs of the same
 // program produce identical traces — a property the paper's
@@ -28,6 +41,7 @@ package des
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"sort"
 )
@@ -38,8 +52,8 @@ type Simulator struct {
 	seq    uint64
 	events eventQueue
 
-	done chan struct{} // the baton returns to Run when the queue drains
-	err  error         // why the dispatch loop stopped early, if it did
+	next *Process // the process a yielding process asks Run to resume
+	err  error    // why the dispatch loop stopped early, if it did
 
 	live    []*Process // spawned and not yet terminated, in any order
 	running bool
@@ -47,7 +61,7 @@ type Simulator struct {
 
 // New returns an empty simulator at virtual time 0.
 func New() *Simulator {
-	return &Simulator{done: make(chan struct{})}
+	return &Simulator{}
 }
 
 // Now returns the current virtual time in seconds.
@@ -150,13 +164,16 @@ func (s *Simulator) Schedule(delay float64, fn func()) {
 type Process struct {
 	sim    *Simulator
 	name   string
-	resume chan struct{} // the baton arrives here
-	slot   int           // index in sim.live
+	body   func(*Process)
+	resume func() (struct{}, bool) // runs the process until it yields or ends
+	stop   func()                  // unwinds a process that has not ended
+	yield  func(struct{}) bool     // hands control back to Run
+	slot   int                     // index in sim.live
 
-	dead      bool
-	suspended bool   // blocked without a scheduled activation
 	waitGen   uint64 // suspend/resume cycle counter, invalidates stale timers
-	timedOut  bool   // outcome of the last SuspendTimeout
+	dead      bool
+	suspended bool // blocked without a scheduled activation
+	timedOut  bool // outcome of the last SuspendTimeout
 }
 
 // Name returns the process name given at spawn time.
@@ -178,26 +195,47 @@ func (s *Simulator) Spawn(name string, body func(*Process)) *Process {
 // SpawnAt is Spawn with a start delay, mirroring SimGrid deployment
 // files' start_time attribute.
 func (s *Simulator) SpawnAt(delay float64, name string, body func(*Process)) *Process {
-	p := &Process{sim: s, name: name, resume: make(chan struct{}), slot: len(s.live)}
+	p := &Process{sim: s, name: name, body: body, slot: len(s.live)}
+	p.resume, p.stop = iter.Pull(p.main)
 	s.live = append(s.live, p)
-	go p.main(body)
 	s.push(delay, event{kind: evActivate, proc: p})
 	return p
 }
 
-// main is the process goroutine: it waits for its first activation,
-// runs the body, and passes the baton on for good.
-func (p *Process) main(body func(*Process)) {
-	<-p.resume
-	body(p)
-	p.dead = true
+// stopped is the panic that unwinds a process Run stops.
+type stopped struct{}
+
+// main is the coroutine of p: it runs the body from its first
+// activation and, when the body returns, leaves the live set and tells
+// Run which process comes next.
+func (p *Process) main(yield func(struct{}) bool) {
+	p.yield = yield
+	defer func() {
+		if p.dead {
+			// Run stopped p; any panic other than the unwinding one
+			// propagates to Run's goroutine.
+			if r := recover(); r != nil && r != (stopped{}) {
+				panic(r)
+			}
+		}
+	}()
+	p.body(p)
+	if p.dead {
+		return // the body recovered the unwinding panic
+	}
 	s := p.sim
+	s.remove(p)
+	s.next = s.dispatch()
+}
+
+// remove marks p dead and takes it out of the live set.
+func (s *Simulator) remove(p *Process) {
+	p.dead = true
 	last := len(s.live) - 1
 	s.live[p.slot] = s.live[last]
 	s.live[p.slot].slot = p.slot
 	s.live[last] = nil
 	s.live = s.live[:last]
-	s.pass(s.dispatch())
 }
 
 // dispatch pops events in (time, seq) order, running callbacks inline,
@@ -229,25 +267,22 @@ func (s *Simulator) dispatch() *Process {
 	return nil
 }
 
-// pass hands the baton to next, or back to Run when next is nil.
-func (s *Simulator) pass(next *Process) {
-	if next == nil {
-		s.done <- struct{}{}
-		return
-	}
-	next.resume <- struct{}{}
-}
-
 // block gives up control until p is activated again. When p's own
-// activation is the next event, no other goroutine runs.
+// activation is the next event, p carries on without a switch;
+// otherwise it yields to Run, which resumes the next process.
 func (p *Process) block() {
+	if p.dead {
+		panic(stopped{}) // a deferred call of a stopped process blocked
+	}
 	s := p.sim
 	next := s.dispatch()
 	if next == p {
 		return
 	}
-	s.pass(next)
-	<-p.resume
+	s.next = next
+	if !p.yield(struct{}{}) {
+		panic(stopped{})
+	}
 }
 
 // Hold advances the process's virtual time by d seconds (the simulated
@@ -289,19 +324,24 @@ func (s *Simulator) Wake(p *Process) {
 	s.push(0, event{kind: evActivate, proc: p})
 }
 
-// Run executes events until none remain. It returns an error if processes
-// are still alive afterwards (a deadlock: every remaining process is
+// Run executes events until none remain. It is the scheduler loop:
+// it resumes the process the dispatch loop activates, and each process
+// that yields names the next one. It returns an error if processes are
+// still alive afterwards (a deadlock: every remaining process is
 // suspended with nobody left to wake it). Run may be called again after
-// spawning more processes.
+// spawning more processes; processes alive when Run returns an error
+// (or panics) are stopped and never run again.
 func (s *Simulator) Run() error {
 	if s.running {
 		return fmt.Errorf("des: Run called reentrantly")
 	}
 	s.running = true
-	defer func() { s.running = false }()
-	if next := s.dispatch(); next != nil {
-		next.resume <- struct{}{}
-		<-s.done
+	defer func() {
+		s.running = false
+		s.stopLive()
+	}()
+	for p := s.dispatch(); p != nil; p = s.next {
+		p.resume()
 	}
 	if err := s.err; err != nil {
 		s.err = nil
@@ -318,4 +358,16 @@ func (s *Simulator) Run() error {
 		return fmt.Errorf("des: deadlock at t=%v: %d live processes, suspended: %v", s.now, len(s.live), names)
 	}
 	return nil
+}
+
+// stopLive stops every live process, most recently listed first: a
+// started one unwinds from the point where it blocked, running its
+// deferred calls, and one that never started never runs.
+func (s *Simulator) stopLive() {
+	for len(s.live) > 0 {
+		p := s.live[len(s.live)-1]
+		s.remove(p)
+		p.suspended = false
+		p.stop()
+	}
 }

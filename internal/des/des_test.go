@@ -2,6 +2,7 @@ package des
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -239,7 +240,7 @@ func BenchmarkHoldLoop(b *testing.B) {
 }
 
 // BenchmarkHandOff alternates two processes, so every activation
-// passes control to the other goroutine.
+// passes control to the other process.
 func BenchmarkHandOff(b *testing.B) {
 	s := New()
 	for _, start := range []float64{0, 0.5} {
@@ -338,5 +339,81 @@ func TestSuspendTimeoutStaleTimerIgnored(t *testing.T) {
 	}
 	if len(wakes) != 2 || wakes[0] != 1 || wakes[1] != 11 {
 		t.Fatalf("wakes = %v, want [1 11]", wakes)
+	}
+}
+
+// TestRunStopsLeftoverProcesses runs ten simulations that each end in a
+// deadlock of five suspended processes. Run must stop every one of
+// them: each body unwinds, so its deferred call runs (one tries to
+// block again, one swallows the unwinding), and no goroutine outlives
+// its run.
+func TestRunStopsLeftoverProcesses(t *testing.T) {
+	before := runtime.NumGoroutine()
+	unwound := 0
+	for run := 0; run < 10; run++ {
+		s := New()
+		for i := 0; i < 5; i++ {
+			s.Spawn(fmt.Sprintf("stuck-%d", i), func(p *Process) {
+				defer func() { unwound++ }()
+				switch i {
+				case 0:
+					defer p.Hold(1)
+				case 1:
+					defer func() { recover() }()
+				}
+				p.Hold(float64(i))
+				p.Suspend()
+				t.Errorf("%s resumed after the deadlock", p.Name())
+			})
+		}
+		err := s.Run()
+		if err == nil || !strings.Contains(err.Error(), "deadlock") {
+			t.Fatalf("run %d: err = %v, want a deadlock", run, err)
+		}
+		if s.Now() != 4 {
+			t.Fatalf("run %d: clock at %v after stopping, want 4", run, s.Now())
+		}
+	}
+	if unwound != 50 {
+		t.Fatalf("%d of 50 deadlocked bodies unwound", unwound)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines went from %d to %d across 10 deadlocked runs", before, after)
+	}
+}
+
+// TestPanicSurfacesOnRun checks that a panic in a process body reaches
+// Run's caller with its value, and that the other live processes are
+// stopped on the way out.
+func TestPanicSurfacesOnRun(t *testing.T) {
+	s := New()
+	unwound := false
+	s.Spawn("waiter", func(p *Process) {
+		defer func() { unwound = true }()
+		p.Suspend()
+	})
+	s.Spawn("faulty", func(p *Process) {
+		p.Hold(1)
+		panic("boom")
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("Run panicked with %v, want boom", r)
+			}
+		}()
+		s.Run()
+		t.Fatal("Run returned after a process panicked")
+	}()
+	if !unwound {
+		t.Fatal("the suspended process was not stopped")
+	}
+	// The simulator stays usable.
+	s.Spawn("after", func(p *Process) { p.Hold(1) })
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Now() != 2 {
+		t.Fatalf("time = %v, want 2", s.Now())
 	}
 }

@@ -30,11 +30,11 @@ func (b desBackend) Run(ctx context.Context, spec RunSpec) (*RunResult, error) {
 // the spec is validated once, worker names are formatted once, the
 // scheduler is Reset instead of rebuilt, and the result slices and
 // rand48 state are reused. The kernel itself is rebuilt per run — its
-// processes are goroutines that end with the run — so each run
-// allocates the simulator, one process (goroutine, channel and body
-// closure) per worker and the event heap's backing array. Nothing is
-// allocated per scheduling operation: the kernel schedules events as
-// plain values.
+// processes are coroutines that end with the run — so each run
+// allocates the simulator, one process (coroutine, its iter.Pull
+// state and the body closure) per worker and the event heap's backing
+// array. Nothing is allocated per scheduling operation: the kernel
+// schedules events as plain values.
 type desRunner struct {
 	s     sched.Scheduler
 	names []string
