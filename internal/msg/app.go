@@ -79,13 +79,17 @@ const defaultCtrlBytes = 64
 const masterMailbox = "master"
 
 // workerLink is the per-worker protocol state that outlives one
-// message: the worker's mailbox name, built once per run, and the two
-// messages the worker and the master reuse for every exchange. Reuse is
-// safe because a worker never has more than one message in flight in
-// each direction: it sends a request and waits for the reply, and each
-// side copies a payload out as soon as it receives it.
+// message: the worker's mailbox, declared once per run (its name is
+// also the worker process's), the transfer times of a request to the
+// master and of a reply back, and the two messages the worker and the
+// master reuse for every exchange. Reuse is safe because a worker never
+// has more than one message in flight in each direction: it sends a
+// request and waits for the reply, and each side copies a payload out
+// as soon as it receives it.
 type workerLink struct {
-	mailbox string
+	mb      *Mailbox
+	reqTime float64 // worker → master, RequestBytes
+	repTime float64 // master → worker, ReplyBytes
 	req     request
 	rep     reply
 	reqTask Task
@@ -93,23 +97,30 @@ type workerLink struct {
 }
 
 // declareMailboxes declares the master's mailbox and one per worker,
-// and returns the workers' links.
-func declareMailboxes(e *Engine, cfg AppConfig, reqBytes, repBytes float64) ([]workerLink, error) {
-	if err := e.DeclareMailbox(masterMailbox, cfg.MasterHost); err != nil {
-		return nil, err
+// and returns the master's mailbox and the workers' links, so the
+// protocol loops send and receive without a lookup per message.
+func declareMailboxes(e *Engine, cfg AppConfig, reqBytes, repBytes float64) (*Mailbox, []workerLink, error) {
+	master, err := e.declare(masterMailbox, cfg.MasterHost)
+	if err != nil {
+		return nil, nil, err
 	}
 	links := make([]workerLink, len(cfg.WorkerHosts))
 	for w := range links {
 		l := &links[w]
-		l.mailbox = fmt.Sprintf("worker-%d", w)
-		if err := e.DeclareMailbox(l.mailbox, cfg.WorkerHosts[w]); err != nil {
-			return nil, err
+		if l.mb, err = e.declare(fmt.Sprintf("worker-%d", w), cfg.WorkerHosts[w]); err != nil {
+			return nil, nil, err
 		}
+		route, err := e.plat.Route(cfg.WorkerHosts[w], cfg.MasterHost)
+		if err != nil {
+			return nil, nil, fmt.Errorf("msg: send to %q: %w", masterMailbox, err)
+		}
+		l.reqTime = route.TransferTime(reqBytes)
+		l.repTime = route.TransferTime(repBytes)
 		l.req.worker = w
 		l.reqTask = Task{Name: "work-request", Bytes: reqBytes, Payload: &l.req}
 		l.repTask = Task{Name: "assignment", Bytes: repBytes, Payload: &l.rep}
 	}
-	return links, nil
+	return master, links, nil
 }
 
 // RunApp executes the Figure 1 protocol and returns its timing results.
@@ -149,7 +160,7 @@ func RunApp(e *Engine, cfg AppConfig) (*AppResult, error) {
 		TasksPerWorker: make([]int64, p),
 	}
 
-	links, err := declareMailboxes(e, cfg, reqBytes, repBytes)
+	master, links, err := declareMailboxes(e, cfg, reqBytes, repBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -166,11 +177,7 @@ func RunApp(e *Engine, cfg AppConfig) (*AppResult, error) {
 	err = e.Spawn(cfg.MasterHost, "master", func(mp *Process) {
 		finalized := 0
 		for finalized < p {
-			t, err := mp.Recv(masterMailbox)
-			if err != nil {
-				fail(err)
-				return
-			}
+			t := mp.recv(master)
 			r, ok := t.Payload.(*request)
 			if !ok {
 				fail(fmt.Errorf("msg: master received %T, want *request", t.Payload))
@@ -196,10 +203,7 @@ func RunApp(e *Engine, cfg AppConfig) (*AppResult, error) {
 			} else {
 				finalized++
 			}
-			if err := mp.Send(l.mailbox, &l.repTask); err != nil {
-				fail(err)
-				return
-			}
+			mp.send(l.mb, &l.repTask, l.repTime)
 		}
 		if t := mp.Now(); t > res.Makespan {
 			res.Makespan = t
@@ -212,18 +216,11 @@ func RunApp(e *Engine, cfg AppConfig) (*AppResult, error) {
 	// Workers: Figure 1 right side.
 	for w := range cfg.WorkerHosts {
 		l := &links[w]
-		err := e.Spawn(cfg.WorkerHosts[w], l.mailbox, func(wp *Process) {
+		err := e.Spawn(cfg.WorkerHosts[w], l.mb.name, func(wp *Process) {
 			for {
 				sendStart := wp.Now()
-				if err := wp.Send(masterMailbox, &l.reqTask); err != nil {
-					fail(err)
-					return
-				}
-				t, err := wp.Recv(l.mailbox)
-				if err != nil {
-					fail(err)
-					return
-				}
+				wp.send(master, &l.reqTask, l.reqTime)
+				t := wp.recv(l.mb)
 				res.CommWait[w] += wp.Now() - sendStart
 				r, ok := t.Payload.(*reply)
 				if !ok {

@@ -29,13 +29,14 @@ type Engine struct {
 // Function is a process body deployable from a deployment file.
 type Function func(p *Process, args []string)
 
-// NewEngine returns an engine simulating on the given platform.
+// NewEngine returns an engine simulating on the given platform. Its
+// mailbox map is sized for one mailbox per host, as the master–worker
+// protocol declares.
 func NewEngine(plat *platform.Platform) *Engine {
 	return &Engine{
 		sim:       des.New(),
 		plat:      plat,
-		mailboxes: make(map[string]*Mailbox),
-		functions: make(map[string]Function),
+		mailboxes: make(map[string]*Mailbox, plat.NumHosts()),
 	}
 }
 
@@ -75,15 +76,23 @@ type Mailbox struct {
 
 // DeclareMailbox creates mailbox name owned by (received on) host.
 func (e *Engine) DeclareMailbox(name, host string) error {
+	_, err := e.declare(name, host)
+	return err
+}
+
+// declare is DeclareMailbox returning the new mailbox, so a caller can
+// send and receive through it without a lookup per message.
+func (e *Engine) declare(name, host string) (*Mailbox, error) {
 	if _, dup := e.mailboxes[name]; dup {
-		return fmt.Errorf("msg: duplicate mailbox %q", name)
+		return nil, fmt.Errorf("msg: duplicate mailbox %q", name)
 	}
 	h, err := e.plat.Host(host)
 	if err != nil {
-		return fmt.Errorf("msg: mailbox %q: %w", name, err)
+		return nil, fmt.Errorf("msg: mailbox %q: %w", name, err)
 	}
-	e.mailboxes[name] = &Mailbox{name: name, owner: h}
-	return nil
+	mb := &Mailbox{name: name, owner: h}
+	e.mailboxes[name] = mb
+	return mb, nil
 }
 
 func (e *Engine) mailbox(name string) (*Mailbox, error) {
@@ -152,13 +161,18 @@ func (p *Process) Send(mailbox string, t *Task) error {
 	if err != nil {
 		return fmt.Errorf("msg: send to %q: %w", mailbox, err)
 	}
+	p.send(mb, t, route.TransferTime(t.Bytes))
+	return nil
+}
+
+// send is Send to a resolved mailbox whose transfer time is known.
+func (p *Process) send(mb *Mailbox, t *Task, transfer float64) {
 	t.Source = p.host.Name
-	p.dp.Hold(route.TransferTime(t.Bytes))
+	p.dp.Hold(transfer)
 	mb.queue = append(mb.queue, t)
 	if len(mb.waiters) > 0 {
 		p.eng.sim.Wake(popFront(&mb.waiters).dp)
 	}
-	return nil
 }
 
 // popFront removes and returns the first element of *q. It shifts the
@@ -195,6 +209,12 @@ func (p *Process) RecvTimeout(mailbox string, d float64) (*Task, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
+	t, ok := p.recvTimeout(mb, d)
+	return t, ok, nil
+}
+
+// recvTimeout is RecvTimeout on a resolved mailbox.
+func (p *Process) recvTimeout(mb *Mailbox, d float64) (*Task, bool) {
 	for len(mb.queue) == 0 {
 		mb.waiters = append(mb.waiters, p)
 		if p.dp.SuspendTimeout(d) {
@@ -206,10 +226,10 @@ func (p *Process) RecvTimeout(mailbox string, d float64) (*Task, bool, error) {
 					break
 				}
 			}
-			return nil, false, nil
+			return nil, false
 		}
 	}
-	return p.take(mb), true, nil
+	return p.take(mb), true
 }
 
 // Recv blocks until a task is available in the named mailbox and returns
@@ -219,11 +239,16 @@ func (p *Process) Recv(mailbox string) (*Task, error) {
 	if err != nil {
 		return nil, err
 	}
+	return p.recv(mb), nil
+}
+
+// recv is Recv on a resolved mailbox.
+func (p *Process) recv(mb *Mailbox) *Task {
 	for len(mb.queue) == 0 {
 		mb.waiters = append(mb.waiters, p)
 		p.dp.Suspend()
 	}
-	return p.take(mb), nil
+	return p.take(mb)
 }
 
 // RegisterFunction names a process body so deployment files can refer to
@@ -234,6 +259,9 @@ func (e *Engine) RegisterFunction(name string, fn Function) error {
 	}
 	if fn == nil {
 		return fmt.Errorf("msg: nil function %q", name)
+	}
+	if e.functions == nil {
+		e.functions = make(map[string]Function)
 	}
 	e.functions[name] = fn
 	return nil

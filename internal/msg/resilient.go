@@ -126,7 +126,7 @@ func RunResilientApp(e *Engine, cfg ResilientConfig) (*ResilientResult, error) {
 		TasksPerWorker: make([]int64, p),
 	}
 
-	links, err := declareMailboxes(e, cfg.AppConfig, defaultCtrlBytes, defaultCtrlBytes)
+	master, links, err := declareMailboxes(e, cfg.AppConfig, defaultCtrlBytes, defaultCtrlBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -174,9 +174,7 @@ func RunResilientApp(e *Engine, cfg ResilientConfig) (*ResilientResult, error) {
 			l := &links[w]
 			l.rep = rep
 			l.repTask.Name = name
-			if err := mp.Send(l.mailbox, &l.repTask); err != nil {
-				fail(err)
-			}
+			mp.send(l.mb, &l.repTask, l.repTime)
 		}
 
 		dispatch := func(w int, r taskRange) {
@@ -226,11 +224,7 @@ func RunResilientApp(e *Engine, cfg ResilientConfig) (*ResilientResult, error) {
 		}
 
 		for completed < total && aliveWorkers() > 0 {
-			t, ok, err := mp.RecvTimeout(masterMailbox, watchdog)
-			if err != nil {
-				fail(err)
-				return
-			}
+			t, ok := mp.recvTimeout(master, watchdog)
 			now := mp.Now()
 			if !ok {
 				checkDeadlines(now)
@@ -287,18 +281,11 @@ func RunResilientApp(e *Engine, cfg ResilientConfig) (*ResilientResult, error) {
 
 	for w := range cfg.WorkerHosts {
 		l := &links[w]
-		err := e.Spawn(cfg.WorkerHosts[w], l.mailbox, func(wp *Process) {
+		err := e.Spawn(cfg.WorkerHosts[w], l.mb.name, func(wp *Process) {
 			chunksDone := 0
 			for {
-				if err := wp.Send(masterMailbox, &l.reqTask); err != nil {
-					fail(err)
-					return
-				}
-				t, err := wp.Recv(l.mailbox)
-				if err != nil {
-					fail(err)
-					return
-				}
+				wp.send(master, &l.reqTask, l.reqTime)
+				t := wp.recv(l.mb)
 				r, okRep := t.Payload.(*reply)
 				if !okRep {
 					fail(fmt.Errorf("msg: worker %d received %T, want *reply", w, t.Payload))
