@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/msg"
 	"repro/internal/platform"
@@ -12,9 +13,9 @@ import (
 // msgBackend adapts the full SimGrid-MSG-style model (internal/msg): a
 // master process owning the chunk calculator exchanges explicit
 // request/assignment messages with one worker process per PE over a star
-// platform. It is the verification-grade backend — about 20 times the
-// cost per scheduling operation of "sim" (2.5 µs against 0.12 µs in the
-// benchmark's traced runs), but with real message dynamics.
+// platform. It is the verification-grade backend — about 13 times the
+// cost per scheduling operation of "sim" (about 1.4 µs against 0.11 µs
+// in the benchmark's traced runs), but with real message dynamics.
 //
 // Mapping of the backend-independent knobs:
 //
@@ -41,19 +42,26 @@ func (b msgBackend) Run(ctx context.Context, spec RunSpec) (*RunResult, error) {
 }
 
 // msgRunner amortizes the per-point setup of the verification-grade
-// backend: the spec is validated once, the star platform and host names
-// are built once (platform data is immutable during simulation), and the
-// scheduler and rand48 state are reused across runs. A fresh msg.Engine
-// still spins up per run — the MSG protocol processes are goroutines
-// that end with the run — so each run allocates the engine, one mailbox
-// and its name per worker, the master and worker processes and the
-// result slices. Nothing is allocated per message: every worker reuses
-// one request and one reply task.
+// backend: the spec is validated once, and the scheduler and rand48
+// state are reused across runs. The star platform and its worker host
+// names (platform data is immutable during simulation) are built once
+// and kept across Rebinds to points with the same P, speeds and link
+// latency, as the curves of one PE count in a Tzen sweep are. A fresh
+// msg.Engine still comes up per run — the MSG protocol processes are
+// coroutines that end with the run — so each run allocates the engine,
+// one mailbox and its name per worker, the master and worker processes
+// and the result slices. Nothing is allocated per message: every worker
+// reuses one request and one reply task.
 type msgRunner struct {
 	app msg.AppConfig
 	pl  *platform.Platform
 	rng rng.Rand48
 	out RunResult
+
+	// The point pl and app.WorkerHosts were built for.
+	p      int
+	lat    float64
+	speeds []float64 // nil for a homogeneous point
 }
 
 // NewRunner implements Backend.
@@ -66,9 +74,9 @@ func (msgBackend) NewRunner(spec RunSpec) (Runner, error) {
 }
 
 // Rebind implements Runner: validate the new point and rebuild its
-// scheduler and star platform (platform data is immutable during
-// simulation, so it must match the new point's speeds and P), keeping
-// the runner's rand48 state slot.
+// scheduler, keeping the runner's rand48 state slot. The star platform
+// is rebuilt only when the point's P, speeds or link latency differ
+// from the one it was built for.
 func (r *msgRunner) Rebind(spec RunSpec) error {
 	if err := spec.Validate(); err != nil {
 		return err
@@ -88,24 +96,27 @@ func (r *msgRunner) Rebind(spec RunSpec) error {
 	if spec.PerMessageCost > 0 {
 		lat = spec.PerMessageCost / 4
 	}
-	var pl *platform.Platform
-	if spec.Speeds != nil {
-		pl, err = platform.Heterogeneous("pe", spec.Speeds, bw, lat)
-	} else {
-		pl, err = platform.Cluster("pe", spec.P, 1.0, bw, lat)
-	}
-	if err != nil {
-		return err
-	}
-	workers := make([]string, spec.P)
-	for i := range workers {
-		workers[i] = fmt.Sprintf("pe-%d", i+1)
+	workers := r.app.WorkerHosts
+	if r.pl == nil || spec.P != r.p || lat != r.lat || !slices.Equal(spec.Speeds, r.speeds) {
+		var pl *platform.Platform
+		if spec.Speeds != nil {
+			pl, err = platform.Heterogeneous("pe", spec.Speeds, bw, lat)
+		} else {
+			pl, err = platform.Cluster("pe", spec.P, 1.0, bw, lat)
+		}
+		if err != nil {
+			return err
+		}
+		workers = make([]string, spec.P)
+		for i := range workers {
+			workers[i] = fmt.Sprintf("pe-%d", i+1)
+		}
+		r.pl, r.p, r.lat, r.speeds = pl, spec.P, lat, slices.Clone(spec.Speeds)
 	}
 	var masterOverhead float64
 	if spec.HInDynamics {
 		masterOverhead = spec.H
 	}
-	r.pl = pl
 	r.app = msg.AppConfig{
 		MasterHost:     "pe-0",
 		WorkerHosts:    workers,

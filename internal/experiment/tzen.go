@@ -87,56 +87,64 @@ type TzenResult struct {
 
 // RunTzen sweeps PE counts for every curve of the spec. Cancelling ctx
 // aborts the sweep between points.
+//
+// Fast path and MSG path are the same run description on different
+// engine backends: the request/reply round trip of 2 hops over 2 links
+// each (worker link + backbone) is a per-operation cost of 4·latency,
+// and the master's service time is charged per operation inside the
+// dynamics. One runner serves every point, p-major, so the curves of
+// one PE count share the msg backend's star platform.
 func RunTzen(ctx context.Context, spec TzenSpec) (*TzenResult, error) {
 	if spec.N <= 0 || spec.TaskTime <= 0 || len(spec.Ps) == 0 || len(spec.Curves) == 0 {
 		return nil, fmt.Errorf("experiment: invalid Tzen spec %+v", spec)
 	}
-	res := &TzenResult{Spec: spec, Curves: make(map[string][]TzenPoint)}
-	for _, curve := range spec.Curves {
-		for _, p := range spec.Ps {
-			point, err := runTzenPoint(ctx, spec, curve, p)
-			if err != nil {
-				return nil, fmt.Errorf("experiment: %s %s p=%d: %w", spec.Name, curve.Label, p, err)
-			}
-			res.Curves[curve.Label] = append(res.Curves[curve.Label], *point)
-		}
-	}
-	return res, nil
-}
-
-func runTzenPoint(ctx context.Context, spec TzenSpec, curve TzenCurve, p int) (*TzenPoint, error) {
-	// Fast path and MSG path are the same run description on different
-	// engine backends: the request/reply round trip of 2 hops over 2
-	// links each (worker link + backbone) is a per-operation cost of
-	// 4·latency, and the master's service time is charged per operation
-	// inside the dynamics.
 	backend := engine.DefaultBackend
 	if spec.UseMSG {
 		backend = "msg"
 	}
 	be, err := engine.New(backend)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiment: %s: %w", spec.Name, err)
 	}
 	work := workload.NewConstant(spec.TaskTime)
 	seq := workload.Total(work, spec.N)
-	res, err := be.Run(ctx, engine.RunSpec{
-		Technique:      curve.Tech,
-		N:              spec.N,
-		P:              p,
-		Work:           work,
-		MinChunk:       curve.MinChunk,
-		H:              spec.MasterOverhead,
-		HInDynamics:    spec.MasterOverhead > 0,
-		PerMessageCost: 4 * spec.LinkLatency,
-	})
-	if err != nil {
-		return nil, err
+	points := make([][]TzenPoint, len(spec.Curves)) // by curve, in Ps order
+	var runner engine.Runner
+	for _, p := range spec.Ps {
+		for i, curve := range spec.Curves {
+			rs := engine.RunSpec{
+				Technique:      curve.Tech,
+				N:              spec.N,
+				P:              p,
+				Work:           work,
+				MinChunk:       curve.MinChunk,
+				H:              spec.MasterOverhead,
+				HInDynamics:    spec.MasterOverhead > 0,
+				PerMessageCost: 4 * spec.LinkLatency,
+			}
+			if runner == nil {
+				runner, err = be.NewRunner(rs)
+			} else {
+				err = runner.Rebind(rs)
+			}
+			var out *engine.RunResult
+			if err == nil {
+				out, err = runner.Run(ctx, rs)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("experiment: %s %s p=%d: %w", spec.Name, curve.Label, p, err)
+			}
+			var computeTotal float64
+			for _, c := range out.Compute {
+				computeTotal += c
+			}
+			schedTotal := out.CommTime + out.MasterBusy
+			points[i] = append(points[i], TzenPoint{P: p, TzenNi: metrics.TzenNiMetrics(seq, out.Makespan, computeTotal, schedTotal, p)})
+		}
 	}
-	var computeTotal float64
-	for _, c := range res.Compute {
-		computeTotal += c
+	res := &TzenResult{Spec: spec, Curves: make(map[string][]TzenPoint, len(spec.Curves))}
+	for i, curve := range spec.Curves {
+		res.Curves[curve.Label] = append(res.Curves[curve.Label], points[i]...)
 	}
-	schedTotal := res.CommTime + res.MasterBusy
-	return &TzenPoint{P: p, TzenNi: metrics.TzenNiMetrics(seq, res.Makespan, computeTotal, schedTotal, p)}, nil
+	return res, nil
 }

@@ -81,11 +81,15 @@ type Platform struct {
 }
 
 // New returns an empty platform.
-func New() *Platform {
+func New() *Platform { return newSized(0) }
+
+// newSized returns an empty platform whose maps take hosts hosts, as
+// many links and as many routes without growing.
+func newSized(hosts int) *Platform {
 	return &Platform{
-		hosts:  make(map[string]*Host),
-		links:  make(map[string]*Link),
-		routes: make(map[[2]string]Route),
+		hosts:  make(map[string]*Host, hosts),
+		links:  make(map[string]*Link, hosts),
+		routes: make(map[[2]string]Route, hosts),
 	}
 }
 
@@ -222,30 +226,11 @@ func Cluster(prefix string, n int, speed, bandwidth, latency float64) (*Platform
 	if n < 1 {
 		return nil, fmt.Errorf("platform: cluster needs at least 1 worker, got %d", n)
 	}
-	pl := New()
-	backbone, err := pl.AddLink(prefix+"-backbone", bandwidth, latency)
-	if err != nil {
-		return nil, err
+	speeds := make([]float64, n)
+	for i := range speeds {
+		speeds[i] = speed
 	}
-	_ = backbone
-	master := fmt.Sprintf("%s-0", prefix)
-	if _, err := pl.AddHost(master, speed, 1); err != nil {
-		return nil, err
-	}
-	for i := 1; i <= n; i++ {
-		name := fmt.Sprintf("%s-%d", prefix, i)
-		if _, err := pl.AddHost(name, speed, 1); err != nil {
-			return nil, err
-		}
-		linkName := fmt.Sprintf("%s-link-%d", prefix, i)
-		if _, err := pl.AddLink(linkName, bandwidth, latency); err != nil {
-			return nil, err
-		}
-		if err := pl.AddRoute(master, name, prefix+"-backbone", linkName); err != nil {
-			return nil, err
-		}
-	}
-	return pl, nil
+	return Heterogeneous(prefix, speeds, bandwidth, latency)
 }
 
 // Heterogeneous builds a star cluster whose worker speeds are given
@@ -261,7 +246,8 @@ func Heterogeneous(prefix string, speeds []float64, bandwidth, latency float64) 
 			max = s
 		}
 	}
-	pl := New()
+	// n+1 hosts and links (a link per worker and the backbone), n routes.
+	pl := newSized(len(speeds) + 1)
 	master := fmt.Sprintf("%s-0", prefix)
 	if _, err := pl.AddHost(master, max, 1); err != nil {
 		return nil, err
