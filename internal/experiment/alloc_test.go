@@ -13,7 +13,7 @@ import (
 // this is the costliest round. Processes as goroutines that looked a
 // mailbox and a route up per message, with a platform built per point,
 // cost about 117 KB; coroutines, mailboxes resolved once per run and a
-// platform shared by the curves of one PE count cost about 98 KB.
+// platform shared by the curves of one PE count cost about 93 KB.
 func TestTzenMSGBytesPerRun(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap byte counts differ under the race detector")
