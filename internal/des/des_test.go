@@ -384,36 +384,42 @@ func TestRunStopsLeftoverProcesses(t *testing.T) {
 
 // TestPanicSurfacesOnRun checks that a panic in a process body reaches
 // Run's caller with its value, and that the other live processes are
-// stopped on the way out.
+// stopped on the way out without running anything: a deferred Hold of
+// a stopped process neither advances the clock nor fires the callback
+// still queued.
 func TestPanicSurfacesOnRun(t *testing.T) {
 	s := New()
-	unwound := false
+	unwound, fired := false, 0
 	s.Spawn("waiter", func(p *Process) {
 		defer func() { unwound = true }()
+		defer p.Hold(1)
 		p.Suspend()
 	})
 	s.Spawn("faulty", func(p *Process) {
 		p.Hold(1)
 		panic("boom")
 	})
+	s.Schedule(5, func() { fired++ })
+	var got any
 	func() {
-		defer func() {
-			if r := recover(); r != "boom" {
-				t.Fatalf("Run panicked with %v, want boom", r)
-			}
-		}()
+		defer func() { got = recover() }()
 		s.Run()
-		t.Fatal("Run returned after a process panicked")
 	}()
+	if got != "boom" {
+		t.Fatalf("Run panicked with %v, want boom", got)
+	}
 	if !unwound {
 		t.Fatal("the suspended process was not stopped")
+	}
+	if s.Now() != 1 || fired != 0 {
+		t.Fatalf("stopping moved the clock to %v and fired %d callbacks, want 1 and 0", s.Now(), fired)
 	}
 	// The simulator stays usable.
 	s.Spawn("after", func(p *Process) { p.Hold(1) })
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Now() != 2 {
-		t.Fatalf("time = %v, want 2", s.Now())
+	if s.Now() != 5 || fired != 1 {
+		t.Fatalf("time = %v with %d callbacks fired, want 5 and 1", s.Now(), fired)
 	}
 }

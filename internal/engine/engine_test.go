@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -192,6 +193,49 @@ func TestMsgBackendRejectsUnsupported(t *testing.T) {
 	withObserve.Observe = func(int, int64, int64, float64, float64) {}
 	if _, err := (msgBackend{}).Run(context.Background(), withObserve); err == nil {
 		t.Error("msg backend accepted an observer")
+	}
+}
+
+// TestMsgRunnerRebindMatchesFresh walks one msg runner through points
+// that change P, the per-message cost and the speeds one at a time and
+// back. The runner keeps its star platform while all three stay the
+// same, so after every Rebind its run must equal a fresh runner's.
+func TestMsgRunnerRebindMatchesFresh(t *testing.T) {
+	ctx := context.Background()
+	base := RunSpec{Technique: "FAC2", N: 512, P: 4, Work: workload.NewConstant(0.01),
+		H: 0.001, HInDynamics: true, PerMessageCost: 0.004}
+	moreP := base
+	moreP.P = 6
+	cost := base
+	cost.PerMessageCost = 0.02
+	free := base
+	free.PerMessageCost = 0
+	speeds := base
+	speeds.Speeds = []float64{1, 2, 1, 0.5}
+	slower := speeds
+	slower.Speeds = []float64{1, 2, 1, 0.25}
+	specs := []RunSpec{base, base, moreP, base, cost, free, speeds, slower, base}
+	r, err := (msgBackend{}).NewRunner(specs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, spec := range specs {
+		if i > 0 {
+			if err := r.Rebind(spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := r.Run(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := (msgBackend{}).Run(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("point %d: rebound runner gave %+v, a fresh one %+v", i, got, want)
+		}
 	}
 }
 
