@@ -1,6 +1,9 @@
 package repro
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"maps"
 	"math"
 	"os"
@@ -471,5 +474,87 @@ func TestWithCacheRepeatRunsNothing(t *testing.T) {
 	}
 	if runs := facadeGate.Runs.Load() - before; runs != 0 {
 		t.Fatalf("repeated Compare performed %d backend runs, want 0", runs)
+	}
+}
+
+// facadeDigest is the SHA-256 TestFacadeDigest computes.
+const facadeDigest = "43f0fe5b486d0eda11940713d07433f3ffdf6f12e0eb8c3097e553b0c5f6afae"
+
+// TestFacadeDigest pins every bit the facade returns. For each option
+// set below, on each backend that supports it, it hashes the full
+// Result of Simulate and the 5-run MeanWastedTime of every technique,
+// then the Compare map over all of them, into one SHA-256 in table
+// order. Rows whose option only parameterizes a technique outside the
+// common five add that technique.
+func TestFacadeDigest(t *testing.T) {
+	const n, p, runs = 1000, 4, 5
+	common := []string{"SS", "GSS", "FAC2", "BOLD", "AWF-B"}
+	all, noMsg := []string{"sim", "des", "msg"}, []string{"sim", "des"}
+	cases := []struct {
+		name     string
+		opts     []Option
+		extra    string
+		backends []string
+	}{
+		{"defaults", nil, "", all},
+		{"exponential", []Option{WithExponential(2)}, "", all},
+		{"constant", []Option{WithConstant(0.01)}, "", all},
+		{"uniform", []Option{WithUniform(0.5, 1.5)}, "", all},
+		{"uniform degenerate", []Option{WithUniform(2, 2)}, "", all},
+		{"increasing own n", []Option{WithIncreasing(0.001, 0.002, 100)}, "", all},
+		{"increasing call n", []Option{WithIncreasing(0.001, 0.002, n)}, "", all},
+		{"overhead and seed", []Option{WithOverhead(0.1), WithSeed(7)}, "", all},
+		{"speeds", []Option{WithSpeeds([]float64{1, 2, 0.5, 1})}, "", all},
+		{"start times", []Option{WithStartTimes([]float64{0, 1, 2, 3})}, "", noMsg},
+		{"min chunk", []Option{WithMinChunk(20)}, "", all},
+		{"chunk", []Option{WithChunk(10)}, "CSS", all},
+		{"TSS bounds", []Option{WithTSSBounds(50, 2)}, "TSS", all},
+		{"alpha", []Option{WithAlpha(2)}, "TAP", all},
+		{"weights", []Option{WithWeights([]float64{1, 2, 1, 2})}, "WF", all},
+		{"h in dynamics", []Option{WithConstant(0.001), WithOverhead(0.01), WithOverheadInDynamics()}, "", all},
+		{"message cost", []Option{WithMessageCost(0.01)}, "", all},
+	}
+	h := sha256.New()
+	put := func(v any) {
+		if err := binary.Write(h, binary.LittleEndian, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range cases {
+		techniques := common
+		if tc.extra != "" {
+			techniques = append(append([]string(nil), common...), tc.extra)
+		}
+		for _, backend := range tc.backends {
+			name := tc.name + "/" + backend
+			opts := append(append([]Option(nil), tc.opts...), WithBackend(backend))
+			h.Write([]byte(name))
+			for _, tech := range techniques {
+				res, err := Simulate(tech, n, p, opts...)
+				if err != nil {
+					t.Fatalf("%s: Simulate(%s): %v", name, tech, err)
+				}
+				put([]float64{res.Makespan, res.AvgWasted, res.Speedup})
+				put(res.SchedOps)
+				put(res.Compute)
+				put(res.Wasted)
+				put(res.TasksPerPE)
+				mean, err := MeanWastedTime(tech, n, p, runs, opts...)
+				if err != nil {
+					t.Fatalf("%s: MeanWastedTime(%s): %v", name, tech, err)
+				}
+				put(mean)
+			}
+			cmp, err := Compare(techniques, n, p, opts...)
+			if err != nil {
+				t.Fatalf("%s: Compare: %v", name, err)
+			}
+			for _, tech := range techniques {
+				put(cmp[tech])
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != facadeDigest {
+		t.Fatalf("facade digest = %s, want %s", got, facadeDigest)
 	}
 }
