@@ -1,19 +1,21 @@
 package repro
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"maps"
 	"math"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/campaign"
 	"repro/internal/engine"
 	"repro/internal/rng"
 	"repro/internal/testutil"
-	"repro/internal/workload"
 )
 
 func TestSimulateDefaults(t *testing.T) {
@@ -296,25 +298,44 @@ func TestWithOverheadInDynamics(t *testing.T) {
 	}
 }
 
-// TestWithIncreasingHonorsOwnTaskCount is a regression test: the ramp's
-// task count is part of the workload's shape (it sets the slope), so the
-// declarative campaign path must not substitute the simulation's n for
-// it. The declarative path (WithIncreasing) must match the opaque
-// fallback path (WithWorkload with the identical workload) bit for bit.
+// TestWithIncreasingHonorsOwnTaskCount: the ramp's task count is part
+// of the workload's shape (it sets the slope), so the facade must not
+// substitute the call's n for it: WithIncreasing(a, b, 100) runs the
+// spec whose Workload.N is 100. With n = 0 the ramp spans the call's n,
+// as dlsim -dist increasing does.
 func TestWithIncreasingHonorsOwnTaskCount(t *testing.T) {
 	const n, p, runs = 1000, 4, 5
-	declarative, err := MeanWastedTime("FAC2", n, p, runs,
-		WithIncreasing(0.001, 0.002, 100), WithSeed(42))
+	spec := campaign.Spec{
+		Techniques:   []string{"FAC2"},
+		Ns:           []int64{n},
+		Ps:           []int{p},
+		Workload:     campaign.Workload{Kind: "increasing", P1: 0.001, P2: 0.002, N: 100},
+		H:            0.5,
+		Replications: runs,
+		Seed:         42,
+		SeedPolicy:   campaign.SeedFacade,
+	}
+	res, err := campaign.NewLocal(campaign.LocalConfig{}).Execute(context.Background(), spec, campaign.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := MeanWastedTime("FAC2", n, p, runs,
-		WithWorkload(workload.NewIncreasing(0.001, 0.002, 100)), WithSeed(42))
+	own, err := MeanWastedTime("FAC2", n, p, runs, WithIncreasing(0.001, 0.002, 100), WithSeed(42))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if declarative != direct {
-		t.Fatalf("declarative path %v != direct path %v (workload N overridden)", declarative, direct)
+	if want := res.Aggregates[0].Wasted.Mean; own != want {
+		t.Fatalf("WithIncreasing(..., 100) mean %v != spec with Workload.N = 100 mean %v", own, want)
+	}
+	callN, err := MeanWastedTime("FAC2", n, p, runs, WithIncreasing(0.001, 0.002, 0), WithSeed(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	named, err := MeanWastedTime("FAC2", n, p, runs, WithIncreasing(0.001, 0.002, n), WithSeed(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if callN != named || callN == own {
+		t.Fatalf("ramp over the call's n: %v, over n named: %v, over 100 tasks: %v", callN, named, own)
 	}
 }
 
@@ -358,25 +379,67 @@ func TestWithCacheServesRepeatedCampaigns(t *testing.T) {
 	}
 }
 
-// TestDegenerateWorkloadFallsBackToDirectPath: facade constructors
-// accept parameter sets the declarative workload parser rejects (uniform
-// with hi == lo); those must keep working through the direct path
-// instead of erroring on the campaign-spec path.
+// TestDegenerateWorkloadFallsBackToDirectPath: uniform task times with
+// hi == lo are a valid workload in which every task takes lo seconds,
+// so all three entry points give constant(lo)'s bits.
 func TestDegenerateWorkloadFallsBackToDirectPath(t *testing.T) {
-	viaOption, err := MeanWastedTime("SS", 1000, 4, 5, WithUniform(2, 2), WithSeed(1))
-	if err != nil {
-		t.Fatalf("degenerate uniform rejected: %v", err)
+	techniques := []string{"SS", "FAC2", "GSS", "FSC", "BOLD"}
+	uniform, constant := WithUniform(2, 2), WithConstant(2)
+	for _, tech := range techniques {
+		u, err := Simulate(tech, 1000, 4, uniform)
+		if err != nil {
+			t.Fatalf("%s: degenerate uniform rejected: %v", tech, err)
+		}
+		c, err := Simulate(tech, 1000, 4, constant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(u, c) {
+			t.Errorf("%s: Simulate uniform(2, 2) %+v != constant(2) %+v", tech, u, c)
+		}
+		um, err := MeanWastedTime(tech, 1000, 4, 5, uniform)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cm, err := MeanWastedTime(tech, 1000, 4, 5, constant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if um != cm {
+			t.Errorf("%s: MeanWastedTime uniform(2, 2) %v != constant(2) %v", tech, um, cm)
+		}
 	}
-	viaWorkload, err := MeanWastedTime("SS", 1000, 4, 5,
-		WithWorkload(workload.NewUniformRandom(2, 2)), WithSeed(1))
+	u, err := Compare(techniques, 1000, 4, uniform)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if viaOption != viaWorkload {
-		t.Fatalf("degenerate uniform mean %v != direct-path mean %v", viaOption, viaWorkload)
+	c, err := Compare(techniques, 1000, 4, constant)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Compare([]string{"SS"}, 100, 2, WithUniform(2, 2)); err != nil {
-		t.Fatalf("Compare with degenerate uniform rejected: %v", err)
+	if !maps.Equal(u, c) {
+		t.Errorf("Compare uniform(2, 2) %v != constant(2) %v", u, c)
+	}
+}
+
+// TestInvalidWorkloadRejected: a workload the campaign spec cannot
+// build is an error on every entry point, before any run starts.
+func TestInvalidWorkloadRejected(t *testing.T) {
+	for name, opt := range map[string]Option{
+		"exponential(-1)": WithExponential(-1),
+		"constant(NaN)":   WithConstant(math.NaN()),
+		"constant(-2)":    WithConstant(-2),
+	} {
+		isWorkloadErr := func(err error) bool { return err != nil && strings.Contains(err.Error(), "workload:") }
+		if _, err := Simulate("FAC2", 100, 4, opt); !isWorkloadErr(err) {
+			t.Errorf("Simulate with %s: err = %v, want a workload error", name, err)
+		}
+		if _, err := MeanWastedTime("FAC2", 100, 4, 5, opt); !isWorkloadErr(err) {
+			t.Errorf("MeanWastedTime with %s: err = %v, want a workload error", name, err)
+		}
+		if _, err := Compare([]string{"SS", "FAC2"}, 100, 4, opt); !isWorkloadErr(err) {
+			t.Errorf("Compare with %s: err = %v, want a workload error", name, err)
+		}
 	}
 }
 
@@ -409,11 +472,13 @@ func TestCompareRejectsDuplicateTechniques(t *testing.T) {
 		!strings.Contains(err.Error(), `duplicate technique "FAC2"`) {
 		t.Fatalf("Compare = %v, want duplicate technique error", err)
 	}
-	// The non-declarative path validates too.
-	if _, err := Compare([]string{"SS", "SS"}, 64, 2,
-		WithWorkload(workload.NewConstant(1))); err == nil ||
-		!strings.Contains(err.Error(), "duplicate technique") {
-		t.Fatalf("non-declarative Compare = %v, want duplicate technique error", err)
+	// Every backend and workload validates the same way.
+	for _, backend := range []string{"des", "msg"} {
+		if _, err := Compare([]string{"SS", "SS"}, 64, 2,
+			WithConstant(1), WithBackend(backend)); err == nil ||
+			!strings.Contains(err.Error(), "duplicate technique") {
+			t.Fatalf("Compare on %s = %v, want duplicate technique error", backend, err)
+		}
 	}
 }
 

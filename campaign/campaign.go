@@ -216,10 +216,9 @@ type Execution struct {
 	Concurrency int `json:"concurrency"`
 }
 
-// LocalDescription describes the in-process execution surface: every
-// registered technique, backend and seed policy of this build. The
-// dlsimd service serves the same document (with its own Service name)
-// from GET /v1.
+// LocalDescription describes what this build executes: every
+// registered technique, backend and seed policy. The dlsimd service
+// serves the same document (with its own Service name) from GET /v1.
 func LocalDescription() Description {
 	return Description{
 		Service:      "local",

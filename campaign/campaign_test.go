@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"repro/campaign"
+	"repro/client"
 	"repro/internal/engine"
+	"repro/internal/jobs"
+	"repro/internal/service"
 	"repro/internal/testutil"
 )
 
@@ -28,23 +32,42 @@ func testSpec(seed uint64, reps int) campaign.Spec {
 	}
 }
 
-// TestExecuteFastAndGenericPathsAgree runs the same spec through the
-// LocalRunner's synchronous Execute and through its asynchronous job
-// API (submit, then stream into a client-side Aggregator) and requires
-// bit-identical aggregates — the property that makes local and remote
-// execution interchangeable.
-func TestExecuteFastAndGenericPathsAgree(t *testing.T) {
-	defer testutil.CheckGoroutines(t)()
-	ctx := context.Background()
-	local := campaign.NewLocal(campaign.LocalConfig{})
-	defer local.Close()
-	spec := testSpec(31, 10)
-
-	fast, err := campaign.Run(ctx, local, spec)
+// newNode starts an in-process dlsimd — a job manager behind the /v1
+// HTTP service — and returns a client for it, its manager and a
+// function that shuts the node down.
+func newNode(t *testing.T) (*client.Client, *jobs.Manager, func()) {
+	t.Helper()
+	mgr := jobs.NewManager(jobs.Config{})
+	srv := httptest.NewServer(service.New(mgr).Handler())
+	c, err := client.New(srv.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := local.Submit(ctx, spec)
+	// Closing the manager first ends every status long-poll, so the
+	// server has no active request left to wait for.
+	return c, mgr, func() {
+		mgr.Close()
+		srv.Close()
+	}
+}
+
+// TestExecuteFastAndGenericPathsAgree runs the same spec through the
+// LocalRunner's Execute and through a node's job API (submit to an
+// in-process dlsimd, then stream into a client-side Aggregator) and
+// requires bit-identical aggregates — the property that makes local and
+// remote execution interchangeable.
+func TestExecuteFastAndGenericPathsAgree(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	ctx := context.Background()
+	node, _, stop := newNode(t)
+	defer stop()
+	spec := testSpec(31, 10)
+
+	fast, err := campaign.Run(ctx, campaign.NewLocal(campaign.LocalConfig{}), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := node.Submit(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +75,7 @@ func TestExecuteFastAndGenericPathsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := local.Stream(ctx, job.ID, agg); err != nil {
+	if err := node.Stream(ctx, job.ID, agg); err != nil {
 		t.Fatal(err)
 	}
 	generic := agg.Result()
@@ -70,14 +93,15 @@ func TestExecuteFastAndGenericPathsAgree(t *testing.T) {
 	}
 }
 
-// TestLocalRunnerLifecycle drives the full Runner contract on the
-// in-process implementation: submit, dedup, wait, stream, cancel,
-// describe, close.
+// TestLocalRunnerLifecycle drives the full Runner contract on
+// client.Client against an in-process dlsimd: submit, wait, stream,
+// describe, dedup, cancel, and ErrClosed once the node's queue has shut
+// down.
 func TestLocalRunnerLifecycle(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	ctx := context.Background()
-	r := campaign.NewLocal(campaign.LocalConfig{})
-	defer r.Close()
+	r, mgr, stop := newNode(t)
+	defer stop()
 
 	spec := testSpec(7, 5)
 	job, err := r.Submit(ctx, spec)
@@ -112,13 +136,14 @@ func TestLocalRunnerLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if desc.Service != "local" || desc.APIVersion != campaign.APIVersion ||
+	if desc.Service != "dlsimd" || desc.APIVersion != campaign.APIVersion ||
 		len(desc.Techniques) == 0 || len(desc.Backends) == 0 || len(desc.SeedPolicies) != 4 {
 		t.Fatalf("describe = %+v", desc)
 	}
 
-	// Cancel a gated job mid-flight; Stream must surface the terminal
-	// state as an error and still close the sinks.
+	// A gated job is held running: a second submission of its spec
+	// joins it, and once it is cancelled mid-flight Stream must surface
+	// the terminal state as an error.
 	gate.Reset()
 	defer gate.Release()
 	gspec := testSpec(8, 3)
@@ -126,6 +151,9 @@ func TestLocalRunnerLifecycle(t *testing.T) {
 	gjob, err := r.Submit(ctx, gspec)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if again, err := r.Submit(ctx, gspec); err != nil || !again.Deduped || again.ID != gjob.ID {
+		t.Fatalf("resubmission = %+v, %v; want it joined to %s", again, err, gjob.ID)
 	}
 	if err := r.Cancel(ctx, gjob.ID); err != nil {
 		t.Fatal(err)
@@ -140,13 +168,9 @@ func TestLocalRunnerLifecycle(t *testing.T) {
 		t.Fatalf("cancel unknown = %v, want ErrNotFound", err)
 	}
 
-	r.Close()
+	mgr.Close()
 	if _, err := r.Submit(ctx, spec); !errors.Is(err, campaign.ErrClosed) {
 		t.Fatalf("submit after close = %v, want ErrClosed", err)
-	}
-	// The synchronous path outlives Close by design.
-	if _, err := campaign.Run(ctx, r, spec); err != nil {
-		t.Fatalf("synchronous Execute after Close failed: %v", err)
 	}
 }
 
@@ -160,9 +184,7 @@ func TestDuplicateTechniqueRejected(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), `duplicate technique "FAC2"`) {
 		t.Fatalf("Validate = %v, want duplicate technique error", err)
 	}
-	local := campaign.NewLocal(campaign.LocalConfig{})
-	defer local.Close()
-	if _, err := campaign.Run(context.Background(), local, spec); err == nil ||
+	if _, err := campaign.Run(context.Background(), campaign.NewLocal(campaign.LocalConfig{}), spec); err == nil ||
 		!strings.Contains(err.Error(), "duplicate technique") {
 		t.Fatalf("Run = %v, want duplicate technique error", err)
 	}
@@ -173,11 +195,8 @@ func TestDuplicateTechniqueRejected(t *testing.T) {
 func TestAggregatorRejectsTruncatedStream(t *testing.T) {
 	ctx := context.Background()
 	spec := testSpec(3, 4)
-	local := campaign.NewLocal(campaign.LocalConfig{})
-	defer local.Close()
-
 	var buf bytes.Buffer
-	if _, err := local.Execute(ctx, spec, campaign.ExecOptions{
+	if _, err := campaign.NewLocal(campaign.LocalConfig{}).Execute(ctx, spec, campaign.ExecOptions{
 		Sinks: []campaign.Sink{campaign.NewJSONLSink(&buf)},
 	}); err != nil {
 		t.Fatal(err)

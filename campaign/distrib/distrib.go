@@ -61,9 +61,8 @@ const (
 )
 
 // Coordinator fans one campaign out across a fleet of runners — dlsimd
-// nodes reached through client.Client, in-process LocalRunners, or a
-// mix — and merges the result streams bit-identically to a single-node
-// run. It is a campaign.Executor: Execute places every shard and
+// nodes reached through client.Client — and merges the result streams
+// bit-identically to a single-node run. It is a campaign.Executor: Execute places every shard and
 // merges their streams on a rolling frontier, so campaign.Run drives a
 // fleet exactly as it drives one node.
 type Coordinator struct {

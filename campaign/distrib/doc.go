@@ -3,8 +3,8 @@
 //
 // A Coordinator is a campaign.Executor, so campaign.Run drives a fleet
 // as it drives one node. Its nodes are campaign.Runners — dlsimd
-// daemons through client.Client, or in-process LocalRunners — and each
-// shard is one job in a node's job API. Execute places every shard and
+// daemons through client.Client — and each shard is one job in a
+// node's job API. Execute places every shard and
 // merges the shard streams in plan order as they complete; it is the
 // coordinator's one way to run a campaign.
 //

@@ -20,7 +20,8 @@
 //
 //   - LocalRunner (this package) calls straight into the engine's
 //     worker pool, content-addressed result store and context-aware
-//     cancellation plumbing.
+//     cancellation plumbing. It is the only way a campaign runs in
+//     process, and it holds nothing between calls.
 //   - client.Client (package repro/client) speaks the dlsimd daemon's
 //     /v1 HTTP API: it submits the spec and folds the streamed events
 //     through an Aggregator. Aggregation is a deterministic fold over
@@ -36,8 +37,9 @@
 // and returns a job handle, Wait blocks for the terminal state, Stream
 // delivers the deterministic per-run Event sequence to Sinks, Cancel
 // aborts, and Describe reports the node's capabilities (techniques,
-// backends, seed policies). LocalRunner and client.Client implement
-// it, and the coordinator places its shards on nodes through it.
+// backends, seed policies). client.Client implements it over a dlsimd
+// daemon's job queue, and the coordinator places its shards on nodes
+// through it.
 //
 // # Sinks: one delivery rule per sink
 //
@@ -60,10 +62,8 @@
 //	    Replications: 1000,
 //	    Seed:         42,
 //	}
-//	r := campaign.NewLocal(campaign.LocalConfig{})
-//	defer r.Close()
-//	res, err := campaign.Run(ctx, r, spec)
+//	res, err := campaign.Run(ctx, campaign.NewLocal(campaign.LocalConfig{}), spec)
 //
-// The root package repro remains the scalar convenience facade; it is a
-// thin layer over a LocalRunner.
+// The root package repro remains the scalar convenience facade: its
+// options write one Spec, which it runs through a LocalRunner.
 package campaign

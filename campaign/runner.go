@@ -20,11 +20,10 @@ type Job struct {
 }
 
 // Runner is the asynchronous job API of a node that executes
-// campaigns: the in-process engine (LocalRunner) or a dlsimd daemon
-// reached over HTTP (client.Client). A fleet coordinator places its
-// shards through it. Callers that want a campaign's result run it
-// through an Executor instead; both nodes are Executors too. Results
-// are bit-identical across implementations for a given spec.
+// campaigns: a dlsimd daemon reached over HTTP (client.Client), whose
+// job queue is the one queue campaigns wait in. A fleet coordinator
+// places its shards through it. Callers that want a campaign's result
+// run it through an Executor instead; client.Client is one too.
 type Runner interface {
 	// Submit validates the spec and enqueues it, returning a job handle.
 	// Submitting a spec whose hash matches a queued or running job joins

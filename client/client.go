@@ -19,8 +19,8 @@ import (
 )
 
 // Client speaks the dlsimd /v1 API. It is safe for concurrent use and
-// implements campaign.Runner and campaign.Executor — the remote
-// counterpart of campaign.LocalRunner.
+// implements campaign.Executor — the remote counterpart of
+// campaign.LocalRunner — and campaign.Runner, a node's job API.
 type Client struct {
 	base   string // normalized base URL, no trailing slash
 	doer   Doer   // transport seam; defaults to a plain *http.Client

@@ -55,28 +55,24 @@ func contractSpec(seed uint64, reps int) campaign.Spec {
 	}
 }
 
-// TestContractLocalRemoteEquivalence is the PR's acceptance test: the
-// same campaign.Spec executed through the LocalRunner, through the
-// remote client against an in-process dlsimd, and through the legacy
-// facade yields bit-identical JSONL result streams and aggregates.
+// TestContractLocalRemoteEquivalence: the same campaign.Spec executed
+// through the LocalRunner, through the remote client against an
+// in-process dlsimd, and through the facade yields bit-identical JSONL
+// result streams and aggregates.
 func TestContractLocalRemoteEquivalence(t *testing.T) {
 	ctx := context.Background()
 	remote, _ := newService(t, jobs.Config{})
 	spec := contractSpec(911, 25)
 
-	// Local: synchronous fast path plus the async stream.
+	// Local: the in-process Executor, observed by a JSONL sink.
 	local := campaign.NewLocal(campaign.LocalConfig{})
-	defer local.Close()
-	localRes, err := campaign.Run(ctx, local, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	job, err := local.Submit(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var localJSONL bytes.Buffer
-	if err := local.Stream(ctx, job.ID, campaign.NewJSONLSink(&localJSONL)); err != nil {
+	localRes, err := campaign.Run(ctx, local, spec, campaign.NewJSONLSink(&localJSONL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash, err := spec.Hash()
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -89,8 +85,8 @@ func TestContractLocalRemoteEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rjob.Hash != job.Hash {
-		t.Fatalf("remote hash %s != local hash %s", rjob.Hash, job.Hash)
+	if rjob.Hash != hash {
+		t.Fatalf("remote hash %s != local spec hash %s", rjob.Hash, hash)
 	}
 	body, err := remote.Results(ctx, rjob.ID, "jsonl")
 	if err != nil {
@@ -341,7 +337,7 @@ func TestDiscoveryPaginationNegotiation(t *testing.T) {
 	if desc.Service != "dlsimd" || desc.APIVersion != campaign.APIVersion {
 		t.Fatalf("describe = %+v", desc)
 	}
-	local, _ := campaign.NewLocal(campaign.LocalConfig{}).Describe(ctx)
+	local := campaign.LocalDescription()
 	if strings.Join(desc.Techniques, ",") != strings.Join(local.Techniques, ",") ||
 		strings.Join(desc.Backends, ",") != strings.Join(local.Backends, ",") ||
 		strings.Join(desc.SeedPolicies, ",") != strings.Join(local.SeedPolicies, ",") {

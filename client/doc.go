@@ -9,9 +9,9 @@
 //	res, err := campaign.Run(ctx, c, spec) // identical to a LocalRunner run
 //
 // Execute submits the spec, then folds the streamed events through an
-// Aggregator client-side. A Client also implements campaign.Runner, the
-// node job API (Submit, Wait, Stream, Cancel, Describe) a fleet
-// coordinator places shards through. Beyond both, the client exposes
+// Aggregator client-side. A Client is also the one implementation of
+// campaign.Runner, the node job API (Submit, Wait, Stream, Cancel,
+// Describe) a fleet coordinator places shards through. Beyond both, the client exposes
 // the full v1 surface: job status and paginated listing (Job, Jobs),
 // raw result streams in either encoding (Results), discovery
 // (Techniques, Backends), the liveness probe (Live) and the readiness
@@ -26,7 +26,7 @@
 // Failures carry the service's structured error envelope as an
 // *APIError with the stable machine-readable code, and map onto the
 // campaign package's sentinel errors (ErrQueueFull, ErrNotFound,
-// ErrClosed) via errors.Is — so error handling is portable between the
-// local and remote runners. API.md at the repository root documents
+// ErrClosed) via errors.Is — the same sentinels the daemon's job queue
+// returns in process. API.md at the repository root documents
 // every route, error code and pagination parameter.
 package client

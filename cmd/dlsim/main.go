@@ -123,7 +123,7 @@ func run(ctx context.Context) error {
 	}
 	var (
 		runner      campaign.Executor
-		closeRunner func()
+		closeRunner = func() {}
 	)
 	if *servers != "" {
 		runner, closeRunner, err = cliutil.NewFleetRunner(*servers, distrib.Options{
@@ -131,7 +131,7 @@ func run(ctx context.Context) error {
 			HedgeAfter: *hedge, PartialResults: *partial,
 		}, *fleetMet)
 	} else {
-		runner, closeRunner, err = cliutil.NewRunner(*server, store, *workers)
+		runner, err = cliutil.NewRunner(*server, store, *workers)
 	}
 	if err != nil {
 		return err

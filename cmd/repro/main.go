@@ -102,11 +102,10 @@ func run(ctx context.Context) error {
 	// The runner is where grid campaigns execute: in-process over the
 	// local store by default, a remote dlsimd daemon with -server —
 	// bit-identical results either way.
-	runner, closeRunner, err := cliutil.NewRunner(*server, store, *workers)
+	runner, err := cliutil.NewRunner(*server, store, *workers)
 	if err != nil {
 		return err
 	}
-	defer closeRunner()
 
 	// Subcommands streaming per-run metrics share one sink set; closeOut
 	// is idempotent and deferred so a cancelled campaign still flushes

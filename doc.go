@@ -8,15 +8,18 @@
 // (DLS) techniques by reproducing scheduling experiments from the TSS
 // publication (Tzen & Ni 1993) and the BOLD publication (Hagerup 1997).
 //
-// The package itself is a thin, stable facade over the full system —
-// a convenience layer over a campaign.LocalRunner:
+// The package itself is a thin, stable facade over the full system.
+// Its options write one campaign spec, validated as dlsim and dlsimd
+// validate theirs; MeanWastedTime and Compare run it through a
+// campaign.LocalRunner, and Simulate runs its single point:
 //
 //   - campaign — the public execution API: declarative Spec (grid ×
 //     replications × seed policy as hashable plain data), per-run Event
 //     streaming into Sinks, client-side Aggregator, the Executor
-//     interface every campaign runs through (campaign.Run), and the
-//     Runner interface (Submit, Wait, Stream, Cancel, Describe) of a
-//     node's asynchronous job API
+//     interface every campaign runs through (campaign.Run) with its
+//     in-process implementation LocalRunner, and the Runner interface
+//     (Submit, Wait, Stream, Cancel, Describe) of a node's asynchronous
+//     job API
 //   - client — the typed Go SDK for the dlsimd /v1 HTTP API; a
 //     client.Client is both an Executor and a Runner, and the same Spec
 //     run locally or remotely yields bit-identical streams and
@@ -65,10 +68,12 @@
 // given seed, and WithCache(dir) serves repeated campaigns from the
 // content-addressed result store without re-simulation.
 //
-// Multi-run entry points validate their inputs strictly: a duplicate
-// technique in Compare (which would silently collapse into one map
-// key) is rejected with a descriptive error, as it is at the campaign
-// spec level.
+// Every entry point validates its inputs strictly, through the campaign
+// spec's own validation: a workload the spec cannot build (a negative
+// or NaN task time, say) is an error before any run starts, and so is
+// a duplicate technique in Compare, which would silently collapse into
+// one map key. Uniform task times with hi == lo are valid: every task
+// then takes lo.
 //
 // Execution is context-aware end to end: the Context variants
 // (SimulateContext, MeanWastedTimeContext, CompareContext) — and every

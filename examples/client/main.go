@@ -1,7 +1,7 @@
-// Client SDK: run the same campaign through the unified Runner API —
-// once in-process (campaign.LocalRunner) and once over HTTP against a
-// dlsimd service (client.Client) — and verify the aggregates match
-// bit for bit.
+// Client SDK: run the same campaign twice — once in-process through
+// the campaign.LocalRunner Executor, and once through the job API
+// (submit, wait, stream) of a dlsimd service over HTTP with
+// client.Client — and verify the aggregates match bit for bit.
 //
 //	go run ./examples/client [-server URL] [-runs N]
 //
@@ -34,7 +34,7 @@ func main() {
 	ctx := context.Background()
 
 	// One cell of the paper's Figure 6 setup as a declarative campaign:
-	// plain data, hashable, executable by any Runner.
+	// plain data, hashable, executable by any Executor.
 	spec := campaign.Spec{
 		Techniques:   []string{"FAC2", "GSS", "BOLD"},
 		Ns:           []int64{8192},
@@ -46,9 +46,7 @@ func main() {
 	}
 
 	// 1. Locally, through the in-process engine.
-	local := campaign.NewLocal(campaign.LocalConfig{})
-	defer local.Close()
-	localRes, err := campaign.Run(ctx, local, spec)
+	localRes, err := campaign.Run(ctx, campaign.NewLocal(campaign.LocalConfig{}), spec)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -144,19 +144,16 @@ func OpenOut(path string) ([]engine.Sink, func() error, error) {
 // NewRunner builds the campaign executor the -server flag selects: a
 // remote client.Client speaking the dlsimd /v1 API when server names a
 // base URL, otherwise an in-process LocalRunner over the given store
-// and worker bound. The cleanup function releases the local runner's
-// resources (it is a no-op for the remote client) and is safe to defer.
-// A malformed server URL is a usage error.
-func NewRunner(server string, store cache.Store, workers int) (campaign.Executor, func(), error) {
+// and worker bound. A malformed server URL is a usage error.
+func NewRunner(server string, store cache.Store, workers int) (campaign.Executor, error) {
 	if server == "" {
-		local := campaign.NewLocal(campaign.LocalConfig{Store: store, Workers: workers})
-		return local, local.Close, nil
+		return campaign.NewLocal(campaign.LocalConfig{Store: store, Workers: workers}), nil
 	}
 	c, err := client.New(server)
 	if err != nil {
-		return nil, nil, Usagef("server: %v", err)
+		return nil, Usagef("server: %v", err)
 	}
-	return c, func() {}, nil
+	return c, nil
 }
 
 // NewFleetRunner builds the distributed coordinator the -servers flag

@@ -9,13 +9,17 @@ import (
 	"fmt"
 	"hash"
 	"math"
+	"net/http/httptest"
 	"testing"
 
 	"repro/campaign"
 	"repro/campaign/distrib"
+	"repro/client"
 	"repro/internal/cache"
 	"repro/internal/engine"
+	"repro/internal/jobs"
 	"repro/internal/metrics"
+	"repro/internal/service"
 	"repro/internal/workload"
 )
 
@@ -368,19 +372,28 @@ func TestEnginePathDigests(t *testing.T) {
 }
 
 // checkFleetPaths runs spec through a distrib.Coordinator over three
-// in-process LocalRunner nodes (one worker each, one shared memory
-// store) at shard counts 1, 2, 3, 7 and 15; at 15 every run of
-// digestSpec is its own shard. Each count checks the coordinator's
-// Execute (the rolling merge) against the key's digests.
+// in-process dlsimd nodes (a job manager behind the /v1 HTTP service,
+// one worker each, one shared memory store) at shard counts 1, 2, 3, 7
+// and 15; at 15 every run of digestSpec is its own shard. Each count
+// checks the coordinator's Execute (the rolling merge) against the
+// key's digests.
 func checkFleetPaths(t *testing.T, spec engine.CampaignSpec, check func(string, []byte, *engine.CampaignResult)) {
 	t.Helper()
 	ctx := context.Background()
 	store := cache.NewMemory()
 	nodes := make([]campaign.Runner, 3)
 	for i := range nodes {
-		local := campaign.NewLocal(campaign.LocalConfig{Store: store, Workers: 1})
-		t.Cleanup(local.Close)
-		nodes[i] = local
+		mgr := jobs.NewManager(jobs.Config{Store: store, Workers: 1})
+		srv := httptest.NewServer(service.New(mgr).Handler())
+		t.Cleanup(func() {
+			mgr.Close()
+			srv.Close()
+		})
+		cli, err := client.New(srv.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = cli
 	}
 	for _, shards := range []int{1, 2, 3, 7, 15} {
 		coord, err := distrib.New(nodes, distrib.Options{Shards: shards})

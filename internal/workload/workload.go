@@ -329,7 +329,7 @@ type Spec struct {
 // Build constructs the workload a Spec describes.
 //
 //	constant:   P1 = task time
-//	uniform:    [P1, P2)
+//	uniform:    [P1, P2); P1 == P2 gives every task P1
 //	increasing: from P1 to P2 over N tasks
 //	decreasing: from P1 to P2 over N tasks
 //	exponential: mean P1
@@ -347,8 +347,8 @@ func (s Spec) Build() (Workload, error) {
 		}
 		return NewConstant(s.P1), nil
 	case "uniform":
-		if !(s.P2 > s.P1) {
-			return nil, fmt.Errorf("workload: uniform requires hi > lo, got [%v,%v)", s.P1, s.P2)
+		if !(s.P2 >= s.P1) {
+			return nil, fmt.Errorf("workload: uniform requires hi >= lo, got [%v,%v)", s.P1, s.P2)
 		}
 		return NewUniformRandom(s.P1, s.P2), nil
 	case "increasing", "decreasing":

@@ -181,6 +181,7 @@ func TestSpecBuild(t *testing.T) {
 	}{
 		{Spec{Kind: "constant", P1: 1}, "constant"},
 		{Spec{Kind: "uniform", P1: 1, P2: 2}, "uniform"},
+		{Spec{Kind: "uniform", P1: 2, P2: 2}, "uniform"},
 		{Spec{Kind: "increasing", P1: 1, P2: 2, N: 10}, "increasing"},
 		{Spec{Kind: "decreasing", P1: 2, P2: 1, N: 10}, "decreasing"},
 		{Spec{Kind: "exponential", P1: 1}, "exponential"},
