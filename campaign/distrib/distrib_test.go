@@ -39,12 +39,15 @@ type node struct {
 	cli *client.Client
 }
 
-// kill simulates the process dying: in-flight requests are severed and
-// the node's work is torn down.
+// kill simulates the process dying: the node's work is torn down and
+// in-flight requests are severed. The manager closes first: that
+// cancels its jobs, so no status long-poll stays parked in
+// Manager.Wait — on a held job, or on one a client reconnects to after
+// CloseClientConnections — while Close waits on active connections.
 func (n *node) kill() {
+	n.mgr.Close()
 	n.srv.CloseClientConnections()
 	n.srv.Close()
-	n.mgr.Close()
 }
 
 // newFleet boots n nodes sharing one content-addressed store.
