@@ -49,7 +49,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"os"
 	"runtime"
 	"strconv"
 	"sync/atomic"
@@ -63,21 +62,6 @@ import (
 	"repro/internal/mw"
 	"repro/internal/service"
 )
-
-// envInt reads an integer default from the environment so deployments
-// can size the daemon without editing unit files; the flag still wins.
-func envInt(name string, fallback int) int {
-	v := os.Getenv(name)
-	if v == "" {
-		return fallback
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		log.Printf("ignoring %s=%q: %v", name, v, err)
-		return fallback
-	}
-	return n
-}
 
 func main() {
 	log.SetFlags(0)
@@ -94,19 +78,19 @@ func run(ctx context.Context) error {
 		cacheDir  = flag.String("cache", "", "content-addressed result store directory, the daemon's only store (default: an in-memory store that never evicts)")
 		queue     = flag.Int("queue", 64, "bounded submission queue depth")
 		jobsN     = flag.Int("jobs", 1, "campaigns executing concurrently")
-		workers   = flag.Int("workers", envInt("DLSIMD_WORKERS", 0), "concurrent runs per campaign (0 = all CPU cores; env DLSIMD_WORKERS)")
-		chunk     = flag.Int("chunk", envInt("DLSIMD_CHUNK", 0), "replications per work item (0 = auto-size; env DLSIMD_CHUNK; never changes results)")
+		workers   = flag.Int("workers", env("DLSIMD_WORKERS", 0, strconv.Atoi), "concurrent runs per campaign (0 = all CPU cores; env DLSIMD_WORKERS)")
+		chunk     = flag.Int("chunk", env("DLSIMD_CHUNK", 0, strconv.Atoi), "replications per work item (0 = auto-size; env DLSIMD_CHUNK; never changes results)")
 		drain     = flag.Duration("drain", 5*time.Second, "graceful shutdown window for in-flight HTTP requests")
-		drainJobs = flag.Duration("drain-jobs", envDur("DLSIMD_DRAIN_JOBS", 0),
+		drainJobs = flag.Duration("drain-jobs", env("DLSIMD_DRAIN_JOBS", 0, time.ParseDuration),
 			"on SIGTERM/SIGINT, stop accepting submissions (health reports draining, /v1/health goes 503) and let running jobs finish for up to this long before cancelling them; 0 cancels immediately (env DLSIMD_DRAIN_JOBS)")
 		pprofOn = flag.Bool("pprof", false, "expose net/http/pprof profiling handlers under /debug/pprof/")
 
-		journalDir = flag.String("journal", envStr("DLSIMD_JOURNAL", ""), "durable job journal directory; enables crash recovery (env DLSIMD_JOURNAL)")
-		authFile   = flag.String("auth", envStr("DLSIMD_AUTH", ""), "API key file of tenant:key lines; enables multi-tenant auth (env DLSIMD_AUTH)")
-		rate       = flag.Float64("rate", envFloat("DLSIMD_RATE", 0), "per-tenant API requests per second, 0 = unlimited (env DLSIMD_RATE)")
-		quotaQ     = flag.Int("quota-queued", envInt("DLSIMD_QUOTA_QUEUED", 0), "max jobs one tenant may have queued, 0 = unlimited (env DLSIMD_QUOTA_QUEUED)")
-		quotaR     = flag.Int("quota-running", envInt("DLSIMD_QUOTA_RUNNING", 0), "max jobs one tenant may have running, 0 = unlimited (env DLSIMD_QUOTA_RUNNING)")
-		metricsOn  = flag.Bool("metrics", envBool("DLSIMD_METRICS", false), "expose Prometheus metrics at /metrics (env DLSIMD_METRICS)")
+		journalDir = flag.String("journal", env("DLSIMD_JOURNAL", "", parseString), "durable job journal directory; enables crash recovery (env DLSIMD_JOURNAL)")
+		authFile   = flag.String("auth", env("DLSIMD_AUTH", "", parseString), "API key file of tenant:key lines; enables multi-tenant auth (env DLSIMD_AUTH)")
+		rate       = flag.Float64("rate", env("DLSIMD_RATE", 0, parseFloat), "per-tenant API requests per second, 0 = unlimited (env DLSIMD_RATE)")
+		quotaQ     = flag.Int("quota-queued", env("DLSIMD_QUOTA_QUEUED", 0, strconv.Atoi), "max jobs one tenant may have queued, 0 = unlimited (env DLSIMD_QUOTA_QUEUED)")
+		quotaR     = flag.Int("quota-running", env("DLSIMD_QUOTA_RUNNING", 0, strconv.Atoi), "max jobs one tenant may have running, 0 = unlimited (env DLSIMD_QUOTA_RUNNING)")
+		metricsOn  = flag.Bool("metrics", env("DLSIMD_METRICS", false, strconv.ParseBool), "expose Prometheus metrics at /metrics (env DLSIMD_METRICS)")
 	)
 	flag.Parse()
 
@@ -319,7 +303,6 @@ func run(ctx context.Context) error {
 		// streams. Jobs still live when the window closes fall through
 		// to the usual cancellation below.
 		log.Printf("draining: refusing new submissions, waiting up to %v for active jobs", *drainJobs)
-		svc.SetDraining(true)
 		mgr.Drain()
 		wctx, wcancel := context.WithTimeout(context.Background(), *drainJobs)
 		if err := mgr.WaitIdle(wctx); err != nil {

@@ -20,55 +20,29 @@ import (
 	"repro/internal/telemetry"
 )
 
-// envStr reads a string default from the environment; the flag wins.
-func envStr(name, fallback string) string {
-	if v, ok := os.LookupEnv(name); ok {
-		return v
-	}
-	return fallback
-}
-
-// envFloat reads a float default from the environment; the flag wins.
-func envFloat(name string, fallback float64) float64 {
-	v, ok := os.LookupEnv(name)
-	if !ok {
+// env reads a flag's default from the environment variable name, so
+// deployments can configure the daemon without editing unit files; the
+// flag still wins. Every type follows one rule: an unset or empty
+// variable means fallback, and a value parse rejects is logged and
+// falls back too.
+func env[T any](name string, fallback T, parse func(string) (T, error)) T {
+	v := os.Getenv(name)
+	if v == "" {
 		return fallback
 	}
-	f, err := strconv.ParseFloat(v, 64)
+	x, err := parse(v)
 	if err != nil {
 		log.Printf("ignoring %s=%q: %v", name, v, err)
 		return fallback
 	}
-	return f
+	return x
 }
 
-// envDur reads a duration default from the environment; the flag wins.
-func envDur(name string, fallback time.Duration) time.Duration {
-	v, ok := os.LookupEnv(name)
-	if !ok {
-		return fallback
-	}
-	d, err := time.ParseDuration(v)
-	if err != nil {
-		log.Printf("ignoring %s=%q: %v", name, v, err)
-		return fallback
-	}
-	return d
-}
+// parseString and parseFloat adapt a string and strconv.ParseFloat to
+// env's parse signature.
+func parseString(s string) (string, error) { return s, nil }
 
-// envBool reads a boolean default from the environment; the flag wins.
-func envBool(name string, fallback bool) bool {
-	v, ok := os.LookupEnv(name)
-	if !ok {
-		return fallback
-	}
-	b, err := strconv.ParseBool(v)
-	if err != nil {
-		log.Printf("ignoring %s=%q: %v", name, v, err)
-		return fallback
-	}
-	return b
-}
+func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
 
 // daemonMetrics owns the telemetry registry and the series fed by the
 // HTTP middleware and the job lifecycle observer. The jobs-by-state and

@@ -49,9 +49,9 @@ func TestHealthV1ReadinessAndDrain(t *testing.T) {
 		t.Fatalf("health hook fields missing: %+v", h)
 	}
 
-	// Drain via the server switch: the status code flips for probes, the
-	// document stays decodable, and the hook still runs.
-	svc.SetDraining(true)
+	// Drain the manager: the status code flips for probes, the document
+	// stays decodable, and the hook still runs.
+	mgr.Drain()
 	code, h = getHealth()
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("draining health = %d, want 503", code)
@@ -62,16 +62,5 @@ func TestHealthV1ReadinessAndDrain(t *testing.T) {
 	// Liveness is a different question and must not flip.
 	if code, _ := c.do(http.MethodGet, "/healthz", nil); code != http.StatusOK {
 		t.Fatalf("healthz during drain = %d, want 200", code)
-	}
-
-	// The manager's own drain (jobs.Drain) must surface identically.
-	svc.SetDraining(false)
-	if code, _ = getHealth(); code != http.StatusOK {
-		t.Fatalf("undrained health = %d, want 200", code)
-	}
-	mgr.Drain()
-	code, h = getHealth()
-	if code != http.StatusServiceUnavailable || !h.Draining {
-		t.Fatalf("manager-drain health = %d %+v, want 503 draining", code, h)
 	}
 }

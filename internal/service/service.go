@@ -50,7 +50,6 @@ type Server struct {
 	mgr  *jobs.Manager
 	exec *campaign.Execution
 
-	draining   atomic.Bool
 	healthHook atomic.Pointer[func(*campaign.Health)]
 }
 
@@ -61,12 +60,6 @@ func New(mgr *jobs.Manager) *Server { return &Server{mgr: mgr} }
 // (CPU count, worker pool, chunk size) to the GET /v1 description.
 // Informational only; call before Handler is served.
 func (s *Server) SetExecution(e campaign.Execution) { s.exec = &e }
-
-// SetDraining flips the /v1/health readiness bit. Safe to call while
-// serving — the daemon sets it when graceful shutdown begins, before
-// the listener stops, so probes and load balancers stop sending new
-// work while running jobs finish.
-func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
 // SetHealthHook installs a function that decorates the /v1/health
 // document with daemon-level state the service layer cannot see
@@ -127,7 +120,7 @@ func (s *Server) healthV1(w http.ResponseWriter, _ *http.Request) {
 		QueueDepth: stats.Queued,
 		Running:    stats.Running,
 	}
-	if s.draining.Load() || s.mgr.Draining() {
+	if s.mgr.Draining() {
 		h.Ready = false
 		h.Draining = true
 	}
