@@ -425,12 +425,12 @@ func TestDegenerateWorkloadFallsBackToDirectPath(t *testing.T) {
 // TestInvalidWorkloadRejected: a workload the campaign spec cannot
 // build is an error on every entry point, before any run starts.
 func TestInvalidWorkloadRejected(t *testing.T) {
+	isWorkloadErr := func(err error) bool { return err != nil && strings.Contains(err.Error(), "workload:") }
 	for name, opt := range map[string]Option{
 		"exponential(-1)": WithExponential(-1),
 		"constant(NaN)":   WithConstant(math.NaN()),
 		"constant(-2)":    WithConstant(-2),
 	} {
-		isWorkloadErr := func(err error) bool { return err != nil && strings.Contains(err.Error(), "workload:") }
 		if _, err := Simulate("FAC2", 100, 4, opt); !isWorkloadErr(err) {
 			t.Errorf("Simulate with %s: err = %v, want a workload error", name, err)
 		}

@@ -23,7 +23,7 @@ import (
 // env reads a flag's default from the environment variable name, so
 // deployments can configure the daemon without editing unit files; the
 // flag still wins. Every type follows one rule: an unset or empty
-// variable means fallback, and a value parse rejects is logged and
+// variable means fallback, and a value that parse rejects is logged and
 // falls back too.
 func env[T any](name string, fallback T, parse func(string) (T, error)) T {
 	v := os.Getenv(name)
@@ -41,7 +41,6 @@ func env[T any](name string, fallback T, parse func(string) (T, error)) T {
 // parseString and parseFloat adapt a string and strconv.ParseFloat to
 // env's parse signature.
 func parseString(s string) (string, error) { return s, nil }
-
 func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
 
 // daemonMetrics owns the telemetry registry and the series fed by the
