@@ -48,12 +48,53 @@ func benchCampaign(b *testing.B, workers int) {
 }
 
 // BenchmarkCampaignStreamAlloc measures the full streaming pipeline —
-// runner arenas, batched delivery, ring reorder, aggregation — at one
+// runner arenas, batched delivery at the frontier, aggregation — at one
 // worker and at GOMAXPROCS. allocs/op divided by runs/op is the per-run
 // allocation cost.
 func BenchmarkCampaignStreamAlloc(b *testing.B) {
 	b.Run("workers=1", func(b *testing.B) { benchCampaign(b, 1) })
 	b.Run("workers=N", func(b *testing.B) { benchCampaign(b, 0) })
+}
+
+// perrunGrid is the grid of the benchmark's perrun-export workload —
+// {STAT, CSS, FAC2, GSS, TSS} × n = 256 × p ∈ {4, 16}, ten cheap
+// points — at reps replications.
+func perrunGrid(reps int) CampaignSpec {
+	return CampaignSpec{
+		Techniques:   []string{"STAT", "CSS", "FAC2", "GSS", "TSS"},
+		Ns:           []int64{256},
+		Ps:           []int{4, 16},
+		Workload:     workload.Spec{Kind: "exponential", P1: 1},
+		H:            0.5,
+		Replications: reps,
+		Seed:         1,
+	}
+}
+
+// BenchmarkStreamChunkOverhead prices a chunk: perrun-export's grid at
+// 100 replications, aggregate-only on 2 workers, once with one run per
+// chunk and once with the automatic size. Its runs are cheap, so the
+// ns/op difference over the chunks/op difference is the pipeline's cost
+// per chunk: claiming it, handing it to delivery and delivering it.
+func BenchmarkStreamChunkOverhead(b *testing.B) {
+	const reps, workers = 100, 2
+	spec := perrunGrid(reps)
+	for _, chunk := range []int{1, 0} {
+		size, name := chunk, "chunk=1"
+		if chunk == 0 {
+			size, name = autoChunkSize(reps, workers), "chunk=auto"
+		}
+		chunks := spec.GridPoints() * ((reps + size - 1) / size)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := spec.Execute(context.Background(), ExecConfig{Workers: workers, ChunkSize: chunk}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(chunks), "chunks/op")
+		})
+	}
 }
 
 // BenchmarkAggregateSinkAlloc isolates the reduction stage: consuming

@@ -34,8 +34,9 @@ type Campaign struct {
 
 	// ChunkSize is the number of consecutive replications of one point
 	// executed per work item. Larger chunks amortize pipeline overhead;
-	// smaller chunks balance load. 0 auto-sizes from the grid and the
-	// worker count. Results are bit-identical for every chunk size.
+	// smaller chunks balance load. 0 auto-sizes per point: about 8
+	// chunks of every point per worker, at most 1024 runs each. Results
+	// are bit-identical for every chunk size.
 	ChunkSize int
 
 	// SeedFor derives the rand48 state of run (point, rep). Nil selects

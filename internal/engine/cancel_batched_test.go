@@ -25,9 +25,9 @@ var batchGate = testutil.NewGateBackend("batch-cancel-gate")
 func init() { engine.Register(batchGate) }
 
 // orderedSink records the ordered event stream and its close count.
-// Consume runs on the pipeline's single delivery goroutine and Stream
-// returning happens-after Close, so the test may read the fields once
-// Stream is done.
+// The pipeline calls Consume one call at a time, from whichever worker
+// delivers the frontier, and Stream returning happens-after Close, so
+// the test may read the fields once Stream is done.
 type orderedSink struct {
 	mu     sync.Mutex
 	events []engine.Event

@@ -34,9 +34,9 @@ func (p MetricsPartial) Len() int { return len(p.Runs) }
 // receives the ordinary per-run events. Aggregates are bit-identical
 // either way.
 //
-// Like Consume, ConsumePartial is invoked from a single goroutine in
-// deterministic order, needs no locking, and a returned error aborts
-// the campaign. Close semantics are unchanged.
+// Like Consume, ConsumePartial is called one call at a time, in global
+// order, so it needs no locking, and a returned error aborts the
+// campaign. Close semantics are unchanged.
 type PartialSink interface {
 	Sink
 	ConsumePartial(ctx context.Context, p MetricsPartial) error

@@ -27,12 +27,13 @@ type Event struct {
 }
 
 // Sink consumes the ordered stream of run events. The pipeline invokes
-// Consume from a single goroutine, so implementations need no locking.
-// A Consume error aborts the campaign; ctx is the campaign's (or the
-// replaying request's) context, so sinks streaming to slow or remote
-// destinations can abandon work when the consumer goes away. Close
-// flushes the sink after the final event (or after an abort) and is
-// called exactly once.
+// Consume one call at a time, in global order, so implementations need
+// no locking: successive calls may come from different goroutines, but
+// each begins after the previous one returned. A Consume error aborts
+// the campaign; ctx is the campaign's (or the replaying request's)
+// context, so sinks streaming to slow or remote destinations can
+// abandon work when the consumer goes away. Close flushes the sink
+// after the final event (or after an abort) and is called exactly once.
 type Sink interface {
 	Consume(ctx context.Context, ev Event) error
 	Close() error
@@ -41,15 +42,15 @@ type Sink interface {
 // Stream executes the campaign, emitting every completed run to the
 // given sinks instead of materializing results. This is the primitive
 // Run is built on: the worker pool executes replication batches
-// (chunks) on per-worker Runners in arbitrary completion order, each
-// chunk travels as one pooled []RunMetrics, a reorder stage restores
-// deterministic (point, replication) order at chunk granularity, and
-// the delivery stage shared with cache replay hands every chunk to
-// each sink — one ConsumePartial per PartialSink, one Consume per run
-// for any other sink — so sinks observe the exact sequence a serial
-// execution would produce. All sinks are closed before Stream returns;
-// the first run or sink error aborts the remaining grid and is
-// returned.
+// (chunks) on per-worker Runners in arbitrary completion order, and the
+// worker that completes the chunk at the delivery frontier delivers it,
+// with every completed chunk behind it, in deterministic (point,
+// replication) order. Delivery is the stage shared with cache replay:
+// it hands every chunk to each sink — one ConsumePartial per
+// PartialSink, one Consume per run for any other sink — so sinks
+// observe the exact sequence a serial execution would produce. All
+// sinks are closed before Stream returns; the first run or sink error
+// aborts the remaining grid and is returned.
 //
 // Cancelling ctx aborts the campaign: no further backend runs are
 // scheduled once cancellation is observed, the worker pool drains
@@ -92,234 +93,175 @@ func (c Campaign) Stream(ctx context.Context, sinks ...Sink) error {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	reps := c.Replications
-	total := len(c.Points) * reps
-	if workers > total {
-		workers = total
-	}
-	// The unit of work is a chunk: a (point, replication-range) batch a
-	// worker executes end to end on its private execution context. One
-	// channel send and one reorder pass per chunk — not per run —
-	// amortizes pipeline overhead to ~0 per run once chunks carry tens
-	// of replications.
+	// The unit of work and of delivery is a chunk: a (point,
+	// replication-range) batch a worker executes end to end on its
+	// private execution context.
 	chunkSize := c.ChunkSize
 	if chunkSize <= 0 {
-		chunkSize = autoChunkSize(total, reps, workers)
+		chunkSize = autoChunkSize(reps, workers)
 	}
 	if chunkSize > reps {
 		chunkSize = reps
 	}
-	chunksPerPoint := (reps + chunkSize - 1) / chunkSize
-	totalChunks := int64(len(c.Points)) * int64(chunksPerPoint)
+	chunksPerPoint := int64(reps+chunkSize-1) / int64(chunkSize)
+	totalChunks := int64(len(c.Points)) * chunksPerPoint
 	if int64(workers) > totalChunks {
 		workers = int(totalChunks)
 	}
+	// chunkAt locates chunk k: replications [repLo, repHi) of point pi.
+	chunkAt := func(k int64) (pi, repLo, repHi int) {
+		pi = int(k / chunksPerPoint)
+		repLo = int(k%chunksPerPoint) * chunkSize
+		return pi, repLo, min(repLo+chunkSize, reps)
+	}
+	// The window bounds how far execution runs ahead of delivery, in
+	// chunks: enough slack that fast workers never stall behind one slow
+	// chunk, small enough that at most window chunks of completed runs
+	// wait for it, however skewed the run durations.
+	window := min(max(int64(4*workers), 8), totalChunks)
 	d := newDelivery(c.Points, seedFor, sinks)
-	// runPool recycles the per-chunk metrics buffers: the reorder stage
-	// returns each buffer after delivering its chunk, so the steady state
-	// allocates nothing per chunk.
-	runPool := sync.Pool{New: func() any {
-		b := make([]RunMetrics, 0, chunkSize)
-		return &b
-	}}
 
 	var (
-		next     atomic.Int64
-		failed   atomic.Bool
-		errMu    sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
+		failed atomic.Bool
+		wg     sync.WaitGroup
 
-		// nextOut is the next chunk index the reorder stage dispatches
-		// (its published value; the reorder goroutine's private counter
-		// runs ahead while draining). Workers wait before executing
-		// chunks more than window indices ahead of it, which bounds the
-		// reorder ring under arbitrary run-duration skew (one
-		// pathologically slow chunk cannot make the buffer absorb the
-		// whole remaining grid).
-		outMu   sync.Mutex
-		outCond = sync.NewCond(&outMu)
-		nextOut int64
+		// Chunks are claimed and delivered in index order. Everything
+		// below is guarded by outMu. A worker claims chunk next only
+		// while next < nextOut+window, so completed chunk k waits in
+		// ring slot k%window, which chunk k-window has vacated, until
+		// it is delivered.
+		outMu    sync.Mutex
+		outCond  = sync.NewCond(&outMu)
+		firstErr error
+		next     int64 // the next chunk to claim
+		nextOut  int64 // the next chunk to deliver
+		ring     = make([][]RunMetrics, window)
+		// free holds delivered chunks' buffers for later chunks, so a
+		// campaign allocates only as many as it ever has in flight.
+		free = make([][]RunMetrics, 0, window)
 	)
-	// The in-flight window is in chunk units: enough slack that fast
-	// workers never stall behind one slow chunk, small enough that the
-	// ring buffers at most window chunks of completed runs.
-	window := int64(4 * workers)
-	if window < 8 {
-		window = 8
-	}
-	if window > totalChunks {
-		window = totalChunks
-	}
 	fail := func(err error) {
-		errMu.Lock()
+		outMu.Lock()
 		if firstErr == nil {
 			firstErr = err
 		}
-		errMu.Unlock()
 		failed.Store(true)
-		outMu.Lock()
 		outCond.Broadcast() // release workers waiting on the window
 		outMu.Unlock()
 	}
+	// Cancellation enters the failure protocol: failed stops workers
+	// from starting further runs and the broadcast releases any worker
+	// parked on the window.
+	cancelled := make(chan struct{})
+	stopWatch := context.AfterFunc(ctx, func() {
+		fail(fmt.Errorf("engine: campaign: %w", ctx.Err()))
+		close(cancelled)
+	})
 
-	// The watcher translates context cancellation into the pipeline's
-	// failure protocol: failed stops workers from claiming further runs
-	// and the broadcast releases any worker parked on the reorder window.
-	watchDone := make(chan struct{})
-	var watch sync.WaitGroup
-	watch.Add(1)
-	go func() {
-		defer watch.Done()
-		select {
-		case <-ctx.Done():
-			fail(fmt.Errorf("engine: campaign: %w", ctx.Err()))
-		case <-watchDone:
+	worker := func() {
+		var (
+			runner   Runner
+			runnerPt = -1
+		)
+		// run executes chunk k, appending its runs to buf; false means
+		// the campaign failed before the chunk completed.
+		run := func(k int64, buf []RunMetrics) ([]RunMetrics, bool) {
+			pi, repLo, repHi := chunkAt(k)
+			if runnerPt != pi {
+				// The worker's runner is its execution context: the spec
+				// validated once per point, the scheduler Reset instead
+				// of rebuilt, result buffers pooled in its arena and kept
+				// across points by Rebind.
+				var err error
+				if runner == nil {
+					runner, err = be.NewRunner(c.Points[pi])
+				} else {
+					err = runner.Rebind(c.Points[pi])
+				}
+				if err != nil {
+					fail(fmt.Errorf("engine: point %d: %w", pi, err))
+					return buf, false
+				}
+				runnerPt = pi
+			}
+			spec := c.Points[pi]
+			for rep := repLo; rep < repHi; rep++ {
+				if failed.Load() {
+					return buf, false
+				}
+				spec.RNGState = seedFor(pi, rep)
+				res, err := runner.Run(ctx, spec)
+				if err != nil {
+					fail(fmt.Errorf("engine: point %d replication %d: %w", pi, rep, err))
+					return buf, false
+				}
+				buf = append(buf, pointMetrics(spec, res))
+			}
+			return buf, true
 		}
-	}()
 
-	// chunkDone carries one completed (possibly incomplete, on abort)
-	// chunk from a worker to the reorder stage: the metrics of
-	// replications [repLo, repLo+len(*runs)) of point pi, in a pooled
-	// buffer.
-	type chunkDone struct {
-		idx   int64 // global chunk index
-		pi    int
-		repLo int
-		runs  *[]RunMetrics
+		outMu.Lock()
+		defer outMu.Unlock()
+		for {
+			for next < totalChunks && next >= nextOut+window && !failed.Load() {
+				outCond.Wait()
+			}
+			if next >= totalChunks || failed.Load() {
+				return
+			}
+			k := next
+			next++
+			var buf []RunMetrics
+			if n := len(free); n > 0 {
+				buf, free = free[n-1], free[:n-1]
+			}
+			outMu.Unlock()
+			if buf == nil {
+				buf = make([]RunMetrics, 0, chunkSize)
+			}
+			buf, ok := run(k, buf)
+			outMu.Lock()
+			// An incomplete chunk exists only after fail, so it is never
+			// delivered and the delivered stream stays a contiguous
+			// prefix.
+			if !ok {
+				return
+			}
+			ring[k%window] = buf
+			// Deliver the frontier while it is ready, one chunk at a time
+			// with the lock released. The chunk being delivered has left
+			// its slot and nextOut moves past it only afterwards, so no
+			// other worker finds a ready frontier meanwhile: sinks see one
+			// call at a time, in order. Advancing after each chunk lets a
+			// slow sink hold back no more than the window.
+			for !failed.Load() && ring[nextOut%window] != nil {
+				slot := nextOut % window
+				out := ring[slot]
+				ring[slot] = nil
+				pi, repLo, _ := chunkAt(nextOut)
+				outMu.Unlock()
+				if err := d.deliver(ctx, pi, repLo, out); err != nil {
+					fail(err)
+				}
+				outMu.Lock()
+				free = append(free, out[:0])
+				nextOut++
+				outCond.Broadcast()
+			}
+		}
 	}
-	chunks := make(chan chunkDone, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var (
-				runner   Runner
-				runnerPt = -1
-			)
-			for {
-				k := next.Add(1) - 1
-				if k >= totalChunks || failed.Load() {
-					return
-				}
-				// A worker holds no completed runs while parked (chunks
-				// are handed over as soon as they finish), so waiting on
-				// the window can never starve the reorder stage.
-				outMu.Lock()
-				for k >= nextOut+window && !failed.Load() {
-					outCond.Wait()
-				}
-				outMu.Unlock()
-				if failed.Load() {
-					return
-				}
-				pi := int(k / int64(chunksPerPoint))
-				repLo := int(k%int64(chunksPerPoint)) * chunkSize
-				repHi := repLo + chunkSize
-				if repHi > reps {
-					repHi = reps
-				}
-				if runnerPt != pi {
-					// The worker's runner is its execution context: the
-					// spec validated once per point, the scheduler Reset
-					// instead of rebuilt, result buffers pooled in its
-					// arena and kept across points by Rebind.
-					var err error
-					if runner == nil {
-						runner, err = be.NewRunner(c.Points[pi])
-					} else {
-						err = runner.Rebind(c.Points[pi])
-					}
-					if err != nil {
-						fail(fmt.Errorf("engine: point %d: %w", pi, err))
-						return
-					}
-					runnerPt = pi
-				}
-				buf := runPool.Get().(*[]RunMetrics)
-				runs := (*buf)[:0]
-				spec := c.Points[pi]
-				aborted := false
-				for rep := repLo; rep < repHi; rep++ {
-					if failed.Load() {
-						aborted = true
-						break
-					}
-					spec.RNGState = seedFor(pi, rep)
-					res, err := runner.Run(ctx, spec)
-					if err != nil {
-						fail(fmt.Errorf("engine: point %d replication %d: %w", pi, rep, err))
-						aborted = true
-						break
-					}
-					runs = append(runs, pointMetrics(spec, res))
-				}
-				*buf = runs // retain the grown backing array for reuse
-				// An incomplete chunk is only produced after fail(), whose
-				// atomic store happens before this send — the reorder
-				// stage observes failed and never delivers it, so the
-				// delivered stream stays a contiguous prefix.
-				chunks <- chunkDone{idx: k, pi: pi, repLo: repLo, runs: buf}
-				if aborted {
-					return
-				}
-			}
+			worker()
 		}()
 	}
-	go func() {
-		wg.Wait()
-		close(chunks)
-	}()
-
-	// Reorder completed chunks into global order and deliver them. Runs
-	// within a chunk are already in replication order, so ordering the
-	// chunks orders the whole stream. The worker-side window bounds
-	// in-flight chunk indices to [nextOut, nextOut+window), so slot
-	// k%window is collision-free. nextOutLocal is the reorder stage's
-	// private cursor, published to nextOut (with one broadcast) once per
-	// received chunk that advances it.
-	var (
-		ring         = make([]chunkDone, window)
-		present      = make([]bool, window)
-		nextOutLocal int64
-	)
-	for cd := range chunks {
-		slot := cd.idx % window
-		ring[slot] = cd
-		present[slot] = true
-		advanced := false
-		for {
-			slot := nextOutLocal % window
-			if !present[slot] {
-				break
-			}
-			out := ring[slot]
-			ring[slot] = chunkDone{}
-			present[slot] = false
-			nextOutLocal++
-			advanced = true
-			if !failed.Load() { // drain without delivering after an abort
-				if err := d.deliver(ctx, out.pi, out.repLo, *out.runs); err != nil {
-					fail(err)
-				}
-			}
-			*out.runs = (*out.runs)[:0]
-			runPool.Put(out.runs)
-		}
-		if advanced {
-			outMu.Lock()
-			nextOut = nextOutLocal
-			outCond.Broadcast()
-			outMu.Unlock()
-		}
+	wg.Wait()
+	if !stopWatch() {
+		<-cancelled // the context ended first: wait until fail recorded it
 	}
-	// All workers and the consumer loop are done; retire the watcher so
-	// no fail() can run concurrently with reading firstErr.
-	close(watchDone)
-	watch.Wait()
-	errMu.Lock()
-	err = firstErr
-	errMu.Unlock()
-	return closeSinks(sinks, err)
+	return closeSinks(sinks, firstErr)
 }
 
 // closeSinks closes every sink exactly once, preserving the first error.
@@ -333,29 +275,17 @@ func closeSinks(sinks []Sink, first error) error {
 }
 
 // autoChunkSize picks the replication-batch size when the caller didn't:
-// large enough that the per-chunk pipeline overhead (one channel send,
-// one reorder pass, at most one broadcast) amortizes to ~0 per run,
-// small enough to keep ~8 chunks per worker in flight for load balance.
-// Chunks never span points, so the result is capped at the per-point
-// replication count, and a hard ceiling bounds how many completed
-// runs the reorder window can buffer. Chunk size affects scheduling
-// only — the delivered stream is bit-identical for every value.
-func autoChunkSize(total, reps, workers int) int {
+// about chunksPerWorker chunks of every point per worker, so a costly
+// point splits across the workers as evenly as a cheap one, and at most
+// maxChunk runs, which bounds the completed runs the window can hold.
+// Chunks never span points. Chunk size affects scheduling only — the
+// delivered stream is bit-identical for every value.
+func autoChunkSize(reps, workers int) int {
 	const (
 		chunksPerWorker = 8
 		maxChunk        = 1024
 	)
-	c := total / (workers * chunksPerWorker)
-	if c < 1 {
-		c = 1
-	}
-	if c > maxChunk {
-		c = maxChunk
-	}
-	if c > reps {
-		c = reps
-	}
-	return c
+	return min(max(reps/chunksPerWorker/workers, 1), maxChunk)
 }
 
 // aggregateSink folds the delivered runs into per-point Aggregates —

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/metrics"
@@ -370,9 +372,29 @@ func TestSinksClosedOnEarlyValidationError(t *testing.T) {
 	}
 }
 
+// gateSink blocks its first Consume until release is closed, holding
+// the delivery frontier still; entered is closed once it blocks.
+type gateSink struct {
+	entered, release chan struct{}
+	calls            int
+}
+
+func (s *gateSink) Consume(context.Context, Event) error {
+	if s.calls++; s.calls == 1 {
+		close(s.entered)
+		<-s.release
+	}
+	return nil
+}
+
+func (s *gateSink) Close() error { return nil }
+
 // TestStreamBoundedReorderUnderSkew: wildly different run durations
 // across points (SS is orders of magnitude more ops than STAT) must not
-// change the delivered order or the aggregates for any worker count.
+// change the delivered order or the aggregates for any worker count,
+// and however long a sink holds the frontier, execution runs at most
+// the window ahead of it: the started runs stop at (window + workers) ×
+// chunk.
 func TestStreamBoundedReorderUnderSkew(t *testing.T) {
 	points := []RunSpec{
 		{Technique: "SS", N: 20000, P: 2, Work: workload.NewConstant(0.001), H: 0.5},
@@ -391,6 +413,150 @@ func TestStreamBoundedReorderUnderSkew(t *testing.T) {
 		for i := range ref.Aggregates {
 			if got.Aggregates[i].Wasted != ref.Aggregates[i].Wasted {
 				t.Fatalf("workers=%d point %d: aggregates differ under skew", workers, i)
+			}
+		}
+	}
+
+	const workers, chunk, reps = 2, 2, 64
+	window := int64(max(4*workers, 8)) // Stream's window for 2 workers
+	bound := (window + workers) * chunk
+	gate := &gateSink{entered: make(chan struct{}), release: make(chan struct{})}
+	before := counting.calls.Load()
+	done := make(chan error, 1)
+	go func() {
+		done <- Campaign{Backend: "counting", Points: points, Replications: reps,
+			Workers: workers, ChunkSize: chunk}.Stream(context.Background(), gate)
+	}()
+	<-gate.entered
+	// The workers fill the window behind the held frontier, then park.
+	for deadline := time.Now().Add(10 * time.Second); counting.calls.Load()-before < window*chunk; {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d runs started behind a held frontier, want %d", counting.calls.Load()-before, window*chunk)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for end := time.Now().Add(50 * time.Millisecond); time.Now().Before(end); time.Sleep(time.Millisecond) {
+		if started := counting.calls.Load() - before; started > bound {
+			t.Fatalf("%d runs started while a sink held the frontier, bound is (window %d + workers %d) × chunk %d = %d",
+				started, window, workers, chunk, bound)
+		}
+	}
+	close(gate.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if started := counting.calls.Load() - before; started != 2*reps {
+		t.Fatalf("campaign started %d runs, want %d", started, 2*reps)
+	}
+}
+
+// TestAutoChunkSize pins the automatic chunk size on the benchmark's
+// shapes: about 8 chunks of every point per worker, at most 1024 runs.
+func TestAutoChunkSize(t *testing.T) {
+	for _, c := range []struct {
+		name          string
+		reps, workers int
+		want          int
+	}{
+		{"hagerup-grid slice", 100, 2, 6},
+		{"perrun-export slice", 20000, 2, 1024},
+		{"fleet-ticks shard", 250, 1, 31},
+		{"Table III", 1000, 2, 62},
+		{"fewer runs than chunks", 5, 4, 1},
+	} {
+		if got := autoChunkSize(c.reps, c.workers); got != c.want {
+			t.Errorf("%s: autoChunkSize(%d, %d) = %d, want %d", c.name, c.reps, c.workers, got, c.want)
+		}
+	}
+}
+
+// TestAutoChunkSplitsEveryPoint: the automatic chunk size is set per
+// point, not from the grid, so each of 10 points × 100 replications on
+// 2 workers arrives, in order, as 17 partials of at most 6 runs.
+func TestAutoChunkSplitsEveryPoint(t *testing.T) {
+	spec := perrunGrid(100)
+	rec := &partialRecorder{}
+	if _, err := spec.Execute(context.Background(), ExecConfig{Workers: 2, Sinks: []Sink{rec}}); err != nil {
+		t.Fatal(err)
+	}
+	if rec.events != 0 {
+		t.Fatalf("PartialSink got %d Consume calls", rec.events)
+	}
+	i := 0
+	for pi := 0; pi < spec.GridPoints(); pi++ {
+		rep := 0
+		for n := 0; n < 17; n, i = n+1, i+1 {
+			if i >= len(rec.partials) {
+				t.Fatalf("point %d: stream ended after %d partials", pi, n)
+			}
+			p := rec.partials[i]
+			if p.Point != pi || p.RepLo != rep || p.Len() < 1 || p.Len() > 6 {
+				t.Fatalf("partial %d is point %d reps [%d,+%d), want point %d from rep %d with 1-6 runs",
+					i, p.Point, p.RepLo, p.Len(), pi, rep)
+			}
+			rep += p.Len()
+		}
+		if rep != spec.Replications {
+			t.Fatalf("point %d: 17 partials carried %d runs, want %d", pi, rep, spec.Replications)
+		}
+	}
+	if i != len(rec.partials) {
+		t.Fatalf("%d partials delivered, want %d", len(rec.partials), i)
+	}
+}
+
+// exclusiveSink fails any call that begins while another call into a
+// sink sharing its flag is running. It records runs in plain fields, so
+// the race detector also checks that each call happens after the last.
+type exclusiveSink struct {
+	inCall *atomic.Bool
+	runs   []int // point*1000 + replication of every run seen
+}
+
+func (s *exclusiveSink) enter(pi, repLo, n int) error {
+	if !s.inCall.CompareAndSwap(false, true) {
+		return fmt.Errorf("sink called while another call was running")
+	}
+	for i := 0; i < n; i++ {
+		s.runs = append(s.runs, pi*1000+repLo+i)
+	}
+	runtime.Gosched() // give an overlapping call the chance to start
+	s.inCall.Store(false)
+	return nil
+}
+
+func (s *exclusiveSink) Consume(_ context.Context, ev Event) error {
+	return s.enter(ev.Point, ev.Rep, 1)
+}
+
+func (s *exclusiveSink) Close() error { return nil }
+
+type exclusivePartialSink struct{ exclusiveSink }
+
+func (s *exclusivePartialSink) ConsumePartial(_ context.Context, p MetricsPartial) error {
+	return s.enter(p.Point, p.RepLo, p.Len())
+}
+
+// TestSinkCallsNeverOverlap: the delivering worker changes from chunk to
+// chunk, but sinks are still called one call at a time, in global order.
+func TestSinkCallsNeverOverlap(t *testing.T) {
+	const reps = 50
+	var inCall atomic.Bool
+	ordered := &exclusiveSink{inCall: &inCall}
+	partial := &exclusivePartialSink{exclusiveSink{inCall: &inCall}}
+	points := []RunSpec{testPoint(1), testPoint(2), testPoint(3), testPoint(4)}
+	err := Campaign{Points: points, Replications: reps, Workers: 4, ChunkSize: 1}.
+		Stream(context.Background(), ordered, partial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*exclusiveSink{ordered, &partial.exclusiveSink} {
+		if len(s.runs) != len(points)*reps {
+			t.Fatalf("sink saw %d runs, want %d", len(s.runs), len(points)*reps)
+		}
+		for i, r := range s.runs {
+			if want := i/reps*1000 + i%reps; r != want {
+				t.Fatalf("run %d delivered as %d, want %d", i, r, want)
 			}
 		}
 	}
