@@ -54,6 +54,19 @@ import (
 	"repro/internal/workload"
 )
 
+// distParams is workload.Spec.Build's parameter table in flag terms:
+// what each -dist kind reads from -p1, -p2 and -p3.
+var distParams = map[string]string{
+	"constant":    "-p1 task time > 0",
+	"uniform":     "-p1 lo and -p2 hi >= lo",
+	"increasing":  "-p1 first and -p2 last task time, last >= first",
+	"decreasing":  "-p1 first and -p2 last task time, last <= first",
+	"exponential": "-p1 mean > 0",
+	"normal":      "-p1 mean > 0 and -p2 std >= 0",
+	"gamma":       "-p1 shape > 0 and -p2 scale > 0",
+	"bimodal":     "-p1 light and -p2 heavy task time >= 0, -p3 P(heavy) in [0, 1]",
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("dlsim: ")
@@ -197,6 +210,9 @@ func run(ctx context.Context) error {
 		built.N = *n
 		w, err := built.Build()
 		if err != nil {
+			if want, ok := distParams[*dist]; ok {
+				return cliutil.Usagef("-dist %s takes %s (-p1 defaults to 1, -p2 and -p3 to 0): %v", *dist, want, err)
+			}
 			return cliutil.Usagef("%v", err)
 		}
 		work = w

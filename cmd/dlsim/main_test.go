@@ -86,3 +86,29 @@ func TestPartialFleetRunReportsMissingShards(t *testing.T) {
 		})
 	}
 }
+
+// TestDistDefaultP2Rejected: uniform, increasing and gamma cannot run
+// with the default -p2 0, and the usage error says so: exit status 2,
+// naming -p2 and what the kind expects of it.
+func TestDistDefaultP2Rejected(t *testing.T) {
+	for kind, want := range map[string]string{
+		"uniform":    "-p2 hi >= lo",
+		"increasing": "-p2 last task time, last >= first",
+		"gamma":      "-p2 scale > 0",
+	} {
+		t.Run(kind, func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], "-tech", "GSS", "-n", "64", "-p", "4", "-dist", kind)
+			cmd.Env = append(os.Environ(), "DLSIM_RUN_MAIN=1")
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("exit = %v, want status 2; stderr:\n%s", err, stderr.String())
+			}
+			if out := stderr.String(); !strings.Contains(out, "-dist "+kind+" takes") || !strings.Contains(out, want) {
+				t.Fatalf("stderr lacks \"-dist %s takes\" or %q:\n%s", kind, want, out)
+			}
+		})
+	}
+}
