@@ -211,7 +211,7 @@ func run(ctx context.Context) error {
 		w, err := built.Build()
 		if err != nil {
 			if want, ok := distParams[*dist]; ok {
-				return cliutil.Usagef("-dist %s takes %s (-p1 defaults to 1, -p2 and -p3 to 0): %v", *dist, want, err)
+				return cliutil.Usagef("-dist %s takes %s: %v", *dist, want, err)
 			}
 			return cliutil.Usagef("%v", err)
 		}
