@@ -97,15 +97,16 @@
 // (Reset is part of sched.Scheduler) and reuses the result buffers and
 // rand48 state via sim.RunInto. The results pipeline distributes work
 // as replication chunks — (point, replication-range) batches auto-sized
-// from the grid and the worker count, tunable via
+// per point to about 8 chunks per worker, tunable via
 // engine.ExecConfig.ChunkSize and dlsimd -chunk — and each worker's
 // runner survives point switches through Runner.Rebind, so one
 // execution context (arena, pooled buffers, rand48 slot) serves a
-// worker's whole share of the grid. Each completed chunk travels as one
-// pooled slice of per-run metrics and reorders through a fixed-size
-// ring, one channel send and at most one broadcast per chunk; one
-// delivery stage, shared with cache replay, hands it to each sink as a
-// single partial or as per-run events. None of this changes a single
+// worker's whole share of the grid. A worker files each completed chunk
+// in a fixed-size ring, and the worker that completes the chunk at the
+// delivery frontier delivers every ready chunk through the delivery
+// stage shared with cache replay, which hands each chunk to each sink
+// as a single partial or as per-run events: sinks are called one call
+// at a time, in global order. None of this changes a single
 // output bit: fixed SHA-256 digests pin the JSONL output and the
 // aggregates of all three backends under every seed policy, whether
 // they come from live runs at any worker count and chunk size, a cache
