@@ -110,7 +110,10 @@ type Summary struct {
 // bit-exactly; Std only to floating-point reassociation error (Welford
 // vs the two-pass formula below), which is why bit-reproducible paths
 // summarize buffered values and reserve the Accumulator for unbounded
-// streams.
+// streams. The median is Quantile(vals, 0.5): a selection on a copy, in
+// expected O(n), with the bits a full sort gives. vals is not modified,
+// so summarizing the same slice twice sums it in the same order and
+// gives the same bits.
 func Summarize(vals []float64) Summary {
 	if len(vals) == 0 {
 		panic("metrics: Summarize of empty slice")
@@ -155,27 +158,65 @@ func Mean(vals []float64) float64 {
 }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of vals using linear
-// interpolation between order statistics. vals is not modified.
+// interpolation between order statistics: with pos = q·(n−1) and
+// lo = ⌊pos⌋, it returns a·(1−frac) + b·frac for the order statistics
+// a = x(lo) and b = x(lo+1) and frac = pos − lo. It returns NaN for a
+// NaN q. vals is not modified.
+//
+// Quantile finds a and b by selection on a copy of vals (selectNth),
+// in expected O(n) time, instead of sorting the copy, and returns the
+// bits a sort gives for every input. Without a NaN or a −0 in the copy,
+// values that compare equal have equal bits, so any correct selection
+// leaves sorting's bits at lo and the same values above it. A copy
+// holding either is sorted, as before: sort.Float64s puts NaNs first,
+// which < cannot express, and where a −0 lands among equal +0s depends
+// on the algorithm.
 func Quantile(vals []float64, q float64) float64 {
 	if len(vals) == 0 {
 		panic("metrics: Quantile of empty slice")
 	}
-	sorted := make([]float64, len(vals))
-	copy(sorted, vals)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
+	if math.IsNaN(q) {
+		return math.NaN()
 	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
+	x := make([]float64, len(vals))
+	sortOnly := false
+	for i, v := range vals {
+		x[i] = v
+		if v != v || v == 0 && math.Signbit(v) {
+			sortOnly = true
+		}
 	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
+	n := len(x)
+	lo, frac := 0, 0.0
+	switch {
+	case q <= 0:
+	case q >= 1:
+		lo = n - 1
+	default:
+		pos := q * float64(n-1)
+		lo = int(math.Floor(pos))
+		frac = pos - float64(lo)
 	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+	if sortOnly {
+		sort.Float64s(x)
+	} else {
+		selectNth(x, lo)
+	}
+	a := x[lo]
+	if q <= 0 || q >= 1 || lo+1 >= n {
+		return a
+	}
+	// x[lo+1:] holds the values above position lo: after a sort in
+	// order, after selectNth in no particular order.
+	b := x[lo+1]
+	if !sortOnly {
+		for _, v := range x[lo+2:] {
+			if v < b {
+				b = v
+			}
+		}
+	}
+	return a*(1-frac) + b*frac
 }
 
 // TrimAbove returns the values ≤ threshold and the count of excluded
