@@ -137,15 +137,15 @@ func TestQuantileMatchesSort(t *testing.T) {
 }
 
 // medianOfThreeKiller returns n distinct values on which every
-// partition of selectNth picks the second-smallest value of its range
+// partition of selectNth takes the second-smallest value of its range
 // as the pivot, so each partition sets aside two values and selecting
-// any order statistic past the first few hundred exhausts the partition
-// budget. It replays selectNth's moves on item ids, giving each pivot
-// and the minimum beside it the next two ranks when they are chosen;
-// every other item is compared only with those two, so the items left
-// over take the ranks above in any order. The moves follow partition:
-// the median of three goes to the front, the first and second values
-// swap places with the middle one, and two values leave the range.
+// an order statistic past the first hundred or so exhausts the
+// partition budget. It replays partition on item ids: in the range
+// [lo, n), the item at lo takes the next rank and the item in the
+// middle, the pivot, the one after; partition leaves those two at lo
+// and lo+1, and moves the item from lo+1 to the middle. Every other
+// item is compared only with ranked ones, so the items left over take
+// the ranks above them in any order.
 func medianOfThreeKiller(n int) []float64 {
 	ids := make([]int, n)
 	for i := range ids {
@@ -183,29 +183,6 @@ func TestQuantileMedianOfThreeKiller(t *testing.T) {
 			t.Errorf("n=%d: random input reached the sorting fallback", n)
 		}
 		checkQuantile(t, "killer", medianOfThreeKiller(n))
-	}
-}
-
-// TestSelectNthPartitions checks selectNth's postcondition directly:
-// x[k] is the k-th smallest and the values around it are on their side.
-func TestSelectNthPartitions(t *testing.T) {
-	for _, s := range quantileShapes[:6] {
-		for _, n := range []int{1, 2, 16, 17, 18, 100, 1001} {
-			want := s.make(n)
-			sort.Float64s(want)
-			for _, k := range []int{0, n / 3, n / 2, n - 1} {
-				x := s.make(n)
-				selectNth(x, k)
-				if x[k] != want[k] {
-					t.Fatalf("%s n=%d: x[%d] = %v, want %v", s.name, n, k, x[k], want[k])
-				}
-				for i, v := range x {
-					if i < k && v > x[k] || i > k && v < x[k] {
-						t.Fatalf("%s n=%d k=%d: x[%d] = %v is on the wrong side of %v", s.name, n, k, i, v, x[k])
-					}
-				}
-			}
-		}
 	}
 }
 

@@ -34,11 +34,11 @@ func selectNth(x []float64, k int) (sorted bool) {
 	return false
 }
 
-// partition moves the median of x's first, middle and last values to
-// its sorted place p among x, at least three values long, and returns
-// p: no value in x[:p] is greater and none in x[p+1:] smaller. Both
-// scans stop at values equal to the pivot, so runs of equal values
-// split evenly instead of all landing on one side.
+// partition, given at least three values, moves the median of x's
+// first, middle and last values to its sorted place p and returns p: no
+// value in x[:p] is greater and none in x[p+1:] smaller. Both scans
+// stop at values equal to the pivot, so runs of equal values split
+// evenly instead of all landing on one side.
 func partition(x []float64) int {
 	m, h := len(x)/2, len(x)-1
 	if x[m] < x[0] {
