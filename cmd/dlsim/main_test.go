@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"net"
 	"os"
@@ -108,6 +110,48 @@ func TestDistDefaultP2Rejected(t *testing.T) {
 			}
 			if out := stderr.String(); !strings.Contains(out, "-dist "+kind+" takes") || !strings.Contains(out, want) {
 				t.Fatalf("stderr lacks \"-dist %s takes\" or %q:\n%s", kind, want, out)
+			}
+		})
+	}
+}
+
+// replayDigests pin a replay of testdata/gss.csv, a 24-event trace
+// written by `dlsim -tech GSS -n 2000 -p 4 -trace`, on each backend
+// under the default flags (FAC2, n = 1024 of the trace's 2000 tasks,
+// p = 8): the SHA-256 of the -out JSONL and of stdout.
+var replayDigests = map[string][2]string{
+	"sim": {"51cdb7493d5af3c3f585d4482c278d08d12ee390cedc211b68a6fdf16f5047f9", "f53fc688302ec5e36fc45af51509bd9bb6bcb2ea8458385ade076d405791a7ca"},
+	"des": {"51cdb7493d5af3c3f585d4482c278d08d12ee390cedc211b68a6fdf16f5047f9", "a48ff65d11c32ba1e27a031687d1c3d1619882ba1472c1568c8eb1c1412c859c"},
+	"msg": {"51ee8707ea0e1aed9039c9805873b54ffecd96221ca866d04cabd693efdbbcf2", "3c0d73aeb1109d522d02ddc8fe6b5ac0ba2ae2397c9707fef7ed76d810b35037"},
+}
+
+// TestReplayDigests: -replay prints and exports the pinned bytes on
+// every backend.
+func TestReplayDigests(t *testing.T) {
+	sum := func(b []byte) string {
+		h := sha256.Sum256(b)
+		return hex.EncodeToString(h[:])
+	}
+	for backend, want := range replayDigests {
+		t.Run(backend, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "x.jsonl")
+			cmd := exec.Command(os.Args[0], "-replay", filepath.Join("testdata", "gss.csv"),
+				"-per-run", "3", "-backend", backend, "-out", out)
+			cmd.Env = append(os.Environ(), "DLSIM_RUN_MAIN=1")
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			if err := cmd.Run(); err != nil {
+				t.Fatalf("%v; stderr:\n%s", err, stderr.String())
+			}
+			jsonl, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := sum(jsonl); got != want[0] {
+				t.Errorf("JSONL digest %s, want %s", got, want[0])
+			}
+			if got := sum(stdout.Bytes()); got != want[1] {
+				t.Errorf("stdout digest %s, want %s; stdout:\n%s", got, want[1], stdout.String())
 			}
 		})
 	}

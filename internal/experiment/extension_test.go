@@ -74,6 +74,15 @@ func TestGSSSweep(t *testing.T) {
 		t.Errorf("GSS(n/p) wasted %.3g <= GSS(1) %.3g; variance should punish huge min chunks",
 			res.Wasted[5], res.Wasted[0])
 	}
+	// Every bit of the sweep's results is pinned.
+	h := newBitHash()
+	for i := range res.Ks {
+		h.f64(res.Wasted[i])
+		h.f64(res.Ops[i])
+	}
+	if got, want := h.hex(), "7c3646afca1154e49c501e2b2a207bd4361c43dc1edfd0ac3b785360d838ee8d"; got != want {
+		t.Errorf("sweep digest %s, want %s", got, want)
+	}
 	if _, err := GSSSweep(context.Background(), 0, 8, 10, 1, 0.5, 3); err == nil {
 		t.Error("invalid sweep accepted")
 	}
