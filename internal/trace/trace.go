@@ -8,14 +8,16 @@
 //   - Traces round-trip through a CSV format, the repository's stand-in
 //     for the raw data the paper published online (§V).
 //   - Per-task execution times extracted from a trace (or measured by
-//     any other means) can be replayed through workload.Explicit,
-//     closing the loop Figure 2 describes ("Task Execution Times").
+//     any other means) can be replayed as a campaign spec's explicit
+//     workload (workload.Spec kind explicit), closing the loop Figure 2
+//     describes ("Task Execution Times").
 package trace
 
 import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 )
@@ -54,8 +56,9 @@ func (r *Recorder) Record(worker int, start, count int64, assigned, done float64
 // Trace returns the recorded trace.
 func (r *Recorder) Trace() *Trace { return &r.tr }
 
-// Validate checks internal consistency: non-negative times, positive
-// counts, Done >= Assigned, and that task ranges do not overlap.
+// Validate checks internal consistency: non-negative and finite times,
+// positive counts, Done >= Assigned, task ranges that end within int64,
+// and that task ranges do not overlap.
 func (t *Trace) Validate() error {
 	type span struct{ lo, hi int64 }
 	spans := make([]span, 0, len(t.Events))
@@ -66,7 +69,15 @@ func (t *Trace) Validate() error {
 		if e.Start < 0 || e.Worker < 0 {
 			return fmt.Errorf("trace: event %d has negative start/worker", i)
 		}
-		if e.Done < e.Assigned {
+		if e.Count > math.MaxInt64-e.Start {
+			return fmt.Errorf("trace: event %d task range [%d, %d+%d) overflows int64", i, e.Start, e.Start, e.Count)
+		}
+		// Written as negated ranges, so NaN fails them too; with Done
+		// finite and at least Assigned >= 0, both times are finite.
+		if !(e.Assigned >= 0 && e.Done <= math.MaxFloat64) {
+			return fmt.Errorf("trace: event %d has times %v, %v; want non-negative and finite", i, e.Assigned, e.Done)
+		}
+		if !(e.Done >= e.Assigned) {
 			return fmt.Errorf("trace: event %d completes before assignment", i)
 		}
 		spans = append(spans, span{e.Start, e.Start + e.Count})
@@ -80,7 +91,9 @@ func (t *Trace) Validate() error {
 	return nil
 }
 
-// Tasks returns the total number of tasks covered by the trace.
+// Tasks returns the total number of tasks covered by the trace. On a
+// trace that passed Validate the sum cannot overflow: its ranges are
+// disjoint and end within int64.
 func (t *Trace) Tasks() int64 {
 	var n int64
 	for _, e := range t.Events {
@@ -113,16 +126,21 @@ func (t *Trace) Makespan() float64 {
 // tasks and returns the per-task execution times for tasks [0, n). This
 // is the extraction step §III describes: chunk-granularity measurements
 // are the best available evidence for per-task behaviour. Tasks not
-// covered by the trace get zero.
+// covered by the trace get zero. Each event costs only the tasks it
+// covers below n, however large its count.
 func (t *Trace) PerTaskTimes(n int64) []float64 {
 	out := make([]float64, n)
 	for _, e := range t.Events {
+		if e.Count <= 0 {
+			continue
+		}
 		per := (e.Done - e.Assigned) / float64(e.Count)
-		for i := int64(0); i < e.Count; i++ {
-			idx := e.Start + i
-			if idx >= 0 && idx < n {
-				out[idx] = per
-			}
+		hi := e.Start + e.Count
+		if hi < e.Start { // wrapped past MaxInt64
+			hi = math.MaxInt64
+		}
+		for i := max(e.Start, 0); i < min(hi, n); i++ {
+			out[i] = per
 		}
 	}
 	return out

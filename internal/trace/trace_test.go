@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -68,6 +69,13 @@ func TestValidateCatchesCorruption(t *testing.T) {
 			{Worker: 0, Start: 0, Count: 5, Done: 1},
 			{Worker: 1, Start: 3, Count: 5, Done: 1},
 		}},
+		{Events: []Event{{Worker: 0, Start: 1, Count: math.MaxInt64, Done: 1}}},           // range end overflows
+		{Events: []Event{{Worker: 0, Start: math.MaxInt64, Count: 1, Done: 1}}},           // range end overflows
+		{Events: []Event{{Worker: 0, Start: 0, Count: 1, Assigned: -1, Done: 1}}},         // negative time
+		{Events: []Event{{Worker: 0, Start: 0, Count: 1, Assigned: math.NaN(), Done: 1}}}, // NaN time
+		{Events: []Event{{Worker: 0, Start: 0, Count: 1, Done: math.NaN()}}},              // NaN time
+		{Events: []Event{{Worker: 0, Start: 0, Count: 1, Done: math.Inf(1)}}},             // infinite time
+		{Events: []Event{{Worker: 0, Start: 0, Count: 1, Assigned: math.Inf(1), Done: math.Inf(1)}}},
 	}
 	for i, tr := range bad {
 		if err := tr.Validate(); err == nil {
@@ -156,16 +164,28 @@ func TestReplayThroughExplicitWorkload(t *testing.T) {
 	}
 }
 
+// TestPerTaskTimesBounds: only tasks below n are filled, and an event
+// costs no more than the tasks it covers there, whatever its count (a
+// count near 2^63 finishes at once).
 func TestPerTaskTimesBounds(t *testing.T) {
-	tr := &Trace{Events: []Event{
-		{Worker: 0, Start: 0, Count: 2, Assigned: 0, Done: 4},   // 2 s per task
-		{Worker: 1, Start: 100, Count: 1, Assigned: 0, Done: 1}, // out of range
-	}}
-	times := tr.PerTaskTimes(3)
-	if times[0] != 2 || times[1] != 2 {
-		t.Fatalf("times = %v", times)
-	}
-	if times[2] != 0 {
-		t.Fatalf("uncovered task time = %v, want 0", times[2])
+	for _, c := range []struct {
+		name   string
+		events []Event
+		want   []float64
+	}{
+		{"in range, out of range, uncovered", []Event{
+			{Worker: 0, Start: 0, Count: 2, Assigned: 0, Done: 4},   // 2 s per task
+			{Worker: 1, Start: 100, Count: 1, Assigned: 0, Done: 1}, // out of range
+		}, []float64{2, 2, 0}},
+		{"count past n", []Event{{Start: 1, Count: 4e9, Done: 8e9}}, []float64{0, 2, 2}},
+		{"count near 2^63", []Event{{Start: 0, Count: math.MaxInt64, Done: math.MaxInt64}}, []float64{1, 1, 1}},
+		{"range end wraps", []Event{{Start: 2, Count: math.MaxInt64, Done: math.MaxInt64}}, []float64{0, 0, 1}},
+		{"negative start", []Event{{Start: -2, Count: 4, Done: 8}}, []float64{2, 2, 0}},
+		{"non-positive counts", []Event{{Start: 0, Count: 0, Done: 1}, {Start: -1, Count: math.MinInt64, Done: 1}}, []float64{0, 0, 0}},
+	} {
+		tr := &Trace{Events: c.events}
+		if got := tr.PerTaskTimes(3); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: times = %v, want %v", c.name, got, c.want)
+		}
 	}
 }
