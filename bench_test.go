@@ -176,24 +176,23 @@ func BenchmarkFigure9_FACPerRun(b *testing.B) {
 // the wall-clock speedup of every Figure 5–8 cell; both variants produce
 // bit-identical aggregates.
 func BenchmarkCampaignParallel(b *testing.B) {
-	campaign := func(workers int) engine.Campaign {
-		return engine.Campaign{
-			Points: []engine.RunSpec{{
-				Technique: "FAC2",
-				N:         1024,
-				P:         8,
-				Work:      workload.NewExponential(1),
-				H:         0.5,
-				RNGState:  benchSeed,
-			}},
-			Replications: 1000,
-			Workers:      workers,
-		}
+	spec := engine.CampaignSpec{
+		Techniques:   []string{"FAC2"},
+		Ns:           []int64{1024},
+		Ps:           []int{8},
+		Workload:     workload.Spec{Kind: "exponential", P1: 1},
+		H:            0.5,
+		Replications: 1000,
+		Seed:         benchSeed,
+		SeedPolicy:   engine.SeedFlat,
+	}
+	run := func(workers int) (*engine.CampaignResult, error) {
+		return spec.Execute(context.Background(), engine.ExecConfig{Workers: workers})
 	}
 	var serialMean, parallelMean float64
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := campaign(1).Run(context.Background())
+			res, err := run(1)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -202,7 +201,7 @@ func BenchmarkCampaignParallel(b *testing.B) {
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := campaign(0).Run(context.Background())
+			res, err := run(0)
 			if err != nil {
 				b.Fatal(err)
 			}

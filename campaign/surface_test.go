@@ -30,7 +30,7 @@ func TestAPISurfaceSnapshot(t *testing.T) {
 			"Replications int json=replications; Seed uint64 json=seed; " +
 			"SeedPolicy string json=seed_policy,omitempty; RepOffset int json=rep_offset,omitempty",
 		"Workload": "Kind string json=kind; P1 float64 json=p1,omitempty; P2 float64 json=p2,omitempty; " +
-			"P3 float64 json=p3,omitempty; N int64 json=n,omitempty",
+			"P3 float64 json=p3,omitempty; N int64 json=n,omitempty; Times []float64 json=times,omitempty",
 		"RunMetrics": "Wasted float64 json=wasted; Makespan float64 json=makespan; " +
 			"Speedup float64 json=speedup; SchedOps int64 json=sched_ops",
 		"Event":          "Point int; Rep int; Spec engine.RunSpec; Metrics engine.RunMetrics",

@@ -6,7 +6,8 @@
 // Flag-driven single-point campaigns compile to a declarative
 // engine.CampaignSpec, so they are content-addressable: with -cache a
 // repeated invocation (same flags, same seed) is served from the result
-// store without re-simulation. Whole grids run from a JSON spec file via
+// store without re-simulation. A -replay campaign is one too: its
+// workload is the trace's per-task times. Whole grids run from a JSON spec file via
 // -spec, and -out streams every run's metrics as CSV or JSON Lines.
 //
 // Ctrl-C (or SIGTERM) cancels an in-flight campaign cleanly: streaming
@@ -22,6 +23,7 @@
 //	dlsim -tech FAC2 -n 8192 -p 64 -backend msg         # full MSG model
 //	dlsim -spec campaign.json -cache .dlsim-cache       # declarative grid
 //	dlsim -tech FAC -per-run 1000 -out runs.csv         # raw per-run data
+//	dlsim -replay trace.csv -cache .dlsim-cache         # recorded task times
 //	dlsim -spec campaign.json -server http://host:8080  # execute on a dlsimd daemon
 //	dlsim -spec campaign.json -servers http://a:8080,http://b:8080 -shards 4
 //
@@ -100,7 +102,7 @@ func run(ctx context.Context) error {
 		msgCost  = flag.Float64("msg-cost", 0, "fixed network cost per scheduling op, seconds (ablation A3)")
 		verbose  = flag.Bool("v", false, "print per-PE breakdown")
 		traceOut = flag.String("trace", "", "write a chunk-event trace of the last run to this CSV file")
-		replayIn = flag.String("replay", "", "replay per-task times extracted from this trace CSV (overrides -dist, disables -cache)")
+		replayIn = flag.String("replay", "", "replay per-task times extracted from this trace CSV (overrides -dist)")
 		specFile = flag.String("spec", "", "execute the JSON campaign spec in this file (grid flags are ignored)")
 		cacheDir = flag.String("cache", "", "content-addressed result cache directory; repeated campaigns are served without re-simulation")
 		outFile  = flag.String("out", "", `stream per-run metrics to this file: .jsonl/.json selects JSON Lines, anything else CSV ("-" = CSV to stdout)`)
@@ -119,8 +121,6 @@ func run(ctx context.Context) error {
 	}
 	if *server != "" || *servers != "" {
 		switch {
-		case *replayIn != "":
-			return cliutil.Usagef("-replay needs local execution; drop -server/-servers")
 		case *traceOut != "" || *verbose:
 			return cliutil.Usagef("-trace and -v re-execute runs locally; drop -server/-servers")
 		case *cacheDir != "":
@@ -174,15 +174,8 @@ func run(ctx context.Context) error {
 		}
 	}
 
-	var (
-		work       workload.Workload
-		workSpec   workload.Spec
-		declarable = true
-	)
+	workSpec := workload.Spec{Kind: *dist, P1: *p1, P2: *p2, P3: *p3}
 	if *replayIn != "" {
-		// Replayed task times have no declarative description, so this
-		// path runs the campaign directly and bypasses the result cache.
-		declarable = false
 		f, err := os.Open(*replayIn)
 		if err != nil {
 			return cliutil.Usagef("replay: %v", err)
@@ -199,23 +192,19 @@ func run(ctx context.Context) error {
 			log.Printf("trace covers %d tasks; reducing -n from %d", tasks, *n)
 			*n = tasks
 		}
-		explicit, err := workload.NewExplicit(tr.PerTaskTimes(*n))
-		if err != nil {
+		workSpec = workload.Spec{Kind: "explicit", Times: tr.PerTaskTimes(*n)}
+	}
+	built := workSpec
+	built.N = *n
+	work, err := built.Build()
+	if err != nil {
+		if *replayIn != "" {
 			return err
 		}
-		work = explicit
-	} else {
-		workSpec = workload.Spec{Kind: *dist, P1: *p1, P2: *p2, P3: *p3}
-		built := workSpec
-		built.N = *n
-		w, err := built.Build()
-		if err != nil {
-			if want, ok := distParams[*dist]; ok {
-				return cliutil.Usagef("-dist %s takes %s: %v", *dist, want, err)
-			}
-			return cliutil.Usagef("%v", err)
+		if want, ok := distParams[*dist]; ok {
+			return cliutil.Usagef("-dist %s takes %s: %v", *dist, want, err)
 		}
-		work = w
+		return cliutil.Usagef("%v", err)
 	}
 
 	point := engine.RunSpec{
@@ -244,43 +233,27 @@ func run(ctx context.Context) error {
 		}
 	}
 
-	var agg engine.Aggregate
-	if declarable {
-		// The flag-driven single point compiles to a declarative campaign
-		// spec, which makes it hashable (therefore cacheable) and — being
-		// plain data — executable by any campaign.Executor: local, remote
-		// (-server) or a fleet (-servers).
-		cspec := engine.CampaignSpec{
-			Backend:    *backend,
-			Techniques: []string{*tech},
-			Ns:         []int64{*n},
-			Ps:         []int{*p},
-			Workload:   workSpec,
-			H:          *h, HInDynamics: *hDyn, PerMessageCost: *msgCost,
-			MinChunk: *minChunk, Chunk: *chunk, First: *first, Last: *last,
-			Alpha: *alpha, Weights: ws,
-			Replications: *runs,
-			Seed:         *seed,
-			SeedPolicy:   engine.SeedFlat,
-		}
-		res, err := cliutil.RunCampaign(ctx, runner, cspec, sinks)
-		if err != nil {
-			return err
-		}
-		agg = res.Aggregates[0]
-	} else {
-		res, err := engine.Campaign{
-			Backend:      *backend,
-			Points:       []engine.RunSpec{point},
-			Replications: *runs,
-			Workers:      *workers,
-			SeedFor:      func(_, r int) uint64 { return rng.RunSeed(*seed, r) },
-		}.RunWith(ctx, sinks...)
-		if err != nil {
-			return err
-		}
-		agg = res.Aggregates[0]
+	// The flag-driven single point compiles to a declarative campaign
+	// spec, which makes it hashable (therefore cacheable) and — being
+	// plain data — executable by any campaign.Executor: local, remote
+	// (-server) or a fleet (-servers).
+	res, err := cliutil.RunCampaign(ctx, runner, engine.CampaignSpec{
+		Backend:    *backend,
+		Techniques: []string{*tech},
+		Ns:         []int64{*n},
+		Ps:         []int{*p},
+		Workload:   workSpec,
+		H:          *h, HInDynamics: *hDyn, PerMessageCost: *msgCost,
+		MinChunk: *minChunk, Chunk: *chunk, First: *first, Last: *last,
+		Alpha: *alpha, Weights: ws,
+		Replications: *runs,
+		Seed:         *seed,
+		SeedPolicy:   engine.SeedFlat,
+	}, sinks)
+	if err != nil {
+		return err
 	}
+	agg := res.Aggregates[0]
 	if err := closeOut(); err != nil {
 		return err
 	}

@@ -2,15 +2,21 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"net"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
+	"repro/internal/jobs"
+	"repro/internal/service"
 )
 
 // TestMain doubles as the dlsim entry point: a test re-executes its own
@@ -22,6 +28,117 @@ func TestMain(m *testing.M) {
 		return
 	}
 	os.Exit(m.Run())
+}
+
+// simOrFail is the sim backend, except that under DLSIM_NO_RUNS=1 it
+// fails every run: a campaign that succeeds there performed none.
+type simOrFail struct{ engine.Backend }
+
+var errNoRuns = errors.New("backend run under DLSIM_NO_RUNS=1")
+
+func (simOrFail) Name() string { return "sim-or-fail" }
+
+func (b simOrFail) Run(ctx context.Context, spec engine.RunSpec) (*engine.RunResult, error) {
+	if os.Getenv("DLSIM_NO_RUNS") == "1" {
+		return nil, errNoRuns
+	}
+	return b.Backend.Run(ctx, spec)
+}
+
+func (b simOrFail) NewRunner(spec engine.RunSpec) (engine.Runner, error) {
+	if os.Getenv("DLSIM_NO_RUNS") == "1" {
+		return nil, errNoRuns
+	}
+	return b.Backend.NewRunner(spec)
+}
+
+func init() {
+	sim, err := engine.New("sim")
+	if err != nil {
+		panic(err)
+	}
+	engine.Register(simOrFail{sim})
+}
+
+// dlsim runs the command with args and extra environment, fails the
+// test unless it exits 0, and returns its stdout.
+func dlsim(t *testing.T, env []string, args ...string) []byte {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(append(os.Environ(), "DLSIM_RUN_MAIN=1"), env...)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("dlsim %v: %v; stderr:\n%s", args, err, stderr.String())
+	}
+	return stdout.Bytes()
+}
+
+// sameFiles fails the test unless the files at paths a and b hold the
+// same bytes.
+func sameFiles(t *testing.T, a, b string) {
+	t.Helper()
+	x, err := os.ReadFile(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, err := os.ReadFile(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(x) == 0 || !bytes.Equal(x, y) {
+		t.Fatalf("%s (%d bytes) and %s (%d bytes) differ", a, len(x), b, len(y))
+	}
+}
+
+// TestReplayServedFromCache: a replay is a campaign spec like any
+// other, so with -cache a repeated replay is served from the store: it
+// succeeds where any backend run fails, with the first run's bytes.
+func TestReplayServedFromCache(t *testing.T) {
+	dir := t.TempDir()
+	args := func(out string) []string {
+		return []string{"-replay", filepath.Join("testdata", "gss.csv"), "-per-run", "3",
+			"-backend", "sim-or-fail", "-cache", filepath.Join(dir, "cache"), "-out", filepath.Join(dir, out)}
+	}
+	first := dlsim(t, nil, args("a.jsonl")...)
+	second := dlsim(t, []string{"DLSIM_NO_RUNS=1"}, args("b.jsonl")...)
+	if !bytes.Equal(first, second) {
+		t.Fatalf("cached replay printed\n%s\nthe live one\n%s", second, first)
+	}
+	sameFiles(t, filepath.Join(dir, "a.jsonl"), filepath.Join(dir, "b.jsonl"))
+}
+
+// TestReplayThroughServers: a replay executes on an in-process dlsimd
+// through -server, and sharded across two through -servers, with the
+// same stdout and JSONL as a local run.
+func TestReplayThroughServers(t *testing.T) {
+	var urls []string
+	for i := 0; i < 2; i++ {
+		mgr := jobs.NewManager(jobs.Config{})
+		srv := httptest.NewServer(service.New(mgr).Handler())
+		// Closing the manager first ends every status long-poll, so the
+		// server has no active request left to wait for.
+		t.Cleanup(func() {
+			mgr.Close()
+			srv.Close()
+		})
+		urls = append(urls, srv.URL)
+	}
+	dir := t.TempDir()
+	args := func(out string, more ...string) []string {
+		return append([]string{"-replay", filepath.Join("testdata", "gss.csv"), "-per-run", "5",
+			"-out", filepath.Join(dir, out)}, more...)
+	}
+	local := dlsim(t, nil, args("local.jsonl")...)
+	for name, more := range map[string][]string{
+		"server":  {"-server", urls[0]},
+		"servers": {"-servers", strings.Join(urls, ","), "-shards", "3"},
+	} {
+		if got := dlsim(t, nil, args(name+".jsonl", more...)...); !bytes.Equal(got, local) {
+			t.Errorf("-%s printed\n%s\na local run\n%s", name, got, local)
+		}
+		sameFiles(t, filepath.Join(dir, "local.jsonl"), filepath.Join(dir, name+".jsonl"))
+	}
 }
 
 // closedURL returns the base URL of a loopback port that was just

@@ -32,15 +32,12 @@ func benchSpec(reps int) CampaignSpec {
 
 func benchCampaign(b *testing.B, workers int) {
 	b.Helper()
-	c, err := benchSpec(50).Compile(workers)
-	if err != nil {
-		b.Fatal(err)
-	}
-	runs := len(c.Points) * c.Replications
+	spec := benchSpec(50)
+	runs := spec.GridPoints() * spec.Replications
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Run(context.Background()); err != nil {
+		if _, err := spec.Execute(context.Background(), ExecConfig{Workers: workers}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -110,7 +107,7 @@ func BenchmarkAggregateSinkAlloc(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := newAggregateSink(points, spec.Replications, false)
+		s := newAggregator(points, spec.Replications, false)
 		for pi := range points {
 			ev.Point, ev.Spec = pi, points[pi]
 			for rep := 0; rep < spec.Replications; rep++ {
@@ -123,7 +120,7 @@ func BenchmarkAggregateSinkAlloc(b *testing.B) {
 		if err := s.Close(); err != nil {
 			b.Fatal(err)
 		}
-		s.Aggregates()
+		s.aggregates()
 	}
 }
 
@@ -134,12 +131,9 @@ func TestCampaignAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is slow under -short")
 	}
-	c, err := benchSpec(250).Compile(1) // 2 points × 250 reps = 500 runs
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := benchSpec(250) // 2 points × 250 reps = 500 runs
 	allocs := testing.AllocsPerRun(2, func() {
-		if _, err := c.Run(context.Background()); err != nil {
+		if _, err := spec.Execute(context.Background(), ExecConfig{Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -161,12 +155,9 @@ func TestAggregateFastPathAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is slow under -short")
 	}
-	c, err := benchSpec(2500).Compile(1) // 2 points × 2500 reps = 5000 runs
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := benchSpec(2500) // 2 points × 2500 reps = 5000 runs
 	allocs := testing.AllocsPerRun(2, func() {
-		if _, err := c.Run(context.Background()); err != nil {
+		if _, err := spec.Execute(context.Background(), ExecConfig{Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
 	})

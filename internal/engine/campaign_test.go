@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/metrics"
@@ -11,14 +12,17 @@ import (
 	"repro/internal/workload"
 )
 
-func testPoint(seed uint64) RunSpec {
-	return RunSpec{
-		Technique: "FAC2",
-		N:         1024,
-		P:         8,
-		Work:      workload.NewExponential(1),
-		H:         0.5,
-		RNGState:  seed,
+// testCampaign is one FAC2 cell whose run r draws rng.RunSeed(seed, r).
+func testCampaign(seed uint64, reps int) CampaignSpec {
+	return CampaignSpec{
+		Techniques:   []string{"FAC2"},
+		Ns:           []int64{1024},
+		Ps:           []int{8},
+		Workload:     workload.Spec{Kind: "exponential", P1: 1},
+		H:            0.5,
+		Replications: reps,
+		Seed:         seed,
+		SeedPolicy:   SeedFlat,
 	}
 }
 
@@ -29,11 +33,7 @@ func TestCampaignDeterminism(t *testing.T) {
 	run := func(workers int) (*CampaignResult, []RunMetrics) {
 		t.Helper()
 		sink := &countingSink{}
-		res, err := Campaign{
-			Points:       []RunSpec{testPoint(42)},
-			Replications: 50,
-			Workers:      workers,
-		}.RunWith(context.Background(), sink)
+		res, err := testCampaign(42, 50).Execute(context.Background(), ExecConfig{Workers: workers, Sinks: []Sink{sink}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,11 @@ func TestCampaignDeterminism(t *testing.T) {
 func TestCampaignMatchesSerialBackendLoop(t *testing.T) {
 	const runs = 30
 	base := uint64(7)
-	point := testPoint(base)
+	spec := testCampaign(base, runs)
+	points, err := spec.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	be, err := New("sim")
 	if err != nil {
@@ -82,20 +86,17 @@ func TestCampaignMatchesSerialBackendLoop(t *testing.T) {
 	}
 	wasted := make([]float64, runs)
 	for r := 0; r < runs; r++ {
-		spec := point
-		spec.RNGState = rng.RunSeed(base, r)
-		res, err := be.Run(context.Background(), spec)
+		run := points[0]
+		run.RNGState = rng.RunSeed(base, r)
+		res, err := be.Run(context.Background(), run)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wasted[r] = metrics.AverageWasted(res.Makespan, res.Compute, res.SchedOps, spec.H)
+		wasted[r] = metrics.AverageWasted(res.Makespan, res.Compute, res.SchedOps, run.H)
 	}
 	want := metrics.Summarize(wasted)
 
-	got, err := Campaign{
-		Points:       []RunSpec{point},
-		Replications: runs,
-	}.Run(context.Background())
+	got, err := spec.Execute(context.Background(), ExecConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +106,15 @@ func TestCampaignMatchesSerialBackendLoop(t *testing.T) {
 }
 
 func TestCampaignMultiPoint(t *testing.T) {
-	points := []RunSpec{
-		{Technique: "STAT", N: 512, P: 4, Work: workload.NewConstant(0.01)},
-		{Technique: "SS", N: 512, P: 4, Work: workload.NewConstant(0.01), H: 0.5},
+	spec := CampaignSpec{
+		Techniques:   []string{"STAT", "SS"},
+		Ns:           []int64{512},
+		Ps:           []int{4},
+		Workload:     workload.Spec{Kind: "constant", P1: 0.01},
+		H:            0.5,
+		Replications: 3,
 	}
-	res, err := Campaign{Points: points, Replications: 3}.Run(context.Background())
+	res, err := spec.Execute(context.Background(), ExecConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,39 +130,43 @@ func TestCampaignMultiPoint(t *testing.T) {
 			res.Aggregates[1].Wasted.Mean, res.Aggregates[0].Wasted.Mean)
 	}
 	if res.Aggregates[0].PerRun != nil {
-		t.Error("Campaign.Run retained per-run metrics")
+		t.Error("Execute without KeepPerRun retained per-run metrics")
 	}
 }
 
-func TestCampaignErrors(t *testing.T) {
-	good := Campaign{Points: []RunSpec{testPoint(1)}, Replications: 2}
+// badCampaigns are specs Execute must refuse. All but the last fail
+// Validate; the last passes it, because Validate probes a technique's
+// parameters on the grid's first cell only, and fails at its second
+// point when the backend builds the point's scheduler.
+func badCampaigns() map[string]CampaignSpec {
+	bad := map[string]func(*CampaignSpec){
+		"no points":   func(s *CampaignSpec) { s.Techniques = nil },
+		"reps=0":      func(s *CampaignSpec) { s.Replications = 0 },
+		"bad backend": func(s *CampaignSpec) { s.Backend = "nope" },
+		"bad point":   func(s *CampaignSpec) { s.Ns = []int64{0} },
+		"backend fail": func(s *CampaignSpec) {
+			s.Techniques, s.Ps, s.Weights = []string{"WF"}, []int{2, 3}, []float64{1, 2}
+		},
+	}
+	out := make(map[string]CampaignSpec, len(bad))
+	for name, apply := range bad {
+		s := testCampaign(1, 2)
+		apply(&s)
+		out[name] = s
+	}
+	return out
+}
 
-	c := good
-	c.Points = nil
-	if _, err := c.Run(context.Background()); err == nil {
-		t.Error("empty campaign accepted")
+func TestCampaignErrors(t *testing.T) {
+	for name, spec := range badCampaigns() {
+		if _, err := spec.Execute(context.Background(), ExecConfig{}); err == nil {
+			t.Errorf("%s: invalid campaign accepted", name)
+		}
 	}
-	c = good
-	c.Replications = 0
-	if _, err := c.Run(context.Background()); err == nil {
-		t.Error("Replications=0 accepted")
-	}
-	c = good
-	c.Backend = "nope"
-	if _, err := c.Run(context.Background()); err == nil {
-		t.Error("unknown backend accepted")
-	}
-	c = good
-	c.Points = []RunSpec{{Technique: "FAC2", N: 0, P: 2, Work: workload.NewConstant(1)}}
-	if _, err := c.Run(context.Background()); err == nil {
-		t.Error("invalid point accepted")
-	}
-	// A failing run (unknown technique surfaces from the backend) must
-	// abort the campaign with its error.
-	c = good
-	c.Points = []RunSpec{{Technique: "LIFO", N: 16, P: 2, Work: workload.NewConstant(1)}}
-	c.Replications = 100
-	if _, err := c.Run(context.Background()); err == nil {
-		t.Error("backend error not propagated")
+	// The failing run's error, from the grid's second point, aborts the
+	// campaign and is returned.
+	_, err := badCampaigns()["backend fail"].Execute(context.Background(), ExecConfig{})
+	if err == nil || !strings.Contains(err.Error(), "point 1") || !strings.Contains(err.Error(), "weights") {
+		t.Errorf("backend error not propagated: %v", err)
 	}
 }

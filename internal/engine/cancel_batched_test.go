@@ -26,8 +26,8 @@ func init() { engine.Register(batchGate) }
 
 // orderedSink records the ordered event stream and its close count.
 // The pipeline calls Consume one call at a time, from whichever worker
-// delivers the frontier, and Stream returning happens-after Close, so
-// the test may read the fields once Stream is done.
+// delivers the frontier, and Execute returning happens-after Close, so
+// the test may read the fields once Execute is done.
 type orderedSink struct {
 	mu     sync.Mutex
 	events []engine.Event
@@ -54,14 +54,28 @@ func (s *orderedSink) snapshot() ([]engine.Event, int) {
 	return append([]engine.Event(nil), s.events...), s.closed
 }
 
-func batchGatePoint() engine.RunSpec {
-	return engine.RunSpec{
-		Technique: "FAC2",
-		N:         256,
-		P:         4,
-		Work:      workload.NewExponential(1),
-		H:         0.25,
+// batchGateSpec is two points of reps replications on the gate backend.
+func batchGateSpec(reps int) engine.CampaignSpec {
+	return engine.CampaignSpec{
+		Backend:      "batch-cancel-gate",
+		Techniques:   []string{"FAC2", "GSS"},
+		Ns:           []int64{256},
+		Ps:           []int{4},
+		Workload:     workload.Spec{Kind: "exponential", P1: 1},
+		H:            0.25,
+		Replications: reps,
 	}
+}
+
+// execute runs spec in the background and returns the channel its
+// error arrives on.
+func execute(ctx context.Context, spec engine.CampaignSpec, workers, chunk int, sink engine.Sink) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		_, err := spec.Execute(ctx, engine.ExecConfig{Workers: workers, ChunkSize: chunk, Sinks: []engine.Sink{sink}})
+		done <- err
+	}()
+	return done
 }
 
 // parkedWorkers is the number of workers that actually claim a chunk
@@ -93,7 +107,7 @@ func checkPrefix(t *testing.T, events []engine.Event, reps int) {
 // TestBatchedStreamCancelMidCampaign: for every chunk-size shape — auto,
 // single-run chunks, uneven chunks, one chunk far larger than the
 // replication count — cancelling while all workers are blocked inside
-// backend runs aborts Stream with the wrapped cancellation, drains the
+// backend runs aborts Execute with the wrapped cancellation, drains the
 // pool leak-free and closes the sink exactly once.
 func TestBatchedStreamCancelMidCampaign(t *testing.T) {
 	const (
@@ -107,28 +121,21 @@ func TestBatchedStreamCancelMidCampaign(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 
-			c := engine.Campaign{
-				Backend:      "batch-cancel-gate",
-				Points:       []engine.RunSpec{batchGatePoint(), batchGatePoint()},
-				Replications: reps,
-				Workers:      workers,
-				ChunkSize:    chunk,
-			}
+			spec := batchGateSpec(reps)
 			sink := &orderedSink{}
 			startedBefore := batchGate.Started.Load()
-			done := make(chan error, 1)
-			go func() { done <- c.Stream(ctx, sink) }()
+			done := execute(ctx, spec, workers, chunk, sink)
 
 			// Every effective worker claims a chunk and parks inside its
 			// first run.
-			want := parkedWorkers(workers, len(c.Points), reps, chunk)
+			want := parkedWorkers(workers, spec.GridPoints(), reps, chunk)
 			for batchGate.Started.Load()-startedBefore < want {
 				time.Sleep(time.Millisecond)
 			}
 			cancel()
 			err := <-done
 			if err == nil || !errors.Is(err, context.Canceled) {
-				t.Fatalf("cancelled Stream returned %v; want wrapped context.Canceled", err)
+				t.Fatalf("cancelled Execute returned %v; want wrapped context.Canceled", err)
 			}
 			events, closed := sink.snapshot()
 			if closed != 1 {
@@ -142,7 +149,7 @@ func TestBatchedStreamCancelMidCampaign(t *testing.T) {
 }
 
 // TestBatchedStreamCancelReleaseRace races a mid-campaign cancellation
-// against the gate opening: whichever wins, Stream must terminate, the
+// against the gate opening: whichever wins, Execute must terminate, the
 // sink closes exactly once, and the delivered events are a contiguous
 // prefix (the full grid when the release wins end to end).
 func TestBatchedStreamCancelReleaseRace(t *testing.T) {
@@ -157,19 +164,12 @@ func TestBatchedStreamCancelReleaseRace(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 
-			c := engine.Campaign{
-				Backend:      "batch-cancel-gate",
-				Points:       []engine.RunSpec{batchGatePoint(), batchGatePoint()},
-				Replications: reps,
-				Workers:      workers,
-				ChunkSize:    chunk,
-			}
+			spec := batchGateSpec(reps)
 			sink := &orderedSink{}
 			startedBefore := batchGate.Started.Load()
-			done := make(chan error, 1)
-			go func() { done <- c.Stream(ctx, sink) }()
+			done := execute(ctx, spec, workers, chunk, sink)
 
-			want := parkedWorkers(workers, len(c.Points), reps, chunk)
+			want := parkedWorkers(workers, spec.GridPoints(), reps, chunk)
 			for batchGate.Started.Load()-startedBefore < want {
 				time.Sleep(time.Millisecond)
 			}
@@ -181,7 +181,7 @@ func TestBatchedStreamCancelReleaseRace(t *testing.T) {
 
 			err := <-done
 			if err != nil && !errors.Is(err, context.Canceled) {
-				t.Fatalf("raced Stream returned %v; want nil or wrapped context.Canceled", err)
+				t.Fatalf("raced Execute returned %v; want nil or wrapped context.Canceled", err)
 			}
 			events, closed := sink.snapshot()
 			if closed != 1 {

@@ -76,7 +76,7 @@ func waitGoroutines(t *testing.T, before int) {
 }
 
 // TestStreamCancelMidCampaign is the core cancellation guarantee:
-// cancelling the context mid-campaign aborts Stream with a wrapped
+// cancelling the context mid-campaign aborts Execute with a wrapped
 // context.Canceled, stops scheduling backend runs, drains the worker
 // pool without leaking goroutines, and closes every sink exactly once.
 func TestStreamCancelMidCampaign(t *testing.T) {
@@ -85,16 +85,15 @@ func TestStreamCancelMidCampaign(t *testing.T) {
 	defer cancel()
 
 	const workers = 3
-	c := Campaign{
-		Backend:      "blocking",
-		Points:       []RunSpec{testPoint(1)},
-		Replications: 100,
-		Workers:      workers,
-	}
+	spec := testCampaign(1, 100)
+	spec.Backend = "blocking"
 	sink := &countingSink{}
 	startedBefore := blocking.started.Load()
 	done := make(chan error, 1)
-	go func() { done <- c.Stream(ctx, sink) }()
+	go func() {
+		_, err := spec.Execute(ctx, ExecConfig{Workers: workers, Sinks: []Sink{sink}})
+		done <- err
+	}()
 
 	// Wait until the pool is actually executing backend runs.
 	for blocking.started.Load()-startedBefore < workers {
@@ -103,7 +102,7 @@ func TestStreamCancelMidCampaign(t *testing.T) {
 	cancel()
 	err := <-done
 	if err == nil || !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled Stream returned %v; want wrapped context.Canceled", err)
+		t.Fatalf("cancelled Execute returned %v; want wrapped context.Canceled", err)
 	}
 	if sink.closed != 1 {
 		t.Fatalf("sink closed %d times, want exactly 1", sink.closed)
@@ -111,12 +110,12 @@ func TestStreamCancelMidCampaign(t *testing.T) {
 	if len(sink.events) != 0 {
 		t.Fatalf("blocking campaign delivered %d events, want 0", len(sink.events))
 	}
-	// Stream has returned: the workers are gone, so the started counter
+	// Execute has returned: the workers are gone, so the started counter
 	// must be frozen — no backend run is scheduled after cancellation.
 	frozen := blocking.started.Load()
 	time.Sleep(20 * time.Millisecond)
 	if now := blocking.started.Load(); now != frozen {
-		t.Fatalf("backend runs kept starting after Stream returned: %d -> %d", frozen, now)
+		t.Fatalf("backend runs kept starting after Execute returned: %d -> %d", frozen, now)
 	}
 	if got := frozen - startedBefore; got > workers {
 		t.Fatalf("%d backend runs started, want at most the %d pool workers", got, workers)
@@ -144,13 +143,11 @@ func TestStreamCancelDeliversDeterministicPrefix(t *testing.T) {
 			<-ctx.Done()
 		}
 	}
-	err := Campaign{
-		Points:       []RunSpec{{Technique: "FAC2", N: 64, P: 2, Work: testPoint(1).Work, H: 0.5}},
-		Replications: reps,
-		Workers:      4,
-	}.Stream(ctx, sink)
+	spec := testCampaign(1, reps)
+	spec.Ns, spec.Ps = []int64{64}, []int{2}
+	_, err := spec.Execute(ctx, ExecConfig{Workers: 4, Sinks: []Sink{sink}})
 	if err == nil || !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled Stream returned %v; want wrapped context.Canceled", err)
+		t.Fatalf("cancelled Execute returned %v; want wrapped context.Canceled", err)
 	}
 	if sink.closed != 1 {
 		t.Fatalf("sink closed %d times, want exactly 1", sink.closed)
@@ -188,16 +185,13 @@ func TestExecutePreCancelled(t *testing.T) {
 	}
 }
 
-// TestRunWrapsContextCause: Campaign.Run surfaces deadline expiry the
-// same way as explicit cancellation.
+// TestRunWrapsDeadline: Execute surfaces deadline expiry the same way
+// as explicit cancellation.
 func TestRunWrapsDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, err := Campaign{
-		Points:       []RunSpec{testPoint(1)},
-		Replications: 2,
-	}.Run(ctx)
+	_, err := testCampaign(1, 2).Execute(ctx, ExecConfig{})
 	if err == nil || !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("expired Run returned %v; want wrapped context.DeadlineExceeded", err)
+		t.Fatalf("expired Execute returned %v; want wrapped context.DeadlineExceeded", err)
 	}
 }

@@ -10,13 +10,13 @@
 //     registry mirroring sched.New, so any caller can switch simulators
 //     without code changes.
 //
-//  2. How do many runs execute? A Campaign fans a (point × replication)
-//     grid out over a bounded worker pool with deterministic per-run
-//     seed derivation and aggregates per-run metrics independently of
-//     completion order, so results are bit-reproducible for a given seed
-//     regardless of the degree of parallelism (the paper itself ran its
-//     1000-replication campaigns "in parallel on the HPC cluster
-//     taurus", §V).
+//  2. How do many runs execute? CampaignSpec.Execute fans a (point ×
+//     replication) grid out over a bounded worker pool with
+//     deterministic per-run seed derivation and aggregates per-run
+//     metrics independently of completion order, so results are
+//     bit-reproducible for a given seed regardless of the degree of
+//     parallelism (the paper itself ran its 1000-replication campaigns
+//     "in parallel on the HPC cluster taurus", §V).
 package engine
 
 import (

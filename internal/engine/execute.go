@@ -14,9 +14,11 @@ type ExecConfig struct {
 	// Workers bounds concurrently executing runs; 0 selects GOMAXPROCS.
 	Workers int
 
-	// ChunkSize is the number of consecutive replications executed per
-	// work item (see Campaign.ChunkSize); 0 auto-sizes. Like Workers it
-	// changes scheduling, never results.
+	// ChunkSize is the number of consecutive replications of one point
+	// executed per work item. Larger chunks amortize pipeline overhead;
+	// smaller chunks balance load. 0 auto-sizes per point: about 8
+	// chunks of every point per worker, at most 1024 runs each. Like
+	// Workers it changes scheduling, never results.
 	ChunkSize int
 
 	// KeepPerRun retains the per-run metrics in each Aggregate (the
@@ -46,7 +48,7 @@ func (s CampaignSpec) Execute(ctx context.Context, cfg ExecConfig) (*CampaignRes
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Returns before Stream or replay run must still close cfg.Sinks —
+	// Returns before stream or replay run must still close cfg.Sinks —
 	// the Sink contract is one Close call on every path.
 	points, err := s.Points()
 	if err != nil {
@@ -70,37 +72,35 @@ func (s CampaignSpec) Execute(ctx context.Context, cfg ExecConfig) (*CampaignRes
 		}
 	}
 
-	// The campaign reuses the expansion above instead of Compile, which
-	// would expand and validate the grid a second time.
-	c := Campaign{
-		Backend:      s.Backend,
-		Points:       points,
-		Replications: s.Replications,
-		Workers:      cfg.Workers,
-		ChunkSize:    cfg.ChunkSize,
-		SeedFor:      s.seedFunc(points),
+	c := campaign{
+		backend:      s.Backend,
+		points:       points,
+		replications: s.Replications,
+		workers:      cfg.Workers,
+		chunkSize:    cfg.ChunkSize,
+		seedFor:      s.seedFunc(points),
 	}
-	// Per-run metrics are always folded by the aggregating sink; they
-	// are needed for the median, the optional PerRun export and the
-	// cache entry.
-	agg := newAggregateSink(points, s.Replications, cfg.KeepPerRun)
-	if err := c.Stream(ctx, append([]Sink{agg}, cfg.Sinks...)...); err != nil {
+	// Per-run metrics are always folded by the Aggregator; they are
+	// needed for the median, the optional PerRun export and the cache
+	// entry.
+	agg := newAggregator(points, s.Replications, cfg.KeepPerRun)
+	if err := c.stream(ctx, append([]Sink{agg}, cfg.Sinks...)); err != nil {
 		return nil, err
 	}
 	if cfg.Cache != nil {
 		// Best effort: a failed Put never fails the campaign.
 		_ = cfg.Cache.Put(ctx, key, encodeCacheEntry(key, agg.perRun))
 	}
-	return &CampaignResult{Aggregates: agg.Aggregates(), Overall: agg.Overall()}, nil
+	return agg.Result(), nil
 }
 
 // replay reconstructs the campaign result from a validated cache entry,
 // feeding the stored per-run metrics through the same delivery stage a
 // live execution uses, one point at a time — zero backend runs. A sink
 // error or context cancellation aborts the replay and is returned,
-// mirroring Stream.
+// mirroring a live run.
 func (s CampaignSpec) replay(ctx context.Context, points []RunSpec, perRun [][]RunMetrics, cfg ExecConfig) (*CampaignResult, error) {
-	agg := newAggregateSink(points, s.Replications, cfg.KeepPerRun)
+	agg := newAggregator(points, s.Replications, cfg.KeepPerRun)
 	sinks := append([]Sink{agg}, cfg.Sinks...)
 	d := newDelivery(points, s.seedFunc(points), sinks)
 	var err error
@@ -116,5 +116,5 @@ func (s CampaignSpec) replay(ctx context.Context, points []RunSpec, perRun [][]R
 	if err := closeSinks(sinks, err); err != nil {
 		return nil, err
 	}
-	return &CampaignResult{Aggregates: agg.Aggregates(), Overall: agg.Overall()}, nil
+	return agg.Result(), nil
 }

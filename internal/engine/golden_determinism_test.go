@@ -21,13 +21,8 @@ import (
 // bytes plus the campaign result. chunkSize 0 auto-sizes.
 func goldenRun(t *testing.T, spec CampaignSpec, workers, chunkSize int) ([]byte, *CampaignResult) {
 	t.Helper()
-	c, err := spec.Compile(workers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.ChunkSize = chunkSize
 	var buf bytes.Buffer
-	res, err := c.RunWith(context.Background(), NewJSONLSink(&buf))
+	res, err := spec.Execute(context.Background(), ExecConfig{Workers: workers, ChunkSize: chunkSize, Sinks: []Sink{NewJSONLSink(&buf)}})
 	if err != nil {
 		t.Fatal(err)
 	}

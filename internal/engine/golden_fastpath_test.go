@@ -57,11 +57,6 @@ func TestGoldenFastPathVsOrdered(t *testing.T) {
 				wantRuns := int64(len(points) * spec.Replications)
 				for _, workers := range []int{1, 4, 8} {
 					for _, chunk := range []int{0, 1, 7} {
-						c, err := spec.Compile(workers)
-						if err != nil {
-							t.Fatal(err)
-						}
-						c.ChunkSize = chunk
 						byPartial, err := spec.NewAggregator(false)
 						if err != nil {
 							t.Fatal(err)
@@ -71,7 +66,8 @@ func TestGoldenFastPathVsOrdered(t *testing.T) {
 							t.Fatal(err)
 						}
 						spy := &pathSpy{}
-						res, err := c.RunWith(ctx, spy, byPartial, orderedOnly{byEvent})
+						res, err := spec.Execute(ctx, ExecConfig{Workers: workers, ChunkSize: chunk,
+							Sinks: []Sink{spy, byPartial, orderedOnly{byEvent}}})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -126,14 +122,9 @@ func TestMixedSinksDeliveredPerSink(t *testing.T) {
 	}
 	reps := spec.Replications
 	for _, chunk := range []int{0, 1, 4} {
-		c, err := spec.Compile(4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.ChunkSize = chunk
 		rec := &partialRecorder{}
 		ordered := &countingSink{}
-		res, err := c.RunWith(ctx, rec, ordered)
+		res, err := spec.Execute(ctx, ExecConfig{Workers: 4, ChunkSize: chunk, Sinks: []Sink{rec, ordered}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +157,7 @@ func TestMixedSinksDeliveredPerSink(t *testing.T) {
 				t.Fatalf("chunk=%d: event %d metrics differ from its partial's", chunk, i)
 			}
 		}
-		alone, err := c.Run(ctx)
+		alone, err := spec.Execute(ctx, ExecConfig{Workers: 4, ChunkSize: chunk})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,9 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/metrics"
-	"repro/internal/rng"
 )
 
 // Event is one completed run flowing through the results pipeline.
@@ -16,7 +13,7 @@ import (
 // replication 0, point 0 replication 1, … — regardless of worker count
 // or completion order, so any sink output is bit-reproducible.
 type Event struct {
-	Point int // index into Campaign.Points
+	Point int // index into the spec's expanded grid (CampaignSpec.Points)
 	Rep   int // replication index within the point
 
 	// Spec is the run's spec as executed, with the derived RNGState.
@@ -39,18 +36,30 @@ type Sink interface {
 	Close() error
 }
 
-// Stream executes the campaign, emitting every completed run to the
-// given sinks instead of materializing results. This is the primitive
-// Run is built on: the worker pool executes replication batches
-// (chunks) on per-worker Runners in arbitrary completion order, and the
-// worker that completes the chunk at the delivery frontier delivers it,
-// with every completed chunk behind it, in deterministic (point,
-// replication) order. Delivery is the stage shared with cache replay:
-// it hands every chunk to each sink — one ConsumePartial per
-// PartialSink, one Consume per run for any other sink — so sinks
-// observe the exact sequence a serial execution would produce. All
-// sinks are closed before Stream returns; the first run or sink error
-// aborts the remaining grid and is returned.
+// campaign is the pipeline's input: a validated spec's expanded grid,
+// its replication count and per-run seed derivation, and the execution
+// parameters. Only CampaignSpec.Execute builds one, after Validate, so
+// stream trusts the grid.
+type campaign struct {
+	backend      string
+	points       []RunSpec
+	replications int
+	workers      int // 0 selects GOMAXPROCS
+	chunkSize    int // 0 auto-sizes per point
+	seedFor      func(point, rep int) uint64
+}
+
+// stream executes the campaign, emitting every completed run to the
+// given sinks instead of materializing results: the worker pool
+// executes replication batches (chunks) on per-worker Runners in
+// arbitrary completion order, and the worker that completes the chunk
+// at the delivery frontier delivers it, with every completed chunk
+// behind it, in deterministic (point, replication) order. Delivery is
+// the stage shared with cache replay: it hands every chunk to each sink
+// — one ConsumePartial per PartialSink, one Consume per run for any
+// other sink — so sinks observe the exact sequence a serial execution
+// would produce. All sinks are closed before stream returns; the first
+// run or sink error aborts the remaining grid and is returned.
 //
 // Cancelling ctx aborts the campaign: no further backend runs are
 // scheduled once cancellation is observed, the worker pool drains
@@ -58,45 +67,25 @@ type Sink interface {
 // and the returned error wraps ctx.Err() (errors.Is(err,
 // context.Canceled) holds). Events already dispatched before the
 // cancellation form a prefix of the deterministic global order.
-func (c Campaign) Stream(ctx context.Context, sinks ...Sink) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+func (c campaign) stream(ctx context.Context, sinks []Sink) error {
 	// Every sink is closed exactly once, on success and on every error
 	// path alike.
 	if err := ctx.Err(); err != nil {
 		return closeSinks(sinks, fmt.Errorf("engine: campaign: %w", err))
 	}
-	if len(c.Points) == 0 {
-		return closeSinks(sinks, fmt.Errorf("engine: campaign has no points"))
-	}
-	if c.Replications <= 0 {
-		return closeSinks(sinks, fmt.Errorf("engine: Replications must be positive, got %d", c.Replications))
-	}
-	be, err := New(c.Backend)
+	be, err := New(c.backend)
 	if err != nil {
 		return closeSinks(sinks, err)
 	}
-	for i, pt := range c.Points {
-		if err := pt.Validate(); err != nil {
-			return closeSinks(sinks, fmt.Errorf("engine: campaign point %d: %w", i, err))
-		}
-	}
-	seedFor := c.SeedFor
-	if seedFor == nil {
-		seedFor = func(point, rep int) uint64 {
-			return rng.RunSeed(c.Points[point].RNGState, rep)
-		}
-	}
-	workers := c.Workers
+	workers := c.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	reps := c.Replications
+	reps := c.replications
 	// The unit of work and of delivery is a chunk: a (point,
 	// replication-range) batch a worker executes end to end on its
 	// private execution context.
-	chunkSize := c.ChunkSize
+	chunkSize := c.chunkSize
 	if chunkSize <= 0 {
 		chunkSize = autoChunkSize(reps, workers)
 	}
@@ -104,7 +93,7 @@ func (c Campaign) Stream(ctx context.Context, sinks ...Sink) error {
 		chunkSize = reps
 	}
 	chunksPerPoint := int64(reps+chunkSize-1) / int64(chunkSize)
-	totalChunks := int64(len(c.Points)) * chunksPerPoint
+	totalChunks := int64(len(c.points)) * chunksPerPoint
 	if int64(workers) > totalChunks {
 		workers = int(totalChunks)
 	}
@@ -119,7 +108,7 @@ func (c Campaign) Stream(ctx context.Context, sinks ...Sink) error {
 	// chunk, small enough that at most window chunks of completed runs
 	// wait for it, however skewed the run durations.
 	window := min(max(int64(4*workers), 8), totalChunks)
-	d := newDelivery(c.Points, seedFor, sinks)
+	d := newDelivery(c.points, c.seedFor, sinks)
 
 	var (
 		failed atomic.Bool
@@ -174,9 +163,9 @@ func (c Campaign) Stream(ctx context.Context, sinks ...Sink) error {
 				// across points by Rebind.
 				var err error
 				if runner == nil {
-					runner, err = be.NewRunner(c.Points[pi])
+					runner, err = be.NewRunner(c.points[pi])
 				} else {
-					err = runner.Rebind(c.Points[pi])
+					err = runner.Rebind(c.points[pi])
 				}
 				if err != nil {
 					fail(fmt.Errorf("engine: point %d: %w", pi, err))
@@ -184,12 +173,12 @@ func (c Campaign) Stream(ctx context.Context, sinks ...Sink) error {
 				}
 				runnerPt = pi
 			}
-			spec := c.Points[pi]
+			spec := c.points[pi]
 			for rep := repLo; rep < repHi; rep++ {
 				if failed.Load() {
 					return buf, false
 				}
-				spec.RNGState = seedFor(pi, rep)
+				spec.RNGState = c.seedFor(pi, rep)
 				res, err := runner.Run(ctx, spec)
 				if err != nil {
 					fail(fmt.Errorf("engine: point %d replication %d: %w", pi, rep, err))
@@ -286,126 +275,4 @@ func autoChunkSize(reps, workers int) int {
 		maxChunk        = 1024
 	)
 	return min(max(reps/chunksPerWorker/workers, 1), maxChunk)
-}
-
-// aggregateSink folds the delivered runs into per-point Aggregates —
-// the one aggregation implementation behind Campaign.Run, CampaignSpec
-// execution, cache replay and the client-side Aggregator. Runs arrive
-// in replication order, so the per-run scalars (32 bytes per run, not
-// full RunResults) buffer in the exact sequence a serial execution
-// produces; summarizing them yields aggregates bit-identical to the
-// historical buffered path. The online wasted-time accumulators feed
-// the campaign's streaming Overall roll-up.
-type aggregateSink struct {
-	points     []RunSpec
-	reps       int
-	keepPerRun bool // expose per-run metrics in the Aggregates
-
-	wasted []metrics.Accumulator
-	ops    []int64
-	perRun [][]RunMetrics
-}
-
-func newAggregateSink(points []RunSpec, reps int, keepPerRun bool) *aggregateSink {
-	if reps < 0 {
-		reps = 0 // Stream rejects the campaign before any run is delivered
-	}
-	s := &aggregateSink{
-		points:     points,
-		reps:       reps,
-		keepPerRun: keepPerRun,
-		wasted:     make([]metrics.Accumulator, len(points)),
-		ops:        make([]int64, len(points)),
-		perRun:     make([][]RunMetrics, len(points)),
-	}
-	for i := range points {
-		s.perRun[i] = make([]RunMetrics, 0, reps)
-	}
-	return s
-}
-
-// Consume folds one event. Besides the order check every fold makes, it
-// rejects an event whose cell (technique, n, p) is not its point's: a
-// decoded JSONL row from another grid must not be folded in silently.
-func (s *aggregateSink) Consume(_ context.Context, ev Event) error {
-	if pi := ev.Point; pi >= 0 && pi < len(s.points) {
-		if pt := s.points[pi]; ev.Spec.Technique != pt.Technique || ev.Spec.N != pt.N || ev.Spec.P != pt.P {
-			return fmt.Errorf("engine: aggregate sink: point %d replication %d is %s n=%d p=%d, want %s n=%d p=%d",
-				pi, ev.Rep, ev.Spec.Technique, ev.Spec.N, ev.Spec.P, pt.Technique, pt.N, pt.P)
-		}
-	}
-	return s.fold(ev.Point, ev.Rep, []RunMetrics{ev.Metrics})
-}
-
-// ConsumePartial implements PartialSink: one call folds a whole chunk.
-func (s *aggregateSink) ConsumePartial(_ context.Context, p MetricsPartial) error {
-	return s.fold(p.Point, p.RepLo, p.Runs)
-}
-
-// fold appends the metrics of replications [repLo, repLo+len(runs)) of
-// point pi. Requiring repLo to equal the count seen so far, together
-// with Close's full-count check, catches every skipped or doubled run.
-func (s *aggregateSink) fold(pi, repLo int, runs []RunMetrics) error {
-	if pi < 0 || pi >= len(s.points) {
-		return fmt.Errorf("engine: aggregate sink: point %d out of range", pi)
-	}
-	if repLo != len(s.perRun[pi]) {
-		return fmt.Errorf("engine: aggregate sink: point %d got replication %d, want %d (runs out of order)",
-			pi, repLo, len(s.perRun[pi]))
-	}
-	s.perRun[pi] = append(s.perRun[pi], runs...)
-	for _, m := range runs {
-		s.wasted[pi].Add(m.Wasted)
-		s.ops[pi] += m.SchedOps
-	}
-	return nil
-}
-
-func (s *aggregateSink) Close() error {
-	for pi := range s.points {
-		if got := len(s.perRun[pi]); got != s.reps {
-			return fmt.Errorf("engine: aggregate sink: point %d saw %d of %d replications", pi, got, s.reps)
-		}
-	}
-	return nil
-}
-
-// Aggregates assembles the final per-point aggregates by summarizing the
-// retained per-run scalars in replication order — bit-identical to the
-// historical buffered path for every statistic, including the two-pass
-// standard deviation and the median.
-func (s *aggregateSink) Aggregates() []Aggregate {
-	out := make([]Aggregate, len(s.points))
-	vals := make([]float64, s.reps)
-	summarize := func(runs []RunMetrics, get func(RunMetrics) float64) metrics.Summary {
-		for i, m := range runs {
-			vals[i] = get(m)
-		}
-		return metrics.Summarize(vals)
-	}
-	for pi := range s.points {
-		runs := s.perRun[pi]
-		agg := Aggregate{
-			Spec:     s.points[pi],
-			Wasted:   summarize(runs, func(m RunMetrics) float64 { return m.Wasted }),
-			Makespan: summarize(runs, func(m RunMetrics) float64 { return m.Makespan }),
-			Speedup:  summarize(runs, func(m RunMetrics) float64 { return m.Speedup }),
-			MeanOps:  float64(s.ops[pi]) / float64(s.reps),
-		}
-		if s.keepPerRun {
-			agg.PerRun = runs
-		}
-		out[pi] = agg
-	}
-	return out
-}
-
-// Overall merges the per-point wasted-time accumulators in point order —
-// a deterministic cross-partition roll-up of the whole campaign.
-func (s *aggregateSink) Overall() metrics.Accumulator {
-	var a metrics.Accumulator
-	for pi := range s.points {
-		a.Merge(s.wasted[pi])
-	}
-	return a
 }

@@ -321,10 +321,7 @@ func (s *errorSink) Close() error {
 
 func TestSinkErrorAbortsCampaign(t *testing.T) {
 	sink := &errorSink{n: 3}
-	err := Campaign{
-		Points:       []RunSpec{testPoint(5)},
-		Replications: 20,
-	}.Stream(context.Background(), sink)
+	_, err := testCampaign(5, 20).Execute(context.Background(), ExecConfig{Sinks: []Sink{sink}})
 	if err == nil || !strings.Contains(err.Error(), "sink full") {
 		t.Fatalf("sink error not propagated: %v", err)
 	}
@@ -351,19 +348,12 @@ func TestJSONLSinkShape(t *testing.T) {
 }
 
 // TestSinksClosedOnEarlyValidationError: the "all sinks are closed
-// before Stream returns" contract must hold on every error path,
+// before Execute returns" contract must hold on every error path,
 // including rejection before any run executes.
 func TestSinksClosedOnEarlyValidationError(t *testing.T) {
-	cases := map[string]Campaign{
-		"no points":    {Replications: 2},
-		"reps=0":       {Points: []RunSpec{testPoint(1)}},
-		"bad backend":  {Points: []RunSpec{testPoint(1)}, Replications: 2, Backend: "nope"},
-		"bad point":    {Points: []RunSpec{{Technique: "FAC2"}}, Replications: 2},
-		"backend fail": {Points: []RunSpec{{Technique: "LIFO", N: 8, P: 2, Work: workload.NewConstant(1)}}, Replications: 2},
-	}
-	for name, c := range cases {
+	for name, spec := range badCampaigns() {
 		sink := &errorSink{n: 1 << 30}
-		if err := c.Stream(context.Background(), sink); err == nil {
+		if _, err := spec.Execute(context.Background(), ExecConfig{Sinks: []Sink{sink}}); err == nil {
 			t.Errorf("%s: invalid campaign accepted", name)
 		}
 		if !sink.closed {
@@ -396,12 +386,16 @@ func (s *gateSink) Close() error { return nil }
 // the window ahead of it: the started runs stop at (window + workers) ×
 // chunk.
 func TestStreamBoundedReorderUnderSkew(t *testing.T) {
-	points := []RunSpec{
-		{Technique: "SS", N: 20000, P: 2, Work: workload.NewConstant(0.001), H: 0.5},
-		{Technique: "STAT", N: 64, P: 2, Work: workload.NewConstant(0.001)},
+	spec := CampaignSpec{
+		Techniques:   []string{"SS", "STAT"},
+		Ns:           []int64{20000},
+		Ps:           []int{2},
+		Workload:     workload.Spec{Kind: "constant", P1: 0.001},
+		H:            0.5,
+		Replications: 8,
 	}
 	run := func(workers int) *CampaignResult {
-		res, err := Campaign{Points: points, Replications: 8, Workers: workers}.Run(context.Background())
+		res, err := spec.Execute(context.Background(), ExecConfig{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -418,14 +412,16 @@ func TestStreamBoundedReorderUnderSkew(t *testing.T) {
 	}
 
 	const workers, chunk, reps = 2, 2, 64
-	window := int64(max(4*workers, 8)) // Stream's window for 2 workers
+	window := int64(max(4*workers, 8)) // the pipeline's window for 2 workers
 	bound := (window + workers) * chunk
 	gate := &gateSink{entered: make(chan struct{}), release: make(chan struct{})}
 	before := counting.calls.Load()
 	done := make(chan error, 1)
+	gated := spec
+	gated.Backend, gated.Replications = "counting", reps
 	go func() {
-		done <- Campaign{Backend: "counting", Points: points, Replications: reps,
-			Workers: workers, ChunkSize: chunk}.Stream(context.Background(), gate)
+		_, err := gated.Execute(context.Background(), ExecConfig{Workers: workers, ChunkSize: chunk, Sinks: []Sink{gate}})
+		done <- err
 	}()
 	<-gate.entered
 	// The workers fill the window behind the held frontier, then park.
@@ -544,15 +540,15 @@ func TestSinkCallsNeverOverlap(t *testing.T) {
 	var inCall atomic.Bool
 	ordered := &exclusiveSink{inCall: &inCall}
 	partial := &exclusivePartialSink{exclusiveSink{inCall: &inCall}}
-	points := []RunSpec{testPoint(1), testPoint(2), testPoint(3), testPoint(4)}
-	err := Campaign{Points: points, Replications: reps, Workers: 4, ChunkSize: 1}.
-		Stream(context.Background(), ordered, partial)
-	if err != nil {
+	spec := testCampaign(1, reps)
+	spec.Techniques = []string{"FAC2", "GSS", "TSS", "BOLD"}
+	points := spec.GridPoints()
+	if _, err := spec.Execute(context.Background(), ExecConfig{Workers: 4, ChunkSize: 1, Sinks: []Sink{ordered, partial}}); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range []*exclusiveSink{ordered, &partial.exclusiveSink} {
-		if len(s.runs) != len(points)*reps {
-			t.Fatalf("sink saw %d runs, want %d", len(s.runs), len(points)*reps)
+		if len(s.runs) != points*reps {
+			t.Fatalf("sink saw %d runs, want %d", len(s.runs), points*reps)
 		}
 		for i, r := range s.runs {
 			if want := i/reps*1000 + i%reps; r != want {

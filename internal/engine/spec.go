@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"repro/internal/rng"
 	"repro/internal/sched"
@@ -15,10 +16,10 @@ import (
 
 // CampaignSpec is the declarative description of a whole campaign: the
 // (technique × n × p) grid, the workload, the per-run parameters, the
-// replication count and the seed policy. Unlike Campaign — whose points
-// carry live Workload values and callbacks — a CampaignSpec is plain
-// data: it serializes to JSON, round-trips losslessly, and has a
-// canonical hash. Equal hashes imply bit-identical results (campaign
+// replication count and the seed policy — the shape of every experiment
+// in the paper (1000 replications per grid cell, §IV). A CampaignSpec
+// is plain data: it serializes to JSON, round-trips losslessly, and has
+// a canonical hash. Equal hashes imply bit-identical results (campaign
 // execution is deterministic in the spec), which is what makes results
 // content-addressable in internal/cache.
 //
@@ -38,7 +39,9 @@ type CampaignSpec struct {
 	// Workload describes the per-task execution times. A zero N is
 	// substituted with each grid point's task count; a nonzero N fixes
 	// the workload's shape independent of the grid (e.g. a ramp rising
-	// over exactly N tasks) and participates in the spec hash.
+	// over exactly N tasks) and participates in the spec hash. Kind
+	// explicit carries the recorded time of every task in Times, which
+	// must cover the largest n of the grid.
 	Workload workload.Spec `json:"workload"`
 
 	H              float64 `json:"h,omitempty"`
@@ -170,9 +173,11 @@ func (s CampaignSpec) Validate() error {
 			return fmt.Errorf("engine: campaign spec: %w", err)
 		}
 	}
+	// The largest n is the workload's strictest probe: an explicit
+	// workload must hold a time for every task of every point.
 	ws := s.Workload
 	if ws.N == 0 {
-		ws.N = s.Ns[0]
+		ws.N = slices.Max(s.Ns)
 	}
 	if _, err := ws.Build(); err != nil {
 		return fmt.Errorf("engine: campaign spec: %w", err)
@@ -280,20 +285,4 @@ func (s CampaignSpec) seedFunc(points []RunSpec) func(point, rep int) uint64 {
 		}
 		return func(point, rep int) uint64 { return rng.RunSeed(bases[point], off+rep) }
 	}
-}
-
-// Compile lowers the declarative spec into an executable Campaign with
-// the given worker bound.
-func (s CampaignSpec) Compile(workers int) (Campaign, error) {
-	points, err := s.Points()
-	if err != nil {
-		return Campaign{}, err
-	}
-	return Campaign{
-		Backend:      s.Backend,
-		Points:       points,
-		Replications: s.Replications,
-		Workers:      workers,
-		SeedFor:      s.seedFunc(points),
-	}, nil
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"math"
@@ -251,33 +252,40 @@ func TestSpecSeedPolicies(t *testing.T) {
 	})
 }
 
-// TestSpecExecuteMatchesCompiledRun pins that the declarative path
-// (Execute) and the imperative path (Compile + Run) produce bit-identical
-// aggregates.
-func TestSpecExecuteMatchesCompiledRun(t *testing.T) {
+// TestSpecExecuteMatchesClientAggregation pins that Execute's result
+// equals a client-side Aggregator fed the decoded JSONL rows of the same
+// execution: the two ends of a remote result stream agree bit for bit.
+func TestSpecExecuteMatchesClientAggregation(t *testing.T) {
 	spec := testSpec()
-	viaExecute, err := spec.Execute(context.Background(), ExecConfig{})
+	var buf bytes.Buffer
+	viaExecute, err := spec.Execute(context.Background(), ExecConfig{Sinks: []Sink{NewJSONLSink(&buf)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := spec.Compile(0)
+	agg, err := spec.NewAggregator(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaRun, err := c.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(viaExecute.Aggregates) != len(viaRun.Aggregates) {
-		t.Fatalf("aggregate counts differ: %d != %d", len(viaExecute.Aggregates), len(viaRun.Aggregates))
-	}
-	for i := range viaExecute.Aggregates {
-		a, b := viaExecute.Aggregates[i], viaRun.Aggregates[i]
-		if a.Wasted != b.Wasted || a.Makespan != b.Makespan || a.Speedup != b.Speedup || a.MeanOps != b.MeanOps {
-			t.Fatalf("point %d: Execute aggregate differs from compiled Run", i)
+	for _, line := range bytes.SplitAfter(buf.Bytes(), []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		ev, err := DecodeJSONLEvent(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := agg.Consume(context.Background(), ev); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if viaExecute.Overall != viaRun.Overall {
-		t.Fatalf("overall roll-up differs: %+v != %+v", viaExecute.Overall, viaRun.Overall)
+	if err := agg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	viaStream := agg.Result()
+	if !reflect.DeepEqual(viaExecute.Aggregates, viaStream.Aggregates) {
+		t.Fatal("Execute aggregates differ from the client-side aggregation of its stream")
+	}
+	if viaExecute.Overall != viaStream.Overall {
+		t.Fatalf("overall roll-up differs: %+v != %+v", viaExecute.Overall, viaStream.Overall)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/engine"
-	"repro/internal/rng"
 	"repro/internal/workload"
 )
 
@@ -33,38 +32,31 @@ type GSSSweepResult struct {
 }
 
 // GSSSweep measures GSS(k) over the k values the TSS publication tests
-// (1, 2, 5, 10, 20, ⌊n/p⌋) on one Hagerup-style cell. Each k is one
-// campaign point; its runs execute concurrently.
+// (1, 2, 5, 10, 20, ⌊n/p⌋) on one Hagerup-style cell. Each k is a
+// one-point campaign seeded seed ^ k<<32 under the flat policy; its
+// runs execute concurrently.
 func GSSSweep(ctx context.Context, n int64, p int, runs int, mu, h float64, seed uint64) (*GSSSweepResult, error) {
 	if runs <= 0 || n <= 0 || p <= 0 {
 		return nil, fmt.Errorf("experiment: invalid GSS sweep (n=%d p=%d runs=%d)", n, p, runs)
 	}
-	ks := []int64{1, 2, 5, 10, 20, n / int64(p)}
-	points := make([]engine.RunSpec, len(ks))
-	for i, k := range ks {
-		points[i] = engine.RunSpec{
-			Technique: "GSS",
-			N:         n,
-			P:         p,
-			Work:      workload.NewExponential(mu),
-			H:         h,
-			MinChunk:  k,
+	out := &GSSSweepResult{Ks: []int64{1, 2, 5, 10, 20, n / int64(p)}}
+	for _, k := range out.Ks {
+		res, err := engine.CampaignSpec{
+			Techniques:   []string{"GSS"},
+			Ns:           []int64{n},
+			Ps:           []int{p},
+			Workload:     workload.Spec{Kind: "exponential", P1: mu},
+			H:            h,
+			MinChunk:     k,
+			Replications: runs,
+			Seed:         seed ^ uint64(k)<<32,
+			SeedPolicy:   engine.SeedFlat,
+		}.Execute(ctx, engine.ExecConfig{})
+		if err != nil {
+			return nil, err
 		}
-	}
-	res, err := engine.Campaign{
-		Points:       points,
-		Replications: runs,
-		SeedFor: func(point, run int) uint64 {
-			return rng.RunSeed(seed^uint64(ks[point])<<32, run)
-		},
-	}.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	out := &GSSSweepResult{Ks: ks}
-	for _, agg := range res.Aggregates {
-		out.Wasted = append(out.Wasted, agg.Wasted.Mean)
-		out.Ops = append(out.Ops, agg.MeanOps)
+		out.Wasted = append(out.Wasted, res.Aggregates[0].Wasted.Mean)
+		out.Ops = append(out.Ops, res.Aggregates[0].MeanOps)
 	}
 	return out, nil
 }

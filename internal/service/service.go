@@ -157,7 +157,8 @@ type submitResponse struct {
 }
 
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
-	// 1 MiB is far beyond any realistic grid description.
+	// 1 MiB is far beyond any realistic grid description; an explicit
+	// workload's task times fit up to about 50 000 tasks.
 	body := http.MaxBytesReader(w, r.Body, 1<<20)
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()

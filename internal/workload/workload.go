@@ -316,14 +316,17 @@ func Total(w Workload, n int64) float64 {
 }
 
 // Spec is a parseable description of a workload, used by CLI tools and
-// experiment files. Fields mirror paper Figure 2's "Task Execution Times /
-// Distribution" box.
+// experiment files. Fields mirror paper Figure 2's "Task Execution
+// Times" box: a distribution with its parameters, or, for kind
+// explicit, the recorded time of every task (a trace file's per-task
+// times, trace.PerTaskTimes).
 type Spec struct {
-	Kind string  `json:"kind"`         // constant, uniform, increasing, decreasing, exponential, normal, gamma, bimodal
-	P1   float64 `json:"p1,omitempty"` // first parameter (see Build)
-	P2   float64 `json:"p2,omitempty"` // second parameter
-	P3   float64 `json:"p3,omitempty"` // third parameter (bimodal heavy probability)
-	N    int64   `json:"n,omitempty"`  // task count, needed by increasing/decreasing
+	Kind  string    `json:"kind"`            // constant, uniform, increasing, decreasing, exponential, normal, gamma, bimodal, explicit
+	P1    float64   `json:"p1,omitempty"`    // first parameter (see Build)
+	P2    float64   `json:"p2,omitempty"`    // second parameter
+	P3    float64   `json:"p3,omitempty"`    // third parameter (bimodal heavy probability)
+	N     int64     `json:"n,omitempty"`     // task count, needed by increasing/decreasing
+	Times []float64 `json:"times,omitempty"` // explicit: task i takes Times[i] seconds
 }
 
 // Build constructs the workload a Spec describes.
@@ -336,10 +339,16 @@ type Spec struct {
 //	normal:     mean P1, std P2
 //	gamma:      shape P1, scale P2
 //	bimodal:    light P1, heavy P2, P(heavy) = P3
+//	explicit:   task i takes Times[i]; a nonzero N keeps the first N
+//	            times, and N may not exceed len(Times)
 //
-// Each check is written as the negation of the valid range, so a NaN
-// parameter, which fails every comparison, is rejected too.
+// Times belong to kind explicit only. Each check is written as the
+// negation of the valid range, so a NaN parameter, which fails every
+// comparison, is rejected too.
 func (s Spec) Build() (Workload, error) {
+	if len(s.Times) > 0 && s.Kind != "explicit" {
+		return nil, fmt.Errorf("workload: %s takes no times (only explicit does)", s.Kind)
+	}
 	switch s.Kind {
 	case "constant":
 		if !(s.P1 > 0) {
@@ -382,6 +391,15 @@ func (s Spec) Build() (Workload, error) {
 			return nil, fmt.Errorf("workload: bimodal requires P(heavy) in [0,1], got %v", s.P3)
 		}
 		return NewBimodal(s.P1, s.P2, s.P3), nil
+	case "explicit":
+		if s.N > int64(len(s.Times)) {
+			return nil, fmt.Errorf("workload: explicit holds %d task times, %d tasks asked for", len(s.Times), s.N)
+		}
+		times := s.Times
+		if s.N > 0 {
+			times = times[:s.N]
+		}
+		return NewExplicit(times)
 	default:
 		return nil, fmt.Errorf("workload: unknown kind %q", s.Kind)
 	}

@@ -188,6 +188,9 @@ func TestSpecBuild(t *testing.T) {
 		{Spec{Kind: "normal", P1: 1, P2: 0.1}, "normal"},
 		{Spec{Kind: "gamma", P1: 2, P2: 0.5}, "gamma"},
 		{Spec{Kind: "bimodal", P1: 1, P2: 10, P3: 0.1}, "bimodal"},
+		{Spec{Kind: "explicit", Times: []float64{1, 0, 2.5}}, "explicit"},
+		{Spec{Kind: "explicit", Times: []float64{1, 0, 2.5}, N: 2}, "explicit"},
+		{Spec{Kind: "exponential", P1: 1, Times: []float64{}}, "exponential"},
 	}
 	for _, c := range cases {
 		w, err := c.spec.Build()
@@ -228,6 +231,13 @@ func TestSpecBuildErrors(t *testing.T) {
 		{Kind: "bimodal", P1: math.NaN(), P2: 10, P3: 0.1},
 		{Kind: "bimodal", P1: 1, P2: math.NaN(), P3: 0.1},
 		{Kind: "bimodal", P1: 1, P2: 10, P3: math.NaN()},
+		{Kind: "explicit"},
+		{Kind: "explicit", Times: []float64{1, -2}},
+		{Kind: "explicit", Times: []float64{1, math.NaN()}},
+		{Kind: "explicit", Times: []float64{math.Inf(1)}},
+		{Kind: "explicit", Times: []float64{1, 2}, N: 3},        // more tasks than times
+		{Kind: "exponential", P1: 1, Times: []float64{1}},       // times on another kind
+		{Kind: "constant", P1: 1, Times: []float64{1, 2}, N: 2}, // times on another kind
 	}
 	for _, s := range bad {
 		if _, err := s.Build(); err == nil {
@@ -332,6 +342,19 @@ func TestExplicitValidation(t *testing.T) {
 	}
 	if _, err := NewExplicit([]float64{math.Inf(1)}); err == nil {
 		t.Error("Inf accepted")
+	}
+}
+
+// TestSpecExplicitKeepsFirstN: an explicit spec built for N tasks
+// describes the first N recorded times, moments included.
+func TestSpecExplicitKeepsFirstN(t *testing.T) {
+	w, err := Spec{Kind: "explicit", Times: []float64{1, 3, 100}, N: 2}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := w.(*Explicit)
+	if e.Len() != 2 || e.Mean() != 2 || e.Std() != 1 {
+		t.Fatalf("Len %d, Mean %v, Std %v; want 2, 2, 1", e.Len(), e.Mean(), e.Std())
 	}
 }
 
