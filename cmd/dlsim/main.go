@@ -7,8 +7,9 @@
 // engine.CampaignSpec, so they are content-addressable: with -cache a
 // repeated invocation (same flags, same seed) is served from the result
 // store without re-simulation. A -replay campaign is one too: its
-// workload is the trace's per-task times. Whole grids run from a JSON spec file via
-// -spec, and -out streams every run's metrics as CSV or JSON Lines.
+// workload is the trace's per-task times. Whole grids run from a JSON
+// spec file via -spec, and -out streams every run's metrics as CSV or
+// JSON Lines.
 //
 // Ctrl-C (or SIGTERM) cancels an in-flight campaign cleanly: streaming
 // output written so far is flushed and the command exits with code 130;

@@ -41,7 +41,7 @@ type CampaignSpec struct {
 	// the workload's shape independent of the grid (e.g. a ramp rising
 	// over exactly N tasks) and participates in the spec hash. Kind
 	// explicit carries the recorded time of every task in Times, which
-	// must cover the largest n of the grid.
+	// must cover the task count the workload is built for.
 	Workload workload.Spec `json:"workload"`
 
 	H              float64 `json:"h,omitempty"`

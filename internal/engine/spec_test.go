@@ -131,6 +131,10 @@ func TestSpecValidateErrors(t *testing.T) {
 		{"NaN start time", func(s *CampaignSpec) { s.Ps = []int{2}; s.StartTimes = []float64{math.NaN(), 0} }},
 		{"infinite start time", func(s *CampaignSpec) { s.Ps = []int{2}; s.StartTimes = []float64{0, math.Inf(-1)} }},
 		{"NaN workload parameter", func(s *CampaignSpec) { s.Workload = workload.Spec{Kind: "exponential", P1: math.NaN()} }},
+		// testSpec's ns are {256, 512}: explicit times must cover both.
+		{"explicit times for the first n only", func(s *CampaignSpec) {
+			s.Workload = workload.Spec{Kind: "explicit", Times: make([]float64, 256)}
+		}},
 	}
 	for _, tc := range cases {
 		s := testSpec()
@@ -141,6 +145,11 @@ func TestSpecValidateErrors(t *testing.T) {
 	}
 	if err := testSpec().Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
+	}
+	explicit := testSpec()
+	explicit.Workload = workload.Spec{Kind: "explicit", Times: make([]float64, 512)}
+	if err := explicit.Validate(); err != nil {
+		t.Fatalf("explicit times covering every n rejected: %v", err)
 	}
 	pe := testSpec()
 	pe.Ps = []int{4}
