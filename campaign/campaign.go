@@ -209,9 +209,6 @@ type Execution struct {
 	CPUs int `json:"cpus"`
 	// Workers is the effective per-campaign worker-goroutine count.
 	Workers int `json:"workers"`
-	// ChunkSize is the configured replications-per-work-item; 0 means
-	// auto-sized per point from its replications and the worker count.
-	ChunkSize int `json:"chunk_size"`
 	// Concurrency is the number of campaigns executing at once.
 	Concurrency int `json:"concurrency"`
 }

@@ -22,11 +22,6 @@ type Options struct {
 	// one remote job. 0 means one shard per node; counts beyond the
 	// grid's total run count are clamped.
 	Shards int
-	// ShardTimeout is the per-attempt deadline for one shard (submit
-	// through completion). A shard stuck on a straggler past the
-	// deadline is cancelled on that node and reassigned to the next.
-	// 0 means no deadline.
-	ShardTimeout time.Duration
 	// HedgeAfter, when positive, arms straggler hedging: a shard still
 	// unplaced (or unfinished) after this budget is speculatively
 	// re-dispatched on the next eligible node, first completion wins
@@ -34,11 +29,6 @@ type Options struct {
 	// content-addressed store make the duplicate nearly free. 0
 	// disables hedging.
 	HedgeAfter time.Duration
-	// PartialResults switches unrecoverable failures from all-or-
-	// nothing to degraded mode: the merge stops at the first shard the
-	// fleet cannot deliver, the sinks keep the byte-identical completed
-	// prefix, and the run's error is a typed *Incomplete report.
-	PartialResults bool
 	// Registry receives the coordinator's fault-tolerance metrics
 	// (breaker states and transitions, hedge and retry counters). nil
 	// means a private registry; a shared registry must not be given to
@@ -249,7 +239,7 @@ func retryAfterHint(err error) time.Duration {
 
 // dispatch places one piece on the fleet: submit + wait to completion
 // on a node, retrying with exponential backoff across the remaining
-// nodes on transient failure or a blown ShardTimeout. startNode seeds
+// nodes on transient failure. startNode seeds
 // the rotation so the initial wave spreads round-robin.
 //
 // A rate-limited rejection (campaign.ErrRateLimited) does not rotate:
@@ -376,24 +366,19 @@ func (c *Coordinator) place(ctx context.Context, p piece, startNode int) (placem
 	}
 }
 
-// attempt runs one piece on one node under the per-shard deadline. A
-// failed or expired wait reaps the remote job (best effort, bounded,
-// and only when this coordinator owns it — a deduped submission joined
-// a job someone else is also watching), so a straggler shard never
-// keeps burning a node after reassignment.
+// attempt runs one piece on one node. A failed or cancelled wait reaps
+// the remote job (best effort, bounded, and only when this coordinator
+// owns it — a deduped submission joined a job someone else is also
+// watching), so an abandoned shard, such as a hedge's loser, never
+// keeps burning a node.
 func (c *Coordinator) attempt(ctx context.Context, ni int, p piece) (placement, error) {
-	actx := ctx
-	if c.opts.ShardTimeout > 0 {
-		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, c.opts.ShardTimeout)
-		defer cancel()
-	}
 	node := c.nodes[ni]
-	jb, err := node.Submit(actx, p.spec)
+	jb, err := node.Submit(ctx, p.spec)
 	if err != nil {
-		if actx.Err() != nil {
-			// The attempt died mid-submit: the response is lost, but the
-			// server may have created the job anyway. Re-submitting with a
+		if ctx.Err() != nil {
+			// The attempt was cancelled mid-submit (a hedge's loser, or
+			// the caller gave up): the response is lost, but the server
+			// may have created the job anyway. Re-submitting with a
 			// bounded, non-cancelled context joins any such orphan through
 			// the hash dedup and yields an ID to cancel; if no orphan
 			// exists, the probe job is cancelled before it runs.
@@ -401,7 +386,7 @@ func (c *Coordinator) attempt(ctx context.Context, ni int, p piece) (placement, 
 		}
 		return placement{}, err
 	}
-	snap, err := node.Wait(actx, jb.ID)
+	snap, err := node.Wait(ctx, jb.ID)
 	if err != nil {
 		if !jb.Deduped {
 			cctx, ccancel := context.WithTimeout(context.WithoutCancel(ctx), cleanupTimeout)
@@ -531,11 +516,11 @@ func (c *Coordinator) run(ctx context.Context, spec campaign.Spec, sinks []campa
 	// earlier piece have completed, while later pieces keep executing —
 	// the merge is a rolling frontier, not a barrier.
 	//
-	// In degraded mode (PartialResults) an unrecoverable shard stops the
-	// frontier instead of discarding it: everything merged so far is the
-	// byte-identical completed prefix, and the error returned is a typed
-	// *Incomplete report built before the remaining dispatchers are
-	// cancelled, so their causes are captured where already known.
+	// An unrecoverable shard stops the frontier: everything merged so
+	// far is the byte-identical completed prefix, and unless the caller
+	// gave up, the error returned is a typed *Incomplete report built
+	// before the remaining dispatchers are cancelled, so their causes
+	// are captured where already known.
 	for i := range pieces {
 		select {
 		case <-f.done[i]:
@@ -549,7 +534,7 @@ func (c *Coordinator) run(ctx context.Context, spec campaign.Spec, sinks []campa
 			err = streamErr
 		}
 		if err != nil {
-			if c.opts.PartialResults && ctx.Err() == nil {
+			if ctx.Err() == nil {
 				hash, _ := spec.Hash()
 				return c.incomplete(hash, pieces, i, f, streamErr)
 			}
@@ -573,13 +558,13 @@ func (c *Coordinator) Execute(ctx context.Context, spec campaign.Spec, opts camp
 	runErr := c.run(ctx, spec, sinks)
 	var inc *Incomplete
 	if errors.As(runErr, &inc) {
-		// Degraded mode: flush the caller's sinks so the completed
-		// prefix they hold survives, but skip the aggregator — its
-		// Close validates completeness, and an incomplete campaign has
-		// no validated Result. The *Incomplete travels as the error,
-		// joined with any sink close error: a prefix whose flush failed
-		// is not in the caller's output, and must not read as if it
-		// were.
+		// The fleet could not finish: flush the caller's sinks so the
+		// completed prefix they hold survives, but skip the aggregator
+		// — its Close validates completeness, and an incomplete
+		// campaign has no validated Result. The *Incomplete travels as
+		// the error, joined with any sink close error: a prefix whose
+		// flush failed is not in the caller's output, and must not read
+		// as if it were.
 		return nil, errors.Join(runErr, campaign.CloseSinks(nil, opts.Sinks...))
 	}
 	if err := campaign.CloseSinks(runErr, sinks...); err != nil {

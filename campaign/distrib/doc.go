@@ -35,10 +35,9 @@
 //
 // # Fault handling
 //
-// Each shard attempt is bounded by Options.ShardTimeout. A shard gets
-// three attempts, rotating through the fleet, with a backoff of 100ms
-// doubling up to 5s between them, so shards stranded on a dead or
-// straggling node are reassigned to survivors. A rate-limited attempt
+// A shard gets three attempts, rotating through the fleet, with a
+// backoff of 100ms doubling up to 5s between them, so shards stranded
+// on a dead node are reassigned to survivors. A rate-limited attempt
 // retries the same node instead, after the server's Retry-After when
 // that is longer than the backoff. Three node-attributable failures in
 // a row open a node's circuit breaker for 2s, after which a single
@@ -46,8 +45,10 @@
 // refuses submissions, and a dead one fails them, so both are routed
 // around by the same rotation and breaker; the coordinator runs no
 // health prober. Options.HedgeAfter re-dispatches a straggling shard
-// on the next node, and Options.PartialResults keeps the completed
-// prefix of a campaign the fleet cannot finish (*Incomplete).
+// on the next node. A campaign the fleet cannot finish stops at its
+// first unrecoverable shard: the sinks keep the byte-identical
+// completed prefix, and the error is an *Incomplete naming every
+// missing shard window and each node's condition.
 //
 // A reassigned or re-submitted shard whose sub-spec results already
 // sit in a store shared by the fleet (dlsimd -cache on a shared

@@ -44,9 +44,8 @@ func chaosFleet(t *testing.T, n int, store cache.Store, rules [][]chaos.Rule) ([
 
 // TestChaosGoldenByteIdentical is the fault-tolerance acceptance test:
 // a 3-node fleet under injected connection resets, stream truncation,
-// stream corruption and added latency — with PartialResults off — must
-// still produce JSONL and aggregates byte-identical to a single-node
-// run. Every fault knob is scheduling-only; the chaos harness proves
+// stream corruption and added latency — must still produce JSONL and
+// aggregates byte-identical to a single-node run. Every fault knob is scheduling-only; the chaos harness proves
 // it.
 func TestChaosGoldenByteIdentical(t *testing.T) {
 	spec := goldenSpec(campaign.SeedPerCell, 5)
@@ -225,11 +224,11 @@ func (n *vetoNode) Submit(ctx context.Context, spec campaign.Spec) (campaign.Job
 	return n.Runner.Submit(ctx, spec)
 }
 
-// TestPartialResultsPrefix drives a fleet into unrecoverable failure
-// with PartialResults on: the run must end in a typed *Incomplete that
-// names the missing shard window and the fleet's condition, while the
-// sinks hold the byte-identical completed prefix.
-func TestPartialResultsPrefix(t *testing.T) {
+// TestIncompleteKeepsPrefix drives a fleet into unrecoverable failure:
+// the run must end in a typed *Incomplete that names the missing shard
+// window and the fleet's condition, while the sinks hold the
+// byte-identical completed prefix.
+func TestIncompleteKeepsPrefix(t *testing.T) {
 	spec := goldenSpec(campaign.SeedPerCell, 10)
 	spec.Techniques = []string{"FAC2"}
 	spec.Ns = []int64{128} // one grid point: shards split along replications
@@ -238,7 +237,7 @@ func TestPartialResultsPrefix(t *testing.T) {
 
 	runners, _ := newFleet(t, 2, cache.NewMemory())
 	nodes := []campaign.Runner{&vetoNode{runners[0]}, &vetoNode{runners[1]}}
-	coord, err := New(nodes, Options{Shards: 2, PartialResults: true})
+	coord, err := New(nodes, Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +247,7 @@ func TestPartialResultsPrefix(t *testing.T) {
 	res, err := coord.Execute(context.Background(), spec,
 		campaign.ExecOptions{Sinks: []campaign.Sink{campaign.NewJSONLSink(&buf)}})
 	if err == nil || res != nil {
-		t.Fatalf("degraded run returned (%v, %v), want typed error and nil result", res, err)
+		t.Fatalf("unfinishable run returned (%v, %v), want typed error and nil result", res, err)
 	}
 	var inc *Incomplete
 	if !errors.As(err, &inc) {
@@ -285,18 +284,19 @@ type failWriter struct{}
 
 func (failWriter) Write([]byte) (int, error) { return 0, errors.New("injected: write refused") }
 
-// TestPartialResultsReportsSinkCloseError: a JSONL sink writes the
-// completed prefix only when Close flushes it, so in degraded mode a
-// failed flush must reach the caller next to the *Incomplete report —
-// otherwise the report vouches for a prefix the output does not hold.
-func TestPartialResultsReportsSinkCloseError(t *testing.T) {
+// TestIncompleteReportsSinkCloseError: a JSONL sink writes the
+// completed prefix only when Close flushes it, so when the fleet cannot
+// finish, a failed flush must reach the caller next to the *Incomplete
+// report — otherwise the report vouches for a prefix the output does
+// not hold.
+func TestIncompleteReportsSinkCloseError(t *testing.T) {
 	spec := goldenSpec(campaign.SeedPerCell, 10)
 	spec.Techniques = []string{"FAC2"}
 	spec.Ns = []int64{128}
 
 	runners, _ := newFleet(t, 2, cache.NewMemory())
 	nodes := []campaign.Runner{&vetoNode{runners[0]}, &vetoNode{runners[1]}}
-	coord, err := New(nodes, Options{Shards: 2, PartialResults: true})
+	coord, err := New(nodes, Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

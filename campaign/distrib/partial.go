@@ -1,7 +1,6 @@
-// Degraded-mode results: when the fleet cannot finish a campaign and
-// Options.PartialResults is on, the coordinator stops at the first
-// unrecoverable shard and reports exactly what is missing instead of
-// discarding the prefix it already merged.
+// Incomplete results: when the fleet cannot finish a campaign, the
+// coordinator stops at the first unrecoverable shard, keeps the prefix
+// it already merged in the sinks, and reports exactly what is missing.
 
 package distrib
 
@@ -26,7 +25,7 @@ type ShardRange struct {
 }
 
 // NodeFailure is one node's condition at the time the campaign gave
-// up — the per-node half of the degraded-mode report.
+// up — the per-node half of the *Incomplete report.
 type NodeFailure struct {
 	// Node is the index into the coordinator's fleet.
 	Node int `json:"node"`
@@ -36,12 +35,12 @@ type NodeFailure struct {
 	Cause string `json:"cause,omitempty"`
 }
 
-// Incomplete is the typed error a partial-results run terminates with:
-// the sinks hold the byte-identical completed prefix of the campaign
-// (every fully merged shard, in plan order — exactly the bytes a
-// healthy run would have produced first), and this report enumerates
-// what is missing and why. Retrieve it from the returned error chain
-// with errors.As.
+// Incomplete is the typed error of a fleet run that cannot finish
+// while its context is live: the sinks hold the byte-identical
+// completed prefix of the campaign (every fully merged shard, in plan
+// order — exactly the bytes a healthy run would have produced first),
+// and this report enumerates what is missing and why. Retrieve it from
+// the returned error chain with errors.As.
 //
 // A shard that failed mid-stream may additionally have contributed a
 // correct but incomplete tail beyond CompletedRuns; such a shard is
@@ -77,7 +76,7 @@ func shortHash(h string) string {
 	return h
 }
 
-// incomplete assembles the degraded-mode report: pieces before
+// incomplete assembles the *Incomplete report: pieces before
 // `failedAt` were fully merged; `failedAt` and everything after are
 // missing. Dispatch goroutines may still be landing when this runs, so
 // per-piece causes are read only through their done channels.

@@ -49,8 +49,7 @@ func TestAPISurfaceSnapshot(t *testing.T) {
 			"Techniques []string json=techniques; Backends []string json=backends; " +
 			"SeedPolicies []string json=seed_policies; " +
 			"Execution *campaign.Execution json=execution,omitempty",
-		"Execution": "CPUs int json=cpus; Workers int json=workers; " +
-			"ChunkSize int json=chunk_size; Concurrency int json=concurrency",
+		"Execution": "CPUs int json=cpus; Workers int json=workers; Concurrency int json=concurrency",
 		"ErrorBody": "Code string json=code; Message string json=message; " +
 			"Details map[string]interface {} json=details,omitempty",
 		"ErrorEnvelope": "Error campaign.ErrorBody json=error",

@@ -34,7 +34,9 @@
 // local run of the same spec. With -servers the campaign is sharded
 // across a fleet of daemons (campaign/distrib) and merged back
 // bit-identically, with failed or straggling shards retried on
-// surviving nodes.
+// surviving nodes. A fleet run that cannot finish keeps the completed
+// prefix in -out, reports every missing shard window and each node's
+// condition on stderr, and exits 1.
 package main
 
 import (
@@ -110,9 +112,7 @@ func run(ctx context.Context) error {
 		server   = flag.String("server", "", "dlsimd base URL (e.g. http://localhost:8080); campaigns execute remotely through the /v1 API instead of in-process")
 		servers  = flag.String("servers", "", "comma-separated dlsimd base URLs; the campaign is sharded across the fleet and merged bit-identically")
 		shards   = flag.Int("shards", 0, "with -servers: number of shards to split the campaign into (0 = one per node)")
-		shardTO  = flag.Duration("shard-timeout", 0, "with -servers: per-shard attempt deadline before the shard is retried elsewhere (0 = none)")
 		hedge    = flag.Duration("hedge-after", 0, "with -servers: latency budget after which a straggling shard is speculatively re-submitted to a second node, first completion wins (0 = no hedging)")
-		partial  = flag.Bool("partial", false, "with -servers: on unrecoverable node failures keep the completed prefix of results and report the missing shard ranges instead of failing the whole campaign")
 		fleetMet = flag.String("fleet-metrics", "", "with -servers: write the coordinator's fault-tolerance metrics (breaker states, hedges, retries) to this file in Prometheus text format on exit")
 	)
 	flag.Parse()
@@ -128,8 +128,8 @@ func run(ctx context.Context) error {
 			return cliutil.Usagef("-cache is the local result store; the server manages its own (drop -cache with -server/-servers)")
 		}
 	}
-	if *servers == "" && (*shards != 0 || *shardTO != 0 || *hedge != 0 || *partial || *fleetMet != "") {
-		return cliutil.Usagef("-shards, -shard-timeout, -hedge-after, -partial and -fleet-metrics only apply with -servers")
+	if *servers == "" && (*shards != 0 || *hedge != 0 || *fleetMet != "") {
+		return cliutil.Usagef("-shards, -hedge-after and -fleet-metrics only apply with -servers")
 	}
 	store, err := cliutil.OpenStore(*cacheDir)
 	if err != nil {
@@ -140,10 +140,8 @@ func run(ctx context.Context) error {
 		closeRunner = func() {}
 	)
 	if *servers != "" {
-		runner, closeRunner, err = cliutil.NewFleetRunner(*servers, distrib.Options{
-			Shards: *shards, ShardTimeout: *shardTO,
-			HedgeAfter: *hedge, PartialResults: *partial,
-		}, *fleetMet)
+		runner, closeRunner, err = cliutil.NewFleetRunner(*servers,
+			distrib.Options{Shards: *shards, HedgeAfter: *hedge}, *fleetMet)
 	} else {
 		runner, err = cliutil.NewRunner(*server, store, *workers)
 	}

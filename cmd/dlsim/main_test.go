@@ -154,12 +154,12 @@ func closedURL(t *testing.T) string {
 	return "http://" + addr
 }
 
-// TestPartialFleetRunReportsMissingShards: a degraded-mode fleet run
-// whose nodes all refuse connections fails, but first reports what
-// completed, every missing shard window and each node's breaker. The
-// flag-driven single point and the same campaign as a -spec file report
-// alike, the report ahead of the error line.
-func TestPartialFleetRunReportsMissingShards(t *testing.T) {
+// TestFailedFleetRunReportsMissingShards: a fleet run whose nodes all
+// refuse connections exits 1, but first reports, with no flag asking
+// for it, what completed, every missing shard window and each node's
+// breaker. The flag-driven single point and the same campaign as a
+// -spec file report alike, the report ahead of the error line.
+func TestFailedFleetRunReportsMissingShards(t *testing.T) {
 	servers := closedURL(t) + "," + closedURL(t)
 	dir := t.TempDir()
 	spec := filepath.Join(dir, "spec.json")
@@ -173,7 +173,7 @@ func TestPartialFleetRunReportsMissingShards(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			cmd := exec.Command(os.Args[0], append([]string{
-				"-servers", servers, "-partial", "-out", filepath.Join(dir, name+".jsonl"),
+				"-servers", servers, "-out", filepath.Join(dir, name+".jsonl"),
 			}, args...)...)
 			cmd.Env = append(os.Environ(), "DLSIM_RUN_MAIN=1")
 			var stderr bytes.Buffer

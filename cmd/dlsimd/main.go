@@ -20,7 +20,7 @@
 // cache with zero backend runs), -auth FILE enables multi-tenant API
 // keys, -rate/-quota-queued/-quota-running bound each tenant's request
 // rate and job footprint, and -metrics exposes a Prometheus endpoint.
-// These hardening flags, -workers, -chunk and -drain-jobs have DLSIMD_*
+// These hardening flags, -workers and -drain-jobs have DLSIMD_*
 // environment fallbacks (flags win; API.md's flag table names each
 // variable), so deployments can be configured without editing unit
 // files. -addr, -cache, -queue, -jobs, -drain and -pprof are flags only.
@@ -79,7 +79,6 @@ func run(ctx context.Context) error {
 		queue     = flag.Int("queue", 64, "bounded submission queue depth")
 		jobsN     = flag.Int("jobs", 1, "campaigns executing concurrently")
 		workers   = flag.Int("workers", env("DLSIMD_WORKERS", 0, strconv.Atoi), "concurrent runs per campaign (0 = all CPU cores; env DLSIMD_WORKERS)")
-		chunk     = flag.Int("chunk", env("DLSIMD_CHUNK", 0, strconv.Atoi), "replications per work item (0 = auto-size; env DLSIMD_CHUNK; never changes results)")
 		drain     = flag.Duration("drain", 5*time.Second, "graceful shutdown window for in-flight HTTP requests")
 		drainJobs = flag.Duration("drain-jobs", env("DLSIMD_DRAIN_JOBS", 0, time.ParseDuration),
 			"on SIGTERM/SIGINT, stop accepting submissions (health reports draining, /v1/health goes 503) and let running jobs finish for up to this long before cancelling them; 0 cancels immediately (env DLSIMD_DRAIN_JOBS)")
@@ -157,7 +156,6 @@ func run(ctx context.Context) error {
 		QueueDepth:   *queue,
 		Concurrency:  *jobsN,
 		Workers:      *workers,
-		ChunkSize:    *chunk,
 		QuotaQueued:  *quotaQ,
 		QuotaRunning: *quotaR,
 		Observer:     observer,
@@ -187,14 +185,13 @@ func run(ctx context.Context) error {
 	if effJobs <= 0 {
 		effJobs = 1
 	}
-	log.Printf("execution: %d cpus, %d workers/campaign, chunk=%d (0=auto), %d concurrent campaigns",
-		runtime.NumCPU(), effWorkers, *chunk, effJobs)
+	log.Printf("execution: %d cpus, %d workers/campaign, %d concurrent campaigns",
+		runtime.NumCPU(), effWorkers, effJobs)
 
 	svc := service.New(mgr)
 	svc.SetExecution(campaign.Execution{
 		CPUs:        runtime.NumCPU(),
 		Workers:     effWorkers,
-		ChunkSize:   *chunk,
 		Concurrency: effJobs,
 	})
 	hasJournal, hasAuth := jn != nil, *authFile != ""

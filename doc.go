@@ -97,8 +97,8 @@
 // (Reset is part of sched.Scheduler) and reuses the result buffers and
 // rand48 state via sim.RunInto. The results pipeline distributes work
 // as replication chunks — (point, replication-range) batches auto-sized
-// per point to about 8 chunks per worker, tunable via
-// engine.ExecConfig.ChunkSize and dlsimd -chunk — and each worker's
+// per point to about 8 chunks per worker, which tests vary through
+// engine.ExecConfig.ChunkSize — and each worker's
 // runner survives point switches through Runner.Rebind, so one
 // execution context (arena, pooled buffers, rand48 slot) serves a
 // worker's whole share of the grid. A worker files each completed chunk

@@ -41,7 +41,7 @@ type Fault string
 // The fault vocabulary. Reset and Blackhole exercise transport-level
 // failures, Error5xx the structured error path, Truncate and Corrupt
 // the result-stream integrity checks, Latency the straggler handling
-// (shard timeouts, hedging).
+// (hedging).
 const (
 	// FaultReset severs the connection before a response is written —
 	// the client sees a connection reset / unexpected EOF.

@@ -222,10 +222,10 @@ func writeMetricsFile(path string, reg *telemetry.Registry) error {
 
 // RunCampaign executes spec through the executor — in-process, a remote
 // dlsimd or a fleet — with sinks observing the per-run stream. When a
-// degraded-mode fleet run (distrib PartialResults) fails, it still
-// delivered a usable prefix: the report of what completed, which shard
-// windows are missing and why, and each node's condition goes to stderr
-// before the error is returned to decide the exit code.
+// fleet cannot finish the campaign (a *distrib.Incomplete), the sinks
+// still hold the completed prefix: the report of what completed, which
+// shard windows are missing and why, and each node's condition goes to
+// stderr before the error is returned to decide the exit code.
 func RunCampaign(ctx context.Context, r campaign.Executor, spec campaign.Spec, sinks []engine.Sink) (*campaign.Result, error) {
 	res, err := campaign.Run(ctx, r, spec, sinks...)
 	if err != nil {

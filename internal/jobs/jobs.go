@@ -114,11 +114,6 @@ type Config struct {
 	// GOMAXPROCS (see engine.ExecConfig.Workers).
 	Workers int
 
-	// ChunkSize is the number of consecutive replications executed per
-	// work item inside a campaign; 0 auto-sizes (see
-	// engine.ExecConfig.ChunkSize). Never changes results.
-	ChunkSize int
-
 	// QuotaQueued bounds the jobs one tenant may have queued at once;
 	// submissions beyond it fail with ErrQuotaExceeded. 0 disables the
 	// quota. Joining an existing job via hash dedup never counts.
@@ -249,7 +244,6 @@ func (s progressSink) Close() error { return nil }
 type Manager struct {
 	store       cache.Store
 	workers     int
-	chunk       int // replications per work item; 0 = auto
 	depth       int // max queued (not yet running) jobs
 	quotaQueued int // per-tenant queued bound; 0 = unlimited
 	quotaRun    int // per-tenant running bound; 0 = unlimited
@@ -312,7 +306,6 @@ func NewManager(cfg Config) *Manager {
 	m := &Manager{
 		store:       cfg.Store,
 		workers:     cfg.Workers,
-		chunk:       cfg.ChunkSize,
 		depth:       cfg.QueueDepth,
 		quotaQueued: cfg.QuotaQueued,
 		quotaRun:    cfg.QuotaRunning,
@@ -668,10 +661,9 @@ func (m *Manager) Results(ctx context.Context, id string, sinks ...engine.Sink) 
 	// transparently re-runs the campaign — determinism makes the bytes
 	// identical either way.
 	_, err = j.spec.Execute(ctx, engine.ExecConfig{
-		Workers:   m.workers,
-		ChunkSize: m.chunk,
-		Cache:     m.store,
-		Sinks:     sinks,
+		Workers: m.workers,
+		Cache:   m.store,
+		Sinks:   sinks,
 	})
 	return err
 }
@@ -833,10 +825,9 @@ func (m *Manager) run() {
 // engine and finalizes its state.
 func (m *Manager) runJob(j *Job) {
 	_, err := j.spec.Execute(j.execCtx, engine.ExecConfig{
-		Workers:   m.workers,
-		ChunkSize: m.chunk,
-		Cache:     m.store,
-		Sinks:     []engine.Sink{progressSink{j, &m.runs}},
+		Workers: m.workers,
+		Cache:   m.store,
+		Sinks:   []engine.Sink{progressSink{j, &m.runs}},
 	})
 
 	m.retire(j)

@@ -21,7 +21,7 @@ import (
 //	 messages to the workers, and the simulation ends."
 //
 // As in the paper, application data is assumed replicated: messages carry
-// only control information (§II), whose size is configurable.
+// only control information (§II), ctrlBytes = 64 B each.
 
 // AppConfig describes one master–worker DLS execution.
 type AppConfig struct {
@@ -31,12 +31,6 @@ type AppConfig struct {
 	Sched sched.Scheduler
 	Work  workload.Workload
 	RNG   *rng.Rand48 // required for random workloads
-
-	// RequestBytes and ReplyBytes are the control message sizes. The
-	// defaults (64 B) model the small work-request/assignment messages of
-	// the paper's master–worker protocol.
-	RequestBytes float64
-	ReplyBytes   float64
 
 	// ReferenceSpeed converts workload seconds into flops: a chunk whose
 	// workload time is t seconds costs t·ReferenceSpeed flops, so it runs
@@ -74,7 +68,10 @@ type reply struct {
 	flops float64 // total computation of the chunk
 }
 
-const defaultCtrlBytes = 64
+// ctrlBytes is the size of every control message — a work request,
+// an assignment or a finalization — modelling the small messages of the
+// paper's master–worker protocol.
+const ctrlBytes = 64
 
 const masterMailbox = "master"
 
@@ -88,8 +85,8 @@ const masterMailbox = "master"
 // as soon as it receives it.
 type workerLink struct {
 	mb      *Mailbox
-	reqTime float64 // worker → master, RequestBytes
-	repTime float64 // master → worker, ReplyBytes
+	reqTime float64 // worker → master, ctrlBytes
+	repTime float64 // master → worker, ctrlBytes
 	req     request
 	rep     reply
 	reqTask Task
@@ -99,7 +96,7 @@ type workerLink struct {
 // declareMailboxes declares the master's mailbox and one per worker,
 // and returns the master's mailbox and the workers' links, so the
 // protocol loops send and receive without a lookup per message.
-func declareMailboxes(e *Engine, cfg AppConfig, reqBytes, repBytes float64) (*Mailbox, []workerLink, error) {
+func declareMailboxes(e *Engine, cfg AppConfig) (*Mailbox, []workerLink, error) {
 	master, err := e.declare(masterMailbox, cfg.MasterHost)
 	if err != nil {
 		return nil, nil, err
@@ -114,11 +111,11 @@ func declareMailboxes(e *Engine, cfg AppConfig, reqBytes, repBytes float64) (*Ma
 		if err != nil {
 			return nil, nil, fmt.Errorf("msg: send to %q: %w", masterMailbox, err)
 		}
-		l.reqTime = route.TransferTime(reqBytes)
-		l.repTime = route.TransferTime(repBytes)
+		l.reqTime = route.TransferTime(ctrlBytes)
+		l.repTime = route.TransferTime(ctrlBytes)
 		l.req.worker = w
-		l.reqTask = Task{Name: "work-request", Bytes: reqBytes, Payload: &l.req}
-		l.repTask = Task{Name: "assignment", Bytes: repBytes, Payload: &l.rep}
+		l.reqTask = Task{Name: "work-request", Bytes: ctrlBytes, Payload: &l.req}
+		l.repTask = Task{Name: "assignment", Bytes: ctrlBytes, Payload: &l.rep}
 	}
 	return master, links, nil
 }
@@ -136,14 +133,6 @@ func RunApp(e *Engine, cfg AppConfig) (*AppResult, error) {
 	if !cfg.Work.Deterministic() && cfg.RNG == nil {
 		return nil, fmt.Errorf("msg: random workload %q requires RNG", cfg.Work.Name())
 	}
-	reqBytes := cfg.RequestBytes
-	if reqBytes <= 0 {
-		reqBytes = defaultCtrlBytes
-	}
-	repBytes := cfg.ReplyBytes
-	if repBytes <= 0 {
-		repBytes = defaultCtrlBytes
-	}
 	refSpeed := cfg.ReferenceSpeed
 	if refSpeed <= 0 {
 		mh, err := e.Platform().Host(cfg.MasterHost)
@@ -160,7 +149,7 @@ func RunApp(e *Engine, cfg AppConfig) (*AppResult, error) {
 		TasksPerWorker: make([]int64, p),
 	}
 
-	master, links, err := declareMailboxes(e, cfg, reqBytes, repBytes)
+	master, links, err := declareMailboxes(e, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -52,11 +52,10 @@ func (e *Engine) Now() float64 { return e.sim.Now() }
 // Run executes the simulation to completion.
 func (e *Engine) Run() error { return e.sim.Run() }
 
-// Task is the unit of exchanged work, mirroring MSG tasks: an amount of
-// computation (flops), a message size (bytes) and an arbitrary payload.
+// Task is the unit of exchanged work, mirroring MSG tasks: a message
+// size (bytes) and an arbitrary payload.
 type Task struct {
 	Name    string
-	Flops   float64
 	Bytes   float64
 	Payload any
 	Source  string // sending host name, set on Send
@@ -201,19 +200,9 @@ func (p *Process) take(mb *Mailbox) *Task {
 	return t
 }
 
-// RecvTimeout is Recv with a deadline: it returns (task, true, nil) when
-// a task arrived, or (nil, false, nil) after d seconds without one. The
+// recvTimeout is recv with a deadline: it returns (task, true) when a
+// task arrived, or (nil, false) after d seconds without one. The
 // resilient master uses it as its failure-detection watchdog.
-func (p *Process) RecvTimeout(mailbox string, d float64) (*Task, bool, error) {
-	mb, err := p.eng.mailbox(mailbox)
-	if err != nil {
-		return nil, false, err
-	}
-	t, ok := p.recvTimeout(mb, d)
-	return t, ok, nil
-}
-
-// recvTimeout is RecvTimeout on a resolved mailbox.
 func (p *Process) recvTimeout(mb *Mailbox, d float64) (*Task, bool) {
 	for len(mb.queue) == 0 {
 		mb.waiters = append(mb.waiters, p)

@@ -30,22 +30,18 @@ type Failure struct {
 	AfterChunks int
 }
 
-// ResilientConfig extends AppConfig with failure handling parameters.
+// ResilientConfig extends AppConfig with the failures to inject.
 type ResilientConfig struct {
 	AppConfig
 
 	// Failures to inject.
 	Failures []Failure
-
-	// DeadlineFactor scales the expected chunk execution time into the
-	// master's per-assignment deadline (default 3: a chunk is presumed
-	// lost when it takes 3× its expectation).
-	DeadlineFactor float64
-
-	// Watchdog is the master's receive timeout (default: one mean task
-	// time; the master re-checks deadlines at least this often).
-	Watchdog float64
 }
+
+// deadlineFactor scales a chunk's expected execution time into the
+// master's per-assignment deadline: a chunk is presumed lost when it
+// takes deadlineFactor times its expectation plus one watchdog period.
+const deadlineFactor = 3
 
 // ResilientResult reports a fault-tolerant execution.
 type ResilientResult struct {
@@ -96,16 +92,12 @@ func RunResilientApp(e *Engine, cfg ResilientConfig) (*ResilientResult, error) {
 	if len(cfg.Failures) >= p {
 		return nil, fmt.Errorf("msg: cannot kill all %d workers", p)
 	}
-	deadlineFactor := cfg.DeadlineFactor
-	if deadlineFactor <= 0 {
-		deadlineFactor = 3
-	}
-	watchdog := cfg.Watchdog
+	// The watchdog is the master's receive timeout, so it re-checks
+	// deadlines at least this often: one mean task time, or 1 s when
+	// the mean is 0.
+	watchdog := cfg.Work.Mean()
 	if watchdog <= 0 {
-		watchdog = cfg.Work.Mean()
-		if watchdog <= 0 {
-			watchdog = 1
-		}
+		watchdog = 1
 	}
 	refSpeed := cfg.ReferenceSpeed
 	if refSpeed <= 0 {
@@ -126,7 +118,7 @@ func RunResilientApp(e *Engine, cfg ResilientConfig) (*ResilientResult, error) {
 		TasksPerWorker: make([]int64, p),
 	}
 
-	master, links, err := declareMailboxes(e, cfg.AppConfig, defaultCtrlBytes, defaultCtrlBytes)
+	master, links, err := declareMailboxes(e, cfg.AppConfig)
 	if err != nil {
 		return nil, err
 	}

@@ -297,7 +297,7 @@ func TestServiceDiscoveryAndEnvelope(t *testing.T) {
 	// SetExecution surfaces the daemon's effective configuration in the
 	// discovery document.
 	execSrv := New(mgr)
-	execSrv.SetExecution(campaign.Execution{CPUs: 8, Workers: 4, ChunkSize: 16, Concurrency: 2})
+	execSrv.SetExecution(campaign.Execution{CPUs: 8, Workers: 4, Concurrency: 2})
 	srv2 := httptest.NewServer(execSrv.Handler())
 	defer srv2.Close()
 	var desc2 campaign.Description
@@ -306,7 +306,7 @@ func TestServiceDiscoveryAndEnvelope(t *testing.T) {
 		t.Fatalf("GET /v1 with execution = %d (%v): %s", code, err, body)
 	}
 	if desc2.Execution == nil ||
-		*desc2.Execution != (campaign.Execution{CPUs: 8, Workers: 4, ChunkSize: 16, Concurrency: 2}) {
+		*desc2.Execution != (campaign.Execution{CPUs: 8, Workers: 4, Concurrency: 2}) {
 		t.Fatalf("execution block = %+v", desc2.Execution)
 	}
 	code, body = c.do(http.MethodGet, "/v1/techniques", nil)

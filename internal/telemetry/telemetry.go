@@ -124,38 +124,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return c
 }
 
-// Gauge is a sample that can go up and down.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add increments the gauge by d (may be negative).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-func (g *Gauge) render(w *bufio.Writer, name, labelstr string) {
-	fmt.Fprintf(w, "%s%s %s\n", name, labelstr, formatFloat(g.Value()))
-}
-
-// Gauge registers an unlabeled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.register(name, help, "gauge", nil)
-	g := &Gauge{}
-	f.series[""] = g
-	return g
-}
-
 // Sample is one series produced by a *Func family at scrape time.
 type Sample struct {
 	Values []string // label values, matching the registered label names

@@ -27,8 +27,7 @@ func TestExpositionShape(t *testing.T) {
 	cv.With("/v1/jobs", "200").Add(7)
 	cv.With("/v1/jobs", "400").Inc()
 	cv.With("/healthz", "200").Inc()
-	g := r.Gauge("test_depth", "a gauge")
-	g.Set(2.5)
+	r.GaugeFunc("test_depth", "a gauge", func() float64 { return 2.5 })
 	r.GaugeFunc("test_now", "sampled gauge", func() float64 { return 42 })
 	r.GaugeSetFunc("test_jobs", "jobs by state", []string{"state"}, func() []Sample {
 		return []Sample{{Values: []string{"running"}, V: 1}, {Values: []string{"queued"}, V: 3}}
@@ -138,13 +137,12 @@ func TestParseRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestConcurrentUpdates: hammer counters/gauges/histograms from many
+// TestConcurrentUpdates: hammer counters and histograms from many
 // goroutines while scraping; totals must come out exact (run with -race).
 func TestConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_c_total", "x")
 	cv := r.CounterVec("test_cv_total", "x", "k")
-	g := r.Gauge("test_g", "x")
 	h := r.Histogram("test_h", "x", []float64{10, 100})
 	var wg sync.WaitGroup
 	const gor, per = 8, 1000
@@ -155,7 +153,6 @@ func TestConcurrentUpdates(t *testing.T) {
 			for n := 0; n < per; n++ {
 				c.Inc()
 				cv.With([]string{"a", "b"}[n%2]).Inc()
-				g.Add(1)
 				h.Observe(float64(n % 200))
 				if n%100 == 0 {
 					render(r)
@@ -166,9 +163,6 @@ func TestConcurrentUpdates(t *testing.T) {
 	wg.Wait()
 	if c.Value() != gor*per {
 		t.Fatalf("counter %d, want %d", c.Value(), gor*per)
-	}
-	if g.Value() != gor*per {
-		t.Fatalf("gauge %v, want %d", g.Value(), gor*per)
 	}
 	if h.Count() != gor*per {
 		t.Fatalf("histogram count %d, want %d", h.Count(), gor*per)
