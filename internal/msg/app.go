@@ -77,20 +77,19 @@ const masterMailbox = "master"
 
 // workerLink is the per-worker protocol state that outlives one
 // message: the worker's mailbox, declared once per run (its name is
-// also the worker process's), the transfer times of a request to the
-// master and of a reply back, and the two messages the worker and the
-// master reuse for every exchange. Reuse is safe because a worker never
+// also the worker process's), the transfer time of a control message
+// between worker and master, either way, and the two messages the
+// worker and the master reuse for every exchange. Reuse is safe because a worker never
 // has more than one message in flight in each direction: it sends a
 // request and waits for the reply, and each side copies a payload out
 // as soon as it receives it.
 type workerLink struct {
-	mb      *Mailbox
-	reqTime float64 // worker → master, ctrlBytes
-	repTime float64 // master → worker, ctrlBytes
-	req     request
-	rep     reply
-	reqTask Task
-	repTask Task
+	mb       *Mailbox
+	ctrlTime float64 // ctrlBytes over the worker–master route
+	req      request
+	rep      reply
+	reqTask  Task
+	repTask  Task
 }
 
 // declareMailboxes declares the master's mailbox and one per worker,
@@ -111,8 +110,7 @@ func declareMailboxes(e *Engine, cfg AppConfig) (*Mailbox, []workerLink, error) 
 		if err != nil {
 			return nil, nil, fmt.Errorf("msg: send to %q: %w", masterMailbox, err)
 		}
-		l.reqTime = route.TransferTime(ctrlBytes)
-		l.repTime = route.TransferTime(ctrlBytes)
+		l.ctrlTime = route.TransferTime(ctrlBytes)
 		l.req.worker = w
 		l.reqTask = Task{Name: "work-request", Bytes: ctrlBytes, Payload: &l.req}
 		l.repTask = Task{Name: "assignment", Bytes: ctrlBytes, Payload: &l.rep}
@@ -192,7 +190,7 @@ func RunApp(e *Engine, cfg AppConfig) (*AppResult, error) {
 			} else {
 				finalized++
 			}
-			mp.send(l.mb, &l.repTask, l.repTime)
+			mp.send(l.mb, &l.repTask, l.ctrlTime)
 		}
 		if t := mp.Now(); t > res.Makespan {
 			res.Makespan = t
@@ -208,7 +206,7 @@ func RunApp(e *Engine, cfg AppConfig) (*AppResult, error) {
 		err := e.Spawn(cfg.WorkerHosts[w], l.mb.name, func(wp *Process) {
 			for {
 				sendStart := wp.Now()
-				wp.send(master, &l.reqTask, l.reqTime)
+				wp.send(master, &l.reqTask, l.ctrlTime)
 				t := wp.recv(l.mb)
 				res.CommWait[w] += wp.Now() - sendStart
 				r, ok := t.Payload.(*reply)

@@ -166,7 +166,7 @@ func RunResilientApp(e *Engine, cfg ResilientConfig) (*ResilientResult, error) {
 			l := &links[w]
 			l.rep = rep
 			l.repTask.Name = name
-			mp.send(l.mb, &l.repTask, l.repTime)
+			mp.send(l.mb, &l.repTask, l.ctrlTime)
 		}
 
 		dispatch := func(w int, r taskRange) {
@@ -276,7 +276,7 @@ func RunResilientApp(e *Engine, cfg ResilientConfig) (*ResilientResult, error) {
 		err := e.Spawn(cfg.WorkerHosts[w], l.mb.name, func(wp *Process) {
 			chunksDone := 0
 			for {
-				wp.send(master, &l.reqTask, l.reqTime)
+				wp.send(master, &l.reqTask, l.ctrlTime)
 				t := wp.recv(l.mb)
 				r, okRep := t.Payload.(*reply)
 				if !okRep {
