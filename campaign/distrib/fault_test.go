@@ -45,8 +45,8 @@ func chaosFleet(t *testing.T, n int, store cache.Store, rules [][]chaos.Rule) ([
 // TestChaosGoldenByteIdentical is the fault-tolerance acceptance test:
 // a 3-node fleet under injected connection resets, stream truncation,
 // stream corruption and added latency — must still produce JSONL and
-// aggregates byte-identical to a single-node run. Every fault knob is scheduling-only; the chaos harness proves
-// it.
+// aggregates byte-identical to a single-node run. Every fault knob is
+// scheduling-only; the chaos harness proves it.
 func TestChaosGoldenByteIdentical(t *testing.T) {
 	spec := goldenSpec(campaign.SeedPerCell, 5)
 	wantJSONL, wantRes := localReference(t, spec)

@@ -79,10 +79,10 @@ const masterMailbox = "master"
 // message: the worker's mailbox, declared once per run (its name is
 // also the worker process's), the transfer time of a control message
 // between worker and master, either way, and the two messages the
-// worker and the master reuse for every exchange. Reuse is safe because a worker never
-// has more than one message in flight in each direction: it sends a
-// request and waits for the reply, and each side copies a payload out
-// as soon as it receives it.
+// worker and the master reuse for every exchange. Reuse is safe
+// because a worker never has more than one message in flight in each
+// direction: it sends a request and waits for the reply, and each side
+// copies a payload out as soon as it receives it.
 type workerLink struct {
 	mb       *Mailbox
 	ctrlTime float64 // ctrlBytes over the worker–master route
