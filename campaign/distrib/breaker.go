@@ -37,6 +37,12 @@ func (s breakerState) String() string {
 // verdict on node health (context cancellation, per-tenant rate
 // limits, deterministic spec failures) release the probe slot without
 // moving the state.
+//
+// Every settle call says whether its caller holds the probe. Only the
+// holder frees the slot or moves a half-open or open breaker; an
+// attempt admitted while the breaker was closed and settling late —
+// a cancelled hedge loser, say — counts toward or resets the closed
+// streak only, so it can never admit a second concurrent probe.
 type breaker struct {
 	threshold int
 	cooldown  time.Duration
@@ -54,60 +60,70 @@ func newBreaker(threshold int, cooldown time.Duration, onChange func(breakerStat
 	return &breaker{threshold: threshold, cooldown: cooldown, now: time.Now, onChange: onChange}
 }
 
-// allow reports whether an attempt may proceed. In half-open it also
-// reserves the single probe slot: a caller that gets true and then
-// abandons the attempt must call release (or settle via success /
-// failure).
-func (b *breaker) allow() bool {
+// allow reports whether an attempt may proceed and whether it holds
+// the half-open probe slot. The caller passes that probe flag to the
+// settle call (success, failure or release) that ends the attempt.
+func (b *breaker) allow() (ok, probe bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
 	case breakerClosed:
-		return true
+		return true, false
 	case breakerOpen:
 		if b.now().Sub(b.openedAt) < b.cooldown {
-			return false
+			return false, false
 		}
 		b.set(breakerHalfOpen)
-		b.probing = true
-		return true
 	default: // half-open
 		if b.probing {
-			return false
+			return false, false
 		}
-		b.probing = true
-		return true
 	}
+	b.probing = true
+	return true, true
 }
 
-// success records a node-attributable success: the breaker closes and
-// the failure streak resets.
-func (b *breaker) success() {
+// success records a node-attributable success. The probe's success
+// closes the breaker; any other resets the streak of a closed one.
+func (b *breaker) success(probe bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.fails = 0
-	b.probing = false
-	if b.state != breakerClosed {
+	switch {
+	case probe:
+		b.probing = false
 		b.set(breakerClosed)
+	case b.state != breakerClosed:
+		return
 	}
+	b.fails = 0
 }
 
-// failure records a node-attributable failure. A half-open probe
-// failure re-opens immediately; a closed breaker opens at threshold.
-func (b *breaker) failure() {
+// failure records a node-attributable failure. The probe's failure
+// re-opens the breaker; a closed breaker opens at threshold.
+func (b *breaker) failure(probe bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.fails++
-	b.probing = false
-	if b.state == breakerHalfOpen || (b.state == breakerClosed && b.fails >= b.threshold) {
-		b.set(breakerOpen)
-		b.openedAt = b.now()
+	switch {
+	case probe:
+		b.probing = false
+	case b.state != breakerClosed:
+		return
+	default:
+		b.fails++
+		if b.fails < b.threshold {
+			return
+		}
 	}
+	b.set(breakerOpen)
+	b.openedAt = b.now()
 }
 
-// release abandons an allowed attempt without a health verdict,
-// freeing the half-open probe slot so another attempt can try.
-func (b *breaker) release() {
+// release abandons an allowed attempt without a health verdict; the
+// probe's release frees the half-open slot so another attempt can try.
+func (b *breaker) release(probe bool) {
+	if !probe {
+		return
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.probing = false
@@ -129,18 +145,18 @@ func (b *breaker) set(to breakerState) {
 }
 
 // pick scans the fleet from startNode for the first node whose breaker
-// admits traffic. A half-open breaker's probe slot is reserved by the
-// pick; the caller settles it via the breaker verdict calls. A draining
-// or dead node needs no separate check: it refuses or fails the
-// attempt, which rotates the shard onward and, repeated, opens the
-// node's breaker.
-func (c *Coordinator) pick(startNode int) (int, bool) {
+// admits traffic, and reports whether the attempt holds that node's
+// half-open probe slot; the caller settles it via the breaker verdict
+// calls. A draining or dead node needs no separate check: it refuses
+// or fails the attempt, which rotates the shard onward and, repeated,
+// opens the node's breaker.
+func (c *Coordinator) pick(startNode int) (ni int, probe, ok bool) {
 	n := len(c.nodes)
 	for off := 0; off < n; off++ {
 		ni := ((startNode+off)%n + n) % n
-		if c.brs[ni].allow() {
-			return ni, true
+		if ok, probe := c.brs[ni].allow(); ok {
+			return ni, probe, true
 		}
 	}
-	return 0, false
+	return 0, false, false
 }

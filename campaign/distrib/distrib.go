@@ -56,10 +56,11 @@ const (
 // merges their streams on a rolling frontier, so campaign.Run drives a
 // fleet exactly as it drives one node.
 type Coordinator struct {
-	nodes []campaign.Runner
-	opts  Options
-	sems  []chan struct{} // per-node in-flight shard bound
-	brs   []*breaker      // per-node circuit breakers
+	nodes  []campaign.Runner
+	opts   Options
+	sems   []chan struct{} // per-node in-flight shard bound
+	brs    []*breaker      // per-node circuit breakers
+	placer *placer         // where each piece's rotation starts
 
 	bg sync.WaitGroup // hedge losers still cleaning up
 
@@ -88,6 +89,7 @@ func New(nodes []campaign.Runner, opts Options) (*Coordinator, error) {
 		opts:    opts,
 		sems:    make([]chan struct{}, len(nodes)),
 		brs:     make([]*breaker, len(nodes)),
+		placer:  newPlacer(len(nodes)),
 		lastErr: make([]string, len(nodes)),
 	}
 	reg := opts.Registry
@@ -115,6 +117,9 @@ func New(nodes []campaign.Runner, opts Options) (*Coordinator, error) {
 			}
 			return out
 		})
+	reg.GaugeSetFunc("dlsim_fleet_node_attempt_seconds",
+		"Per-node smoothed wall time of successful shard attempts, submit through wait; absent while a node has no fresh estimate.",
+		[]string{"node"}, c.placer.samples)
 	return c, nil
 }
 
@@ -132,6 +137,7 @@ func (c *Coordinator) Close() error {
 // forwards them in.
 type piece struct {
 	index  int // merge order
+	shard  int // plan segment the piece belongs to
 	point  int // parent grid point index
 	repOff int // window start within the point
 	reps   int // window length
@@ -179,12 +185,17 @@ func plan(spec campaign.Spec, shards int) ([]piece, error) {
 			if err != nil {
 				return nil, err
 			}
-			pieces = append(pieces, piece{index: len(pieces), point: pt, repOff: off, reps: take, spec: sub})
+			pieces = append(pieces, piece{index: len(pieces), shard: s, point: pt, repOff: off, reps: take, spec: sub})
 			a += take
 		}
 		start += size
 	}
 	return pieces, nil
+}
+
+// String names the piece's window for error messages.
+func (p piece) String() string {
+	return fmt.Sprintf("shard %d (point %d, reps [%d,%d))", p.shard, p.point, p.repOff, p.repOff+p.reps)
 }
 
 // placement records where a dispatched piece ran.
@@ -239,8 +250,8 @@ func retryAfterHint(err error) time.Duration {
 
 // dispatch places one piece on the fleet: submit + wait to completion
 // on a node, retrying with exponential backoff across the remaining
-// nodes on transient failure. startNode seeds
-// the rotation so the initial wave spreads round-robin.
+// nodes on transient failure. The rotation begins at startNode. Each
+// successful attempt's wall time feeds the node's placement estimate.
 //
 // A rate-limited rejection (campaign.ErrRateLimited) does not rotate:
 // the limit is per tenant, so the next node would refuse the shard just
@@ -249,7 +260,7 @@ func retryAfterHint(err error) time.Duration {
 // Retry-After when it exceeds the policy backoff — and retries the same
 // node.
 func (c *Coordinator) dispatch(ctx context.Context, p piece, startNode int) (placement, error) {
-	var last error
+	var last, lastAttempt error
 	rot := 0 // rotation offset; frozen while rate-limited
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
@@ -258,26 +269,32 @@ func (c *Coordinator) dispatch(ctx context.Context, p piece, startNode int) (pla
 				break
 			}
 		}
-		ni, ok := c.pick(startNode + rot)
+		ni, probe, ok := c.pick(startNode + rot)
 		if !ok {
 			// Every node's breaker is blocking right now. That is a
 			// transient fleet condition, not a verdict on the shard: burn
 			// the attempt and back off, so a cooldown expiry can reopen a
-			// path.
-			last = fmt.Errorf("distrib: shard %d: no eligible node (every breaker open or probing)", p.index)
+			// path. The last attempt's error stays the cause.
+			const noNode = "no eligible node (every breaker open or probing)"
+			last = fmt.Errorf("distrib: %v: %s", p, noNode)
+			if lastAttempt != nil {
+				last = fmt.Errorf("%w; then %s", lastAttempt, noNode)
+			}
 			if ctx.Err() != nil {
 				break
 			}
 			continue
 		}
 		if err := c.acquire(ctx, ni); err != nil {
-			c.brs[ni].release()
+			c.brs[ni].release(probe)
 			break
 		}
+		t0 := c.placer.now()
 		pl, err := c.attempt(ctx, ni, p)
 		<-c.sems[ni]
 		if err == nil {
-			c.brs[ni].success()
+			c.placer.observe(ni, c.placer.now().Sub(t0))
+			c.brs[ni].success(probe)
 			return pl, nil
 		}
 		c.mu.Lock()
@@ -289,21 +306,21 @@ func (c *Coordinator) dispatch(ctx context.Context, p piece, startNode int) (pla
 		var term *errJobTerminal
 		switch {
 		case ctx.Err() != nil, errors.Is(err, campaign.ErrRateLimited), errors.As(err, &term):
-			c.brs[ni].release()
+			c.brs[ni].release(probe)
 		default:
-			c.brs[ni].failure()
+			c.brs[ni].failure(probe)
 		}
 		if !errors.Is(err, campaign.ErrRateLimited) {
 			rot++
 		}
-		last = fmt.Errorf("distrib: shard %d (point %d, reps [%d,%d)) on node %d: %w",
-			p.index, p.point, p.repOff, p.repOff+p.reps, ni, err)
+		lastAttempt = fmt.Errorf("distrib: %v on node %d: %w", p, ni, err)
+		last = lastAttempt
 		if ctx.Err() != nil {
 			break
 		}
 	}
 	if last == nil {
-		last = fmt.Errorf("distrib: shard %d: %w", p.index, ctx.Err())
+		last = fmt.Errorf("distrib: %v: %w", p, ctx.Err())
 	}
 	return placement{}, last
 }
@@ -467,7 +484,7 @@ func (c *Coordinator) streamPiece(ctx context.Context, p piece, pl placement, si
 	}
 	pl2, err2 := c.dispatch(ctx, p, pl.node+1)
 	if err2 != nil {
-		return fmt.Errorf("distrib: re-fetch shard %d after stream failure (%v): %w", p.index, err, err2)
+		return fmt.Errorf("distrib: re-fetch %v after stream failure (%v): %w", p, err, err2)
 	}
 	return c.nodes[pl2.node].Stream(ctx, pl2.id, rs)
 }
@@ -482,7 +499,10 @@ type fanout struct {
 	wg   sync.WaitGroup
 }
 
-// fanOut starts placing every piece under ctx.
+// fanOut starts placing every piece under ctx. Each piece's rotation
+// starts at the node the placer expects to finish it first, chosen in
+// plan order before the piece's goroutine starts, so every earlier
+// piece of the campaign already counts as in flight.
 func (c *Coordinator) fanOut(ctx context.Context, pieces []piece) *fanout {
 	f := &fanout{
 		pls:  make([]placement, len(pieces)),
@@ -491,11 +511,13 @@ func (c *Coordinator) fanOut(ctx context.Context, pieces []piece) *fanout {
 	}
 	for i := range pieces {
 		f.done[i] = make(chan struct{})
+		start := c.placer.start(pieces[i].index)
 		f.wg.Add(1)
 		go func(i int) {
 			defer f.wg.Done()
 			defer close(f.done[i])
-			f.pls[i], f.errs[i] = c.place(ctx, pieces[i], pieces[i].index)
+			f.pls[i], f.errs[i] = c.place(ctx, pieces[i], start)
+			c.placer.done(start)
 		}(i)
 	}
 	return f

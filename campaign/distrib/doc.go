@@ -33,6 +33,25 @@
 // the same engine.Aggregator over the same stream, are bit-identical
 // too.
 //
+// # Placement
+//
+// Each piece's rotation starts at the node expected to finish it
+// first. For every node the coordinator keeps a smoothed wall time of
+// its successful attempts, Submit through Wait (the newest weighs
+// 0.2), and counts the pieces it placed there that have not finished.
+// A piece starts at the node with the least (in-flight pieces + 1) ×
+// smoothed time, ties going to the static rotation's node. Until every
+// node has an estimate younger than 10s, piece i starts at node i mod
+// N, the static rotation: a fresh coordinator places its first
+// campaign that way, and so does a one-shot dlsim run, whose pieces
+// are all placed before any attempt returns. A coordinator that runs
+// campaign after campaign over nodes of unequal speed moves work off
+// the slow ones. Failed and cancelled attempts never move an estimate,
+// so a node that fails fast never looks cheap; an expired estimate
+// sends placement back to the rotation until the node has finished a
+// piece again. The estimates are exported as
+// dlsim_fleet_node_attempt_seconds.
+//
 // # Fault handling
 //
 // A shard gets three attempts, rotating through the fleet, with a

@@ -112,53 +112,53 @@ func TestBreakerTransitions(t *testing.T) {
 	b.now = func() time.Time { return now }
 
 	for i := 0; i < 2; i++ {
-		if !b.allow() {
-			t.Fatalf("closed breaker refused attempt %d", i)
+		if ok, probe := b.allow(); !ok || probe {
+			t.Fatalf("closed breaker answered (%v, probe %v) to attempt %d, want a plain admission", ok, probe, i)
 		}
-		b.failure()
+		b.failure(false)
 	}
 	if got := b.current(); got != breakerClosed {
 		t.Fatalf("state after 2 failures = %v, want closed", got)
 	}
-	b.failure() // third consecutive: trip
+	b.failure(false) // third consecutive: trip
 	if got := b.current(); got != breakerOpen {
 		t.Fatalf("state after threshold = %v, want open", got)
 	}
-	if b.allow() {
+	if ok, _ := b.allow(); ok {
 		t.Fatal("open breaker admitted traffic inside cooldown")
 	}
 
 	now = now.Add(2 * time.Minute) // cooldown expired
-	if !b.allow() {
+	if ok, probe := b.allow(); !ok || !probe {
 		t.Fatal("cooled-down breaker refused the half-open probe")
 	}
 	if got := b.current(); got != breakerHalfOpen {
 		t.Fatalf("state during probe = %v, want half-open", got)
 	}
-	if b.allow() {
+	if ok, _ := b.allow(); ok {
 		t.Fatal("half-open breaker admitted a second concurrent probe")
 	}
-	b.release() // probe abandoned without a verdict: slot frees, state holds
+	b.release(true) // probe abandoned without a verdict: slot frees, state holds
 	if got := b.current(); got != breakerHalfOpen {
 		t.Fatalf("state after release = %v, want half-open", got)
 	}
-	if !b.allow() {
+	if ok, probe := b.allow(); !ok || !probe {
 		t.Fatal("released probe slot not reusable")
 	}
-	b.failure() // probe failed: re-open immediately
+	b.failure(true) // probe failed: re-open immediately
 	if got := b.current(); got != breakerOpen {
 		t.Fatalf("state after failed probe = %v, want open", got)
 	}
 
 	now = now.Add(2 * time.Minute)
-	if !b.allow() {
+	if ok, probe := b.allow(); !ok || !probe {
 		t.Fatal("second cooldown expiry refused the probe")
 	}
-	b.success()
+	b.success(true)
 	if got := b.current(); got != breakerClosed {
 		t.Fatalf("state after successful probe = %v, want closed", got)
 	}
-	if !b.allow() {
+	if ok, probe := b.allow(); !ok || probe {
 		t.Fatal("closed breaker refused traffic")
 	}
 
@@ -171,7 +171,7 @@ func TestBreakerTransitions(t *testing.T) {
 // TestBreakerRace hammers one breaker from many goroutines — the
 // concurrent shard traffic shape — and checks invariants under -race:
 // no deadlock, and at most one goroutine ever holds the half-open
-// probe slot.
+// probe slot, counted from its grant until just before it settles.
 func TestBreakerRace(t *testing.T) {
 	b := newBreaker(3, time.Microsecond, nil)
 	var probes atomic.Int64 // concurrently held half-open probe slots
@@ -181,12 +181,11 @@ func TestBreakerRace(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
-				pre := b.current()
-				if !b.allow() {
+				ok, probe := b.allow()
+				if !ok {
 					continue
 				}
-				if pre != breakerClosed {
-					// We may hold the single probe slot; count holders.
+				if probe {
 					if n := probes.Add(1); n > 1 {
 						t.Errorf("%d concurrent half-open probes", n)
 					}
@@ -194,19 +193,67 @@ func TestBreakerRace(t *testing.T) {
 				}
 				switch (g + i) % 3 {
 				case 0:
-					b.success()
+					b.success(probe)
 				case 1:
-					b.failure()
+					b.failure(probe)
 				default:
-					b.release()
+					b.release(probe)
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	b.success()
-	if !b.allow() {
+	b.now = func() time.Time { return time.Now().Add(time.Hour) } // past any cooldown
+	ok, probe := b.allow()
+	if !ok {
 		t.Fatal("breaker wedged after concurrent traffic")
+	}
+	b.success(probe)
+	if ok, probe := b.allow(); !ok || probe {
+		t.Fatalf("breaker not closed after a successful settle (state %v)", b.current())
+	}
+}
+
+// TestBreakerLateSettleKeepsProbe: an attempt admitted while the
+// breaker was closed can settle after the breaker has opened and
+// admitted its half-open probe — a cancelled hedge loser releasing,
+// say. That late settle must neither free the probe's slot, which
+// would admit a second concurrent probe, nor move the breaker the
+// probe is deciding.
+func TestBreakerLateSettleKeepsProbe(t *testing.T) {
+	for name, settle := range map[string]func(*breaker, bool){
+		"release": (*breaker).release,
+		"failure": (*breaker).failure,
+		"success": (*breaker).success,
+	} {
+		t.Run(name, func(t *testing.T) {
+			now := time.Unix(0, 0)
+			b := newBreaker(3, time.Minute, nil)
+			b.now = func() time.Time { return now }
+			okA, probeA := b.allow() // A: admitted while closed
+			if !okA || probeA {
+				t.Fatalf("closed breaker answered (%v, probe %v), want a plain admission", okA, probeA)
+			}
+			for i := 0; i < 3; i++ {
+				b.failure(false)
+			}
+			now = now.Add(2 * time.Minute)
+			okB, probeB := b.allow() // B: the half-open probe
+			if !okB || !probeB {
+				t.Fatal("cooled-down breaker refused the half-open probe")
+			}
+			settle(b, probeA) // A settles late
+			if ok, _ := b.allow(); ok {
+				t.Fatalf("late %s of a closed-state attempt admitted a second probe", name)
+			}
+			if got := b.current(); got != breakerHalfOpen {
+				t.Fatalf("state after the late %s = %v, want half-open until the probe settles", name, got)
+			}
+			b.success(probeB)
+			if got := b.current(); got != breakerClosed {
+				t.Fatalf("state after the probe's success = %v, want closed", got)
+			}
+		})
 	}
 }
 
@@ -313,6 +360,48 @@ func TestIncompleteReportsSinkCloseError(t *testing.T) {
 	}
 	if !contains(err.Error(), "injected: write refused") {
 		t.Errorf("error %q does not report the failed sink flush", err)
+	}
+}
+
+// TestIncompleteNumbersShards: one shard over a four-point spec is cut
+// into four windows, one per point. Against dead nodes the report must
+// list all four under shard 0 and count one missing shard, and the
+// failed window's cause must keep its connection failure after the
+// opened breakers leave no node eligible. A later window may still be
+// in flight when the report is built, so it may read as abandoned.
+func TestIncompleteNumbersShards(t *testing.T) {
+	spec := goldenSpec(campaign.SeedPerCell, 5)
+	runners, fleet := newFleet(t, 2, cache.NewMemory())
+	for _, n := range fleet {
+		n.kill()
+	}
+	coord, err := New(runners, Options{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+
+	_, err = coord.Execute(context.Background(), spec, campaign.ExecOptions{})
+	var inc *Incomplete
+	if !errors.As(err, &inc) {
+		t.Fatalf("error %v does not carry *Incomplete", err)
+	}
+	if !contains(err.Error(), "0/20 runs completed, 1 shard(s) missing") {
+		t.Errorf("error %q does not count one missing shard of 20 runs", err)
+	}
+	if len(inc.Missing) != 4 {
+		t.Fatalf("missing = %+v, want one window per grid point", inc.Missing)
+	}
+	for i, m := range inc.Missing {
+		if m.Shard != 0 || m.Point != i || m.RepOff != 0 || m.Reps != 5 {
+			t.Errorf("window %d = %+v, want shard 0, point %d, reps [0,5)", i, m, i)
+		}
+		if !contains(m.Cause, "connection refused") && (i == 0 || !contains(m.Cause, "abandoned after")) {
+			t.Errorf("window %d cause %q lost the connection failure", i, m.Cause)
+		}
+	}
+	if got := coord.mTransitions.With("0", "open").Value() + coord.mTransitions.With("1", "open").Value(); got == 0 {
+		t.Error("no breaker opened; the no-eligible-node path went untested")
 	}
 }
 

@@ -10,9 +10,11 @@ import (
 )
 
 // ShardRange identifies one undelivered contiguous window of the
-// campaign's run grid — shard granularity, in plan order.
+// campaign's run grid: one grid point's part of a shard, in plan order.
 type ShardRange struct {
-	// Shard is the piece index in plan (= merge) order.
+	// Shard is the plan segment the window belongs to, counted from 0
+	// up to the campaign's shard count. A shard that spans several grid
+	// points has one window per point, all with the same Shard.
 	Shard int `json:"shard"`
 	// Point is the parent grid point the window belongs to.
 	Point int `json:"point"`
@@ -37,22 +39,22 @@ type NodeFailure struct {
 
 // Incomplete is the typed error of a fleet run that cannot finish
 // while its context is live: the sinks hold the byte-identical
-// completed prefix of the campaign (every fully merged shard, in plan
+// completed prefix of the campaign (every fully merged window, in plan
 // order — exactly the bytes a healthy run would have produced first),
 // and this report enumerates what is missing and why. Retrieve it from
 // the returned error chain with errors.As.
 //
-// A shard that failed mid-stream may additionally have contributed a
-// correct but incomplete tail beyond CompletedRuns; such a shard is
+// A window that failed mid-stream may additionally have contributed a
+// correct but incomplete tail beyond CompletedRuns; such a window is
 // still listed as missing, with a cause saying so.
 type Incomplete struct {
 	// Hash is the campaign spec's canonical hash.
 	Hash string `json:"hash"`
-	// CompletedRuns counts runs delivered by fully merged shards;
+	// CompletedRuns counts runs delivered by fully merged windows;
 	// TotalRuns is the campaign's full grid size.
 	CompletedRuns int64 `json:"completed_runs"`
 	TotalRuns     int64 `json:"total_runs"`
-	// Missing lists every undelivered shard window, in plan order.
+	// Missing lists every undelivered window, in plan order.
 	Missing []ShardRange `json:"missing"`
 	// Nodes describes the fleet's condition at give-up time.
 	Nodes []NodeFailure `json:"nodes"`
@@ -61,8 +63,14 @@ type Incomplete struct {
 // Error implements error.
 func (e *Incomplete) Error() string {
 	var b strings.Builder
+	shards := 0
+	for i, m := range e.Missing {
+		if i == 0 || m.Shard != e.Missing[i-1].Shard {
+			shards++
+		}
+	}
 	fmt.Fprintf(&b, "distrib: incomplete campaign %s: %d/%d runs completed, %d shard(s) missing",
-		shortHash(e.Hash), e.CompletedRuns, e.TotalRuns, len(e.Missing))
+		shortHash(e.Hash), e.CompletedRuns, e.TotalRuns, shards)
 	if len(e.Missing) > 0 && e.Missing[0].Cause != "" {
 		fmt.Fprintf(&b, " (first: %s)", e.Missing[0].Cause)
 	}
@@ -90,7 +98,7 @@ func (c *Coordinator) incomplete(hash string, pieces []piece, failedAt int, f *f
 		if i < failedAt {
 			continue
 		}
-		sr := ShardRange{Shard: p.index, Point: p.point, RepOff: p.repOff, Reps: p.reps}
+		sr := ShardRange{Shard: p.shard, Point: p.point, RepOff: p.repOff, Reps: p.reps}
 		switch {
 		case i == failedAt && streamErr != nil:
 			sr.Cause = fmt.Sprintf("stream failed mid-shard: %v", streamErr)
@@ -101,7 +109,7 @@ func (c *Coordinator) incomplete(hash string, pieces []piece, failedAt int, f *f
 					sr.Cause = f.errs[i].Error()
 				}
 			default:
-				sr.Cause = fmt.Sprintf("abandoned after shard %d failed", failedAt)
+				sr.Cause = fmt.Sprintf("abandoned after %v failed", pieces[failedAt])
 			}
 		}
 		inc.Missing = append(inc.Missing, sr)
