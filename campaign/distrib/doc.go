@@ -41,7 +41,7 @@
 // 0.2), and counts the pieces it placed there that have not finished.
 // A piece starts at the node with the least (in-flight pieces + 1) ×
 // smoothed time, ties going to the static rotation's node. Until every
-// node has an estimate younger than 10s, piece i starts at node i mod
+// node has an estimate at most 10s old, piece i starts at node i mod
 // N, the static rotation: a fresh coordinator places its first
 // campaign that way, and so does a one-shot dlsim run, whose pieces
 // are all placed before any attempt returns. A coordinator that runs

@@ -109,7 +109,7 @@ func TestPlacementShiftsOffSlowNode(t *testing.T) {
 // placement existed.
 func TestFreshCoordinatorRotates(t *testing.T) {
 	spec := goldenSpec(campaign.SeedPerCell, 5)
-	const shards = 7 // 20 runs in 7 shards cut into 11 pieces
+	const shards = 7 // 20 runs in 7 shards cut into 9 pieces
 	pieces, err := plan(spec, shards)
 	if err != nil {
 		t.Fatal(err)
@@ -241,7 +241,9 @@ func TestFailedOrCancelledAttemptKeepsEstimate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	const cheap = 0.25 // seconds: far above a refusal's or a cancellation's wall time
+	frozen := time.Now() // the estimates never age, however slow the host
+	coord.placer.now = func() time.Time { return frozen }
+	const cheap = 0.25 // seconds
 	coord.placer.observe(0, 250*time.Millisecond)
 	coord.placer.observe(1, time.Hour)
 	spec := goldenSpec(campaign.SeedPerCell, 6)
