@@ -11,11 +11,12 @@ import (
 )
 
 // msgBackend adapts the full SimGrid-MSG-style model (internal/msg): a
-// master process owning the chunk calculator exchanges explicit
-// request/assignment messages with one worker process per PE over a star
-// platform. It is the verification-grade backend — about 13 times the
-// cost per scheduling operation of "sim" (about 1.4 µs against 0.11 µs
-// in the benchmark's traced runs), but with real message dynamics.
+// master owning the chunk calculator exchanges explicit
+// request/assignment messages with one worker per PE over a star
+// platform. It is the verification-grade backend — about 3.5 times the
+// cost per scheduling operation of "sim" (about 0.34 µs against 0.1 µs
+// in the benchmark's traced runs on a 2-CPU x86-64 host), but with
+// real message dynamics.
 //
 // Mapping of the backend-independent knobs:
 //
@@ -47,11 +48,11 @@ func (b msgBackend) Run(ctx context.Context, spec RunSpec) (*RunResult, error) {
 // names (platform data is immutable during simulation) are built once
 // and kept across Rebinds to points with the same P, speeds and link
 // latency, as the curves of one PE count in a Tzen sweep are. A fresh
-// msg.Engine still comes up per run — the MSG protocol processes are
-// coroutines that end with the run — so each run allocates the engine,
-// one mailbox and its name per worker, the master and worker processes
-// and the result slices. Nothing is allocated per message: every worker
-// reuses one request and one reply task.
+// msg.Engine still comes up per run, since its clock starts at 0. The
+// protocol runs as kernel callbacks, with no process and no mailbox, so
+// each run allocates the engine and its event heap, the result slices,
+// and per worker its protocol state and the callbacks bound to it.
+// Nothing is allocated per message.
 type msgRunner struct {
 	app msg.AppConfig
 	pl  *platform.Platform

@@ -9,16 +9,18 @@ import (
 // TestTzenMSGBytesPerRun is the MSG path's bytes gate. One round shaped
 // like the benchmark's tzen-msg rounds at their largest PE count — both
 // experiments at p = 80, every curve, on the full MSG model — may
-// allocate at most 105 KB per msg run. Bytes per run grow with p, so
-// this is the costliest round. Processes as goroutines that looked a
-// mailbox and a route up per message, with a platform built per point,
-// cost about 117 KB; coroutines, mailboxes resolved once per run and a
-// platform shared by the curves of one PE count cost about 93 KB.
+// allocate at most 50 KB per msg run. Bytes per run grow with p, so
+// this is the costliest round. A run costs about 32 KB: each worker's
+// state and bound steps, the engine's event heap as it grows, the
+// result slices, and the run's share of the runner's platform. Running
+// the protocol as processes with mailboxes costs about 90 KB. The
+// bound sits between the two, so a run that starts allocating per
+// message or builds processes again fails it.
 func TestTzenMSGBytesPerRun(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap byte counts differ under the race detector")
 	}
-	const bound = 105_000
+	const bound = 50_000
 	specs := []TzenSpec{TzenExperiment1(), TzenExperiment2()}
 	var runs int
 	for i := range specs {

@@ -8,7 +8,7 @@ import (
 )
 
 // TestAppAllocationsPerOp is the MSG protocol's allocation gate: a
-// master–worker run allocates its engine, processes and results once,
+// master–worker run allocates its engine, worker state and results once,
 // and nothing per message. An SS run on 8 workers at N = 20 000 may
 // allocate at most 0.01 times more per extra scheduling operation than
 // one at N = 2 000.

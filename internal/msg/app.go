@@ -3,13 +3,14 @@ package msg
 import (
 	"fmt"
 
+	"repro/internal/des"
 	"repro/internal/rng"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
 // This file implements the paper's Figure 1 on the MSG layer: a master
-// process owning the DLS chunk calculator and one worker process per PE.
+// owning the DLS chunk calculator and one worker per PE.
 //
 //	"When starting the simulation, all workers are in idle state, and
 //	 send work request messages to the master. When the master receives
@@ -75,11 +76,12 @@ const ctrlBytes = 64
 
 const masterMailbox = "master"
 
-// workerLink is the per-worker protocol state that outlives one
-// message: the worker's mailbox, declared once per run (its name is
-// also the worker process's), the transfer time of a control message
-// between worker and master, either way, and the two messages the
-// worker and the master reuse for every exchange. Reuse is safe
+// workerLink is the per-worker state that outlives one message when
+// the protocol runs as MSG processes, as the resilient master does:
+// the worker's mailbox, declared once per run (its name is also the
+// worker process's), the transfer time of a control message between
+// worker and master, either way, and the two messages the worker and
+// the master reuse for every exchange. Reuse is safe
 // because a worker never has more than one message in flight in each
 // direction: it sends a request and waits for the reply, and each side
 // copies a payload out as soon as it receives it.
@@ -120,6 +122,25 @@ func declareMailboxes(e *Engine, cfg AppConfig) (*Mailbox, []workerLink, error) 
 
 // RunApp executes the Figure 1 protocol and returns its timing results.
 // The engine must be fresh (time 0) and is run to completion.
+//
+// The master and the workers are chains of kernel callbacks, not MSG
+// processes. Each step ends where a process would block, by scheduling
+// the step that resumes it:
+//
+//   - a computation, the master's overhead and a message's transfer
+//     schedule the next step after their duration, as a process's
+//     Execute, Sleep and Send pushed its activation;
+//   - a message that finds its receiver waiting schedules the
+//     receiver's next step at once, as Wake pushed its activation;
+//   - a receive that finds a message queued carries on in the same
+//     step, as a process's Recv did without blocking.
+//
+// The master starts first, then workers 0…p−1, as their processes were
+// spawned. The kernel numbers callbacks and activations in one
+// sequence, so every step runs at the time and in the (time, sequence)
+// order of the process form and every result bit matches it; the tests
+// check that against the process form. A step costs one callback
+// instead of two coroutine switches.
 func RunApp(e *Engine, cfg AppConfig) (*AppResult, error) {
 	p := len(cfg.WorkerHosts)
 	if p == 0 {
@@ -131,113 +152,198 @@ func RunApp(e *Engine, cfg AppConfig) (*AppResult, error) {
 	if !cfg.Work.Deterministic() && cfg.RNG == nil {
 		return nil, fmt.Errorf("msg: random workload %q requires RNG", cfg.Work.Name())
 	}
-	refSpeed := cfg.ReferenceSpeed
-	if refSpeed <= 0 {
-		mh, err := e.Platform().Host(cfg.MasterHost)
-		if err != nil {
-			return nil, err
-		}
-		refSpeed = mh.Speed
-	}
-
-	res := &AppResult{
-		Compute:        make([]float64, p),
-		CommWait:       make([]float64, p),
-		OpsPerWorker:   make([]int64, p),
-		TasksPerWorker: make([]int64, p),
-	}
-
-	master, links, err := declareMailboxes(e, cfg)
+	mh, err := e.plat.Host(cfg.MasterHost)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("msg: master: %w", err)
 	}
-
-	var nextTask int64
-	var appErr error
-	fail := func(err error) {
-		if appErr == nil {
-			appErr = err
-		}
+	a := &app{
+		sim:      e.sim,
+		cfg:      cfg,
+		refSpeed: cfg.ReferenceSpeed,
+		queue:    make([]*appWorker, 0, p),
+		workers:  make([]appWorker, p),
+		res: &AppResult{
+			Compute:        make([]float64, p),
+			CommWait:       make([]float64, p),
+			OpsPerWorker:   make([]int64, p),
+			TasksPerWorker: make([]int64, p),
+		},
 	}
-
-	// Master: Figure 1 left side.
-	err = e.Spawn(cfg.MasterHost, "master", func(mp *Process) {
-		finalized := 0
-		for finalized < p {
-			t := mp.recv(master)
-			r, ok := t.Payload.(*request)
-			if !ok {
-				fail(fmt.Errorf("msg: master received %T, want *request", t.Payload))
-				return
-			}
-			req := *r
-			if req.lastChunk > 0 {
-				cfg.Sched.Report(req.worker, req.lastChunk, req.lastElapsed, mp.Now())
-			}
-			if cfg.MasterOverhead > 0 {
-				mp.Sleep(cfg.MasterOverhead)
-			}
-			chunk := cfg.Sched.Next(req.worker, mp.Now())
-			l := &links[req.worker]
-			l.rep = reply{chunk: chunk}
-			if chunk > 0 {
-				seconds := cfg.Work.ChunkTime(nextTask, chunk, cfg.RNG)
-				nextTask += chunk
-				l.rep.flops = seconds * refSpeed
-				res.SchedOps++
-				res.OpsPerWorker[req.worker]++
-				res.TasksPerWorker[req.worker] += chunk
-			} else {
-				finalized++
-			}
-			mp.send(l.mb, &l.repTask, l.ctrlTime)
-		}
-		if t := mp.Now(); t > res.Makespan {
-			res.Makespan = t
-		}
-	})
-	if err != nil {
-		return nil, err
+	if a.refSpeed <= 0 {
+		a.refSpeed = mh.Speed
 	}
-
-	// Workers: Figure 1 right side.
-	for w := range cfg.WorkerHosts {
-		l := &links[w]
-		err := e.Spawn(cfg.WorkerHosts[w], l.mb.name, func(wp *Process) {
-			for {
-				sendStart := wp.Now()
-				wp.send(master, &l.reqTask, l.ctrlTime)
-				t := wp.recv(l.mb)
-				res.CommWait[w] += wp.Now() - sendStart
-				r, ok := t.Payload.(*reply)
-				if !ok {
-					fail(fmt.Errorf("msg: worker %d received %T, want *reply", w, t.Payload))
-					return
-				}
-				rep := *r
-				if rep.chunk == 0 {
-					if t := wp.Now(); t > res.Makespan {
-						res.Makespan = t
-					}
-					return
-				}
-				start := wp.Now()
-				wp.Execute(rep.flops)
-				l.req.lastElapsed = wp.Now() - start
-				l.req.lastChunk = rep.chunk
-				res.Compute[w] += l.req.lastElapsed
-			}
-		})
+	for w := range a.workers {
+		h, err := e.plat.Host(cfg.WorkerHosts[w])
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("msg: worker %d: %w", w, err)
 		}
+		route, err := e.plat.Route(h.Name, mh.Name)
+		if err != nil {
+			return nil, fmt.Errorf("msg: worker %d: %w", w, err)
+		}
+		wk := &a.workers[w]
+		*wk = appWorker{app: a, index: w, speed: h.Speed, ctrlTime: route.TransferTime(ctrlBytes)}
+		wk.step.requested, wk.step.replied, wk.step.executed = wk.requested, wk.replied, wk.executed
 	}
+	a.step.serve, a.step.assign, a.step.sent = a.serve, a.assign, a.sent
 
+	e.sim.Schedule(0, a.receive)
+	for w := range a.workers {
+		e.sim.Schedule(0, a.workers[w].request)
+	}
 	if err := e.Run(); err != nil {
 		return nil, err
 	}
-	if appErr != nil {
-		return nil, appErr
+	if a.finished < p {
+		return nil, fmt.Errorf("msg: run ended at t=%v with %d of %d workers finalized", e.Now(), a.finished, p)
 	}
-	return res, nil
+	return a.res, nil
+}
+
+// app is one RunApp execution: the master's state between its steps,
+// the workers and the result.
+type app struct {
+	sim      *des.Simulator
+	cfg      AppConfig
+	refSpeed float64
+	res      *AppResult
+	workers  []appWorker
+
+	// queue holds the workers whose requests have arrived and wait for
+	// the master, oldest first: the master's mailbox. It never holds
+	// more than p, since a worker waits for its reply before it asks
+	// again.
+	queue     []*appWorker
+	waiting   bool       // the master is blocked receiving on an empty queue
+	serving   *appWorker // the worker whose request the master handles
+	nextTask  int64
+	finalized int // workers the master sent a finalization
+	finished  int // workers that received one; p once the run is complete
+
+	// step holds the master's scheduled steps bound once per run, so
+	// scheduling one allocates nothing.
+	step struct{ serve, assign, sent func() }
+}
+
+// appWorker is one worker's state between its steps.
+type appWorker struct {
+	app      *app
+	index    int
+	speed    float64 // host speed, flops/s
+	ctrlTime float64 // ctrlBytes over the worker–master route, either way
+
+	sendStart   float64 // when the pending request was sent
+	start       float64 // when the current chunk started executing
+	lastChunk   int64   // 0 before the first chunk
+	lastElapsed float64
+	rep         reply // the master's answer, read when it arrives
+
+	// step holds the worker's scheduled steps bound once per run.
+	step struct{ requested, replied, executed func() }
+}
+
+// receive is the master's receive: it serves the oldest queued request,
+// or waits for the next one when none is queued.
+func (a *app) receive() {
+	if len(a.queue) == 0 {
+		a.waiting = true
+		return
+	}
+	a.serve()
+}
+
+// serve takes the oldest request, reports the requester's last chunk
+// to the chunk calculator and charges the master's overhead, if any.
+func (a *app) serve() {
+	wk := popFront(&a.queue)
+	a.serving = wk
+	if wk.lastChunk > 0 {
+		a.cfg.Sched.Report(wk.index, wk.lastChunk, wk.lastElapsed, a.sim.Now())
+	}
+	if a.cfg.MasterOverhead > 0 {
+		a.sim.Schedule(a.cfg.MasterOverhead, a.step.assign)
+		return
+	}
+	a.assign()
+}
+
+// assign computes the served worker's chunk and sends it the
+// assignment, or its finalization when no tasks remain.
+func (a *app) assign() {
+	wk := a.serving
+	chunk := a.cfg.Sched.Next(wk.index, a.sim.Now())
+	wk.rep = reply{chunk: chunk}
+	if chunk > 0 {
+		seconds := a.cfg.Work.ChunkTime(a.nextTask, chunk, a.cfg.RNG)
+		a.nextTask += chunk
+		wk.rep.flops = seconds * a.refSpeed
+		a.res.SchedOps++
+		a.res.OpsPerWorker[wk.index]++
+		a.res.TasksPerWorker[wk.index] += chunk
+	} else {
+		a.finalized++
+	}
+	a.sim.Schedule(wk.ctrlTime, a.step.sent)
+}
+
+// sent delivers the reply once its transfer ends. The worker is always
+// waiting for it, since it blocks on its reply as soon as its request
+// arrives. The master then receives the next request, or ends once
+// every worker is finalized.
+func (a *app) sent() {
+	a.sim.Schedule(0, a.serving.step.replied)
+	if a.finalized < len(a.workers) {
+		a.receive()
+		return
+	}
+	if t := a.sim.Now(); t > a.res.Makespan {
+		a.res.Makespan = t
+	}
+}
+
+// request sends a work request to the master.
+func (wk *appWorker) request() {
+	wk.sendStart = wk.app.sim.Now()
+	wk.app.sim.Schedule(wk.ctrlTime, wk.step.requested)
+}
+
+// requested queues the request at the master, waking it if it waits.
+// The worker then waits for its reply.
+func (wk *appWorker) requested() {
+	a := wk.app
+	a.queue = append(a.queue, wk)
+	if a.waiting {
+		a.waiting = false
+		a.sim.Schedule(0, a.step.serve)
+	}
+}
+
+// replied executes the assigned chunk, or ends the worker on
+// finalization.
+func (wk *appWorker) replied() {
+	a := wk.app
+	now := a.sim.Now()
+	a.res.CommWait[wk.index] += now - wk.sendStart
+	if wk.rep.chunk == 0 {
+		a.finished++
+		if now > a.res.Makespan {
+			a.res.Makespan = now
+		}
+		return
+	}
+	wk.start = now
+	if flops := wk.rep.flops; !(flops <= 0) { // a NaN computes, as Execute's does
+		a.sim.Schedule(flops/wk.speed, wk.step.executed)
+		return
+	}
+	wk.executed()
+}
+
+// executed records the finished chunk and asks for the next one.
+func (wk *appWorker) executed() {
+	a := wk.app
+	wk.lastElapsed = a.sim.Now() - wk.start
+	wk.lastChunk = wk.rep.chunk
+	a.res.Compute[wk.index] += wk.lastElapsed
+	wk.request()
 }

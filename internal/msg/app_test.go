@@ -51,6 +51,44 @@ func TestAppValidation(t *testing.T) {
 	}); err == nil {
 		t.Error("random workload without RNG accepted")
 	}
+	if _, err := RunApp(NewEngine(pl), AppConfig{
+		MasterHost: "nowhere", WorkerHosts: workers,
+		Sched: newSched(t, "SS", 10, 2), Work: workload.NewConstant(1),
+	}); err == nil {
+		t.Error("unknown master host accepted")
+	}
+	if _, err := RunApp(NewEngine(pl), AppConfig{
+		MasterHost: master, WorkerHosts: []string{workers[0], "nowhere"},
+		Sched: newSched(t, "SS", 10, 2), Work: workload.NewConstant(1),
+	}); err == nil {
+		t.Error("unknown worker host accepted")
+	}
+}
+
+// negativeSched answers every request with a negative chunk, which the
+// master counts as a finalization while the worker, not seeing one,
+// asks again.
+type negativeSched struct{ sched.Scheduler }
+
+func (negativeSched) Next(int, float64) int64 { return -1 }
+
+// TestAppReportsUnfinishedRun: with a chunk calculator that never
+// finalizes a worker, the run ends with workers still waiting for a
+// reply. RunApp must report that, as the process form's deadlock
+// report does.
+func TestAppReportsUnfinishedRun(t *testing.T) {
+	pl, master, workers := freeCluster(t, 2)
+	for name, form := range map[string]func(*Engine, AppConfig) (*AppResult, error){
+		"callbacks": RunApp, "processes": runAppProcesses,
+	} {
+		_, err := form(NewEngine(pl), AppConfig{
+			MasterHost: master, WorkerHosts: workers,
+			Sched: negativeSched{newSched(t, "SS", 10, 2)}, Work: workload.NewConstant(1),
+		})
+		if err == nil {
+			t.Errorf("%s: a run that leaves workers waiting returned no error", name)
+		}
+	}
 }
 
 // TestAppSTATExactMakespan: constant workload, free network — the MSG

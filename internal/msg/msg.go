@@ -9,6 +9,17 @@
 // chunk-granularity simulator in internal/sim; app.go builds the paper's
 // Figure 1 master–worker execution model on top of it, and integration
 // tests cross-validate the two.
+//
+// RunApp runs that model as a chain of kernel callbacks rather than as
+// processes, because a process switch costs two coroutine switches
+// while a callback is one event. Each callback is scheduled exactly
+// where the process form pushed its activation: a Hold, Execute, Sleep
+// or send transfer becomes a callback after the same delay, and a Wake
+// one at the current time. The kernel orders callbacks and activations
+// by one (time, sequence) key, so the callbacks run in the process
+// form's order and produce its bits; a differential test and a fuzz
+// target keep the process form as the reference. RunResilientApp stays
+// on processes, whose receive timeout is its failure detector.
 package msg
 
 import (
@@ -29,15 +40,9 @@ type Engine struct {
 // Function is a process body deployable from a deployment file.
 type Function func(p *Process, args []string)
 
-// NewEngine returns an engine simulating on the given platform. Its
-// mailbox map is sized for one mailbox per host, as the master–worker
-// protocol declares.
+// NewEngine returns an engine simulating on the given platform.
 func NewEngine(plat *platform.Platform) *Engine {
-	return &Engine{
-		sim:       des.New(),
-		plat:      plat,
-		mailboxes: make(map[string]*Mailbox, plat.NumHosts()),
-	}
+	return &Engine{sim: des.New(), plat: plat}
 }
 
 // Sim exposes the underlying kernel (for tests and advanced scheduling).
@@ -88,6 +93,11 @@ func (e *Engine) declare(name, host string) (*Mailbox, error) {
 	h, err := e.plat.Host(host)
 	if err != nil {
 		return nil, fmt.Errorf("msg: mailbox %q: %w", name, err)
+	}
+	if e.mailboxes == nil {
+		// Created on first use, since RunApp declares none. Sized for
+		// one mailbox per host, as the resilient master declares.
+		e.mailboxes = make(map[string]*Mailbox, e.plat.NumHosts())
 	}
 	mb := &Mailbox{name: name, owner: h}
 	e.mailboxes[name] = mb
