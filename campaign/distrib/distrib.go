@@ -540,9 +540,9 @@ func (c *Coordinator) run(ctx context.Context, spec campaign.Spec, sinks []campa
 	//
 	// An unrecoverable shard stops the frontier: everything merged so
 	// far is the byte-identical completed prefix, and unless the caller
-	// gave up, the error returned is a typed *Incomplete report built
-	// before the remaining dispatchers are cancelled, so their causes
-	// are captured where already known.
+	// gave up, the error returned is a typed *Incomplete report. It is
+	// built after the remaining dispatchers are cancelled and have
+	// returned, so each window reads its piece's final outcome.
 	for i := range pieces {
 		select {
 		case <-f.done[i]:
@@ -556,11 +556,13 @@ func (c *Coordinator) run(ctx context.Context, spec campaign.Spec, sinks []campa
 			err = streamErr
 		}
 		if err != nil {
-			if ctx.Err() == nil {
-				hash, _ := spec.Hash()
-				return c.incomplete(hash, pieces, i, f, streamErr)
+			if ctx.Err() != nil {
+				return err
 			}
-			return err
+			cancel()
+			f.wg.Wait()
+			hash, _ := spec.Hash()
+			return c.incomplete(hash, pieces, i, f, streamErr)
 		}
 	}
 	return nil

@@ -365,10 +365,9 @@ func TestIncompleteReportsSinkCloseError(t *testing.T) {
 
 // TestIncompleteNumbersShards: one shard over a four-point spec is cut
 // into four windows, one per point. Against dead nodes the report must
-// list all four under shard 0 and count one missing shard, and the
-// failed window's cause must keep its connection failure after the
-// opened breakers leave no node eligible. A later window may still be
-// in flight when the report is built, so it may read as abandoned.
+// list all four under shard 0 and count one missing shard, and every
+// window's cause must keep its connection failure after the opened
+// breakers leave no node eligible.
 func TestIncompleteNumbersShards(t *testing.T) {
 	spec := goldenSpec(campaign.SeedPerCell, 5)
 	runners, fleet := newFleet(t, 2, cache.NewMemory())
@@ -396,12 +395,150 @@ func TestIncompleteNumbersShards(t *testing.T) {
 		if m.Shard != 0 || m.Point != i || m.RepOff != 0 || m.Reps != 5 {
 			t.Errorf("window %d = %+v, want shard 0, point %d, reps [0,5)", i, m, i)
 		}
-		if !contains(m.Cause, "connection refused") && (i == 0 || !contains(m.Cause, "abandoned after")) {
+		if !contains(m.Cause, "connection refused") {
 			t.Errorf("window %d cause %q lost the connection failure", i, m.Cause)
 		}
 	}
 	if got := coord.mTransitions.With("0", "open").Value() + coord.mTransitions.With("1", "open").Value(); got == 0 {
 		t.Error("no breaker opened; the no-eligible-node path went untested")
+	}
+}
+
+// ownFailuresNode refuses every submission. It refuses the first piece
+// (replication offset 0) at once; every later piece waits until the
+// first piece has used up its attempts and then, whatever its context
+// says, fails about 20 ms later — the shape of pieces that each fail
+// on their own, one after another.
+type ownFailuresNode struct {
+	campaign.Runner
+	firstTries *atomic.Int64 // the first piece's submissions, across the fleet
+	firstDone  chan struct{} // closed at the first piece's last attempt
+	once       *sync.Once
+}
+
+func (n *ownFailuresNode) Submit(ctx context.Context, spec campaign.Spec) (campaign.Job, error) {
+	if spec.RepOffset == 0 {
+		if n.firstTries.Add(1) == attempts {
+			n.once.Do(func() { close(n.firstDone) })
+		}
+		return campaign.Job{}, errors.New("injected: first piece refused")
+	}
+	select {
+	case <-n.firstDone:
+	case <-ctx.Done():
+		return campaign.Job{}, ctx.Err()
+	}
+	time.Sleep(20 * time.Millisecond)
+	return campaign.Job{}, fmt.Errorf("injected: piece at rep %d failed late", spec.RepOffset)
+}
+
+// TestIncompleteKeepsLateCauses: when later pieces fail on their own
+// after the first piece has failed for good, each window must report
+// its own piece's failure, not that it was abandoned.
+func TestIncompleteKeepsLateCauses(t *testing.T) {
+	spec := goldenSpec(campaign.SeedPerCell, 9)
+	spec.Techniques = []string{"FAC2"}
+	spec.Ns = []int64{128} // one grid point: three pieces of 3 replications
+
+	runners, _ := newFleet(t, 2, cache.NewMemory())
+	var tries atomic.Int64
+	firstDone, once := make(chan struct{}), new(sync.Once)
+	nodes := make([]campaign.Runner, len(runners))
+	for i, r := range runners {
+		nodes[i] = &ownFailuresNode{Runner: r, firstTries: &tries, firstDone: firstDone, once: once}
+	}
+	coord, err := New(nodes, Options{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+
+	_, err = coord.Execute(context.Background(), spec, campaign.ExecOptions{})
+	var inc *Incomplete
+	if !errors.As(err, &inc) {
+		t.Fatalf("error %v does not carry *Incomplete", err)
+	}
+	if len(inc.Missing) != 3 {
+		t.Fatalf("missing = %+v, want all three pieces", inc.Missing)
+	}
+	for i, m := range inc.Missing {
+		want := "injected: first piece refused"
+		if i > 0 {
+			want = fmt.Sprintf("injected: piece at rep %d failed late", m.RepOff)
+		}
+		if !contains(m.Cause, want) {
+			t.Errorf("window %d cause %q, want its own failure %q", i, m.Cause, want)
+		}
+	}
+}
+
+// firstFailsLastNode lets every piece but the first run. The first
+// piece (replication offset 0) waits until the other pieces' jobs have
+// finished on the fleet, then is refused.
+type firstFailsLastNode struct {
+	campaign.Runner
+	others     int
+	finished   *atomic.Int64 // the other pieces' jobs seen done, across the fleet
+	othersDone chan struct{}
+	once       *sync.Once
+}
+
+func (n *firstFailsLastNode) Submit(ctx context.Context, spec campaign.Spec) (campaign.Job, error) {
+	if spec.RepOffset == 0 {
+		select {
+		case <-n.othersDone:
+		case <-ctx.Done():
+			return campaign.Job{}, ctx.Err()
+		}
+		return campaign.Job{}, errors.New("injected: first piece refused")
+	}
+	return n.Runner.Submit(ctx, spec)
+}
+
+func (n *firstFailsLastNode) Wait(ctx context.Context, id string) (campaign.Snapshot, error) {
+	snap, err := n.Runner.Wait(ctx, id)
+	if err == nil && snap.State == campaign.StateDone && n.finished.Add(1) == int64(n.others) {
+		n.once.Do(func() { close(n.othersDone) })
+	}
+	return snap, err
+}
+
+// TestIncompleteAbandonsUnmergedPieces: pieces that completed but were
+// never merged, because an earlier piece failed, must read as
+// abandoned after that failure rather than carry no cause.
+func TestIncompleteAbandonsUnmergedPieces(t *testing.T) {
+	spec := goldenSpec(campaign.SeedPerCell, 9)
+	spec.Techniques = []string{"FAC2"}
+	spec.Ns = []int64{128} // one grid point: three pieces of 3 replications
+
+	runners, _ := newFleet(t, 2, cache.NewMemory())
+	var finished atomic.Int64
+	othersDone, once := make(chan struct{}), new(sync.Once)
+	nodes := make([]campaign.Runner, len(runners))
+	for i, r := range runners {
+		nodes[i] = &firstFailsLastNode{Runner: r, others: 2, finished: &finished, othersDone: othersDone, once: once}
+	}
+	coord, err := New(nodes, Options{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+
+	_, err = coord.Execute(context.Background(), spec, campaign.ExecOptions{})
+	var inc *Incomplete
+	if !errors.As(err, &inc) {
+		t.Fatalf("error %v does not carry *Incomplete", err)
+	}
+	if inc.CompletedRuns != 0 || len(inc.Missing) != 3 {
+		t.Fatalf("completed %d runs, missing %+v; want 0 and all three pieces", inc.CompletedRuns, inc.Missing)
+	}
+	if !contains(inc.Missing[0].Cause, "injected: first piece refused") {
+		t.Errorf("window 0 cause %q lost the failure", inc.Missing[0].Cause)
+	}
+	for i, m := range inc.Missing[1:] {
+		if !contains(m.Cause, "abandoned after shard 0") {
+			t.Errorf("window %d cause %q, want abandoned after shard 0", i+1, m.Cause)
+		}
 	}
 }
 

@@ -5,6 +5,8 @@
 package distrib
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 )
@@ -84,33 +86,29 @@ func shortHash(h string) string {
 	return h
 }
 
-// incomplete assembles the *Incomplete report: pieces before
-// `failedAt` were fully merged; `failedAt` and everything after are
-// missing. Dispatch goroutines may still be landing when this runs, so
-// per-piece causes are read only through their done channels.
+// incomplete assembles the *Incomplete report once every dispatcher
+// has returned: pieces before failedAt were fully merged; failedAt and
+// everything after are missing. A later piece that failed on its own
+// keeps its own error; one that the give-up cancelled, or that
+// completed but was never merged, reads as abandoned. While the
+// caller's context is live only the give-up cancels a piece, so a
+// cancellation error marks the pieces it stopped.
 func (c *Coordinator) incomplete(hash string, pieces []piece, failedAt int, f *fanout, streamErr error) *Incomplete {
 	inc := &Incomplete{Hash: hash}
 	for i, p := range pieces {
-		if i < failedAt {
-			inc.CompletedRuns += int64(p.reps)
-		}
 		inc.TotalRuns += int64(p.reps)
 		if i < failedAt {
+			inc.CompletedRuns += int64(p.reps)
 			continue
 		}
 		sr := ShardRange{Shard: p.shard, Point: p.point, RepOff: p.repOff, Reps: p.reps}
-		switch {
+		switch err := f.errs[i]; {
 		case i == failedAt && streamErr != nil:
 			sr.Cause = fmt.Sprintf("stream failed mid-shard: %v", streamErr)
+		case i == failedAt, err != nil && !errors.Is(err, context.Canceled):
+			sr.Cause = err.Error()
 		default:
-			select {
-			case <-f.done[i]:
-				if f.errs[i] != nil {
-					sr.Cause = f.errs[i].Error()
-				}
-			default:
-				sr.Cause = fmt.Sprintf("abandoned after %v failed", pieces[failedAt])
-			}
+			sr.Cause = fmt.Sprintf("abandoned after %v failed", pieces[failedAt])
 		}
 		inc.Missing = append(inc.Missing, sr)
 	}
