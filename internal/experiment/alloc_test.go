@@ -12,10 +12,11 @@ import (
 // allocate at most 50 KB per msg run. Bytes per run grow with p, so
 // this is the costliest round. A run costs about 32 KB: each worker's
 // state and bound steps, the engine's event heap as it grows, the
-// result slices, and the run's share of the runner's platform. Running
-// the protocol as processes with mailboxes costs about 90 KB. The
-// bound sits between the two, so a run that starts allocating per
-// message or builds processes again fails it.
+// result slices, and the run's share of the runner's platform. The
+// protocol as processes with mailboxes, the form the msg tests keep as
+// their reference, costs about 90 KB. The bound sits between the two,
+// so a run that starts allocating per message or builds processes
+// fails it.
 func TestTzenMSGBytesPerRun(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap byte counts differ under the race detector")
